@@ -14,6 +14,15 @@ Both satisfy the completeness relation sum_i Ki^dag Ki = I, and a channel
 acts on a two-qubit state in the trace-preserving sandwich form
 
     rho' = sum_{i,j} (Ki (x) Kj) rho (Ki (x) Kj)^dag.
+
+The same channels in Pauli-transfer form, R_mu,nu = tr(sigma_mu E(sigma_nu))/2
+with sigma_0 = I, are real 4x4 matrices (q = sqrt(1-p)):
+
+    phase:     diag(1, q, q, 1)
+    amplitude: diag(1, q, q, 1-p) plus R_30 = p
+
+and a local pair acts on the real correlation matrix T of a two-qubit state
+(see `correlation.t_matrix`) as T' = R_A T R_B^T.
 """
 
 from __future__ import annotations
@@ -91,6 +100,26 @@ def apply_local_channel(
             op = tensor2(ka, kb)
             out += op @ rho @ op.conj().T
     return out
+
+
+def pauli_transfer(kind: str, p) -> np.ndarray:
+    """Pauli-transfer matrices of a channel for every damping probability in
+    `p`, shape p.shape + (4, 4); accepts the same kind names as make_channel."""
+    p = np.asarray(p, dtype=float)
+    bad = ~((p >= 0.0) & (p <= 1.0))
+    if bad.any():
+        raise ValueError(f"p must lie in [0, 1], got {p[bad].flat[0]}")
+    r = np.zeros(p.shape + (4, 4))
+    r[..., 0, 0] = 1.0
+    r[..., 1, 1] = r[..., 2, 2] = np.sqrt(1.0 - p)
+    if kind in (PHASE_DAMPING, "phase"):
+        r[..., 3, 3] = 1.0
+    elif kind in (AMPLITUDE_DAMPING, "amplitude"):
+        r[..., 3, 0] = p
+        r[..., 3, 3] = 1.0 - p
+    else:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    return r
 
 
 def p_of_t(gamma: float, t: float) -> float:

@@ -174,13 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_p(args, parser) -> float:
-    explicit = args.p is not None
+    explicit = args.p is not None  # the range check below also rejects nan and inf
     timed = args.gamma is not None or args.t is not None
     if explicit and timed:
         parser.error("give either --p or the pair --gamma/--t, not both")
     if timed:
         if args.gamma is None or args.t is None:
             parser.error("--gamma and --t must be given together")
+        if not (math.isfinite(args.gamma) and math.isfinite(args.t)):
+            parser.error(f"--gamma and --t must be finite, got {args.gamma} and {args.t}")
         if args.gamma < 0 or args.t < 0:
             parser.error("--gamma and --t must be >= 0")
         return p_of_t(args.gamma, args.t)
@@ -300,8 +302,9 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError) as exc:
+        # one line, however the message is laid out
+        print("error:", " ".join(str(exc).split()), file=sys.stderr)
         return 1
 
 

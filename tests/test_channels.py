@@ -9,10 +9,13 @@ from avgcorr import (
     apply_both,
     apply_local_channel,
     completeness_residual,
+    make_channel,
     make_pure_state,
     p_of_t,
+    pauli_transfer,
     phase_damping,
     random_density,
+    t_matrix,
     validate_density,
 )
 
@@ -162,3 +165,33 @@ def test_damping_schedule():
     assert ps[-1] > 0.999999
     with pytest.raises(ValueError):
         DampingSchedule(gamma=-0.1)
+
+
+@pytest.mark.parametrize("kind", ["phase", "amplitude"])
+def test_pauli_transfer_matches_kraus_sandwich(kind):
+    # R T R^T must reproduce the T-matrix of the Kraus-damped state
+    rng = np.random.default_rng(1838)
+    for p in (0.0, 1.0, *rng.uniform(0.0, 1.0, 8)):
+        r = pauli_transfer(kind, p)
+        channel = make_channel(kind, p)
+        for _ in range(5):
+            rho = random_density(rng)
+            damped = t_matrix(apply_local_channel(rho, channel, channel))
+            assert np.max(np.abs(r @ t_matrix(rho) @ r.T - damped)) <= 1e-15
+
+
+def test_pauli_transfer_stacks_over_p():
+    ps = np.array([[0.0, 0.3], [0.6, 1.0]])
+    for kind in ("phase_damping", "amplitude_damping"):
+        stacked = pauli_transfer(kind, ps)
+        assert stacked.shape == (2, 2, 4, 4)
+        for idx in np.ndindex(ps.shape):
+            assert np.array_equal(stacked[idx], pauli_transfer(kind, ps[idx]))
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.0001, np.nan, np.inf])
+def test_pauli_transfer_domain_errors(bad):
+    with pytest.raises(ValueError):
+        pauli_transfer("phase", [0.5, bad])
+    with pytest.raises(ValueError):
+        pauli_transfer("bogus", 0.5)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from avgcorr import NONCLASSICAL_MIN, SingularTriple, classify, sigma_quadrature
+from avgcorr import sweep
 from avgcorr.cli import CSV_HEADER, format_sig12, run
 
 
@@ -177,3 +178,34 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("0.250000000000")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--channel", "phase", "--gammas", "nan"],
+        ["sweep", "--channel", "amplitude", "--gammas", "0.5,inf"],
+        ["sweep", "--channel", "phase", "--t-max", "inf"],
+        ["sigma", "--c", "0.5", "--gamma", "inf", "--t", "0"],
+        ["sigma", "--c", "0.5", "--gamma", "1", "--t", "nan"],
+        ["sigma", "--c", "0.5", "--p", "nan"],
+    ],
+)
+def test_non_finite_input_is_a_usage_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        err.splitlines()[-1]
+    ]
+
+
+def test_numeric_failure_reports_one_line_and_exits_1(monkeypatch, capsys):
+    # a negative tolerance makes the sweep's analytic-triple check fail
+    monkeypatch.setattr(sweep, "ANALYTIC_TRIPLE_TOL", -1.0)
+    assert run(["sweep", "--channel", "phase", "--gammas", "1.0",
+                "--steps", "3", "--t-max", "1.0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: damped singular values")
+    assert captured.err.count("\n") == 1

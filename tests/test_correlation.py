@@ -22,6 +22,12 @@ from avgcorr import (
     sigma_monte_carlo,
     sigma_quadrature,
     singular_values,
+    t_matrix,
+)
+from avgcorr.correlation import (
+    classify_batch,
+    sigma_closed_pure_batch,
+    sigma_quadrature_batch,
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -298,3 +304,61 @@ def test_classify_total_and_ordered(value):
         assert label == NONCLASSICAL
     else:
         assert label == INDETERMINATE
+
+
+def seeded_triples(n, seed):
+    """Sorted random triples plus zeros, degenerate pairs and kinks."""
+    rng = np.random.default_rng(seed)
+    triples = [np.sort(rng.uniform(0.0, 1.0, 3))[::-1] for _ in range(n)]
+    for a in (1.0, 0.37):
+        for b in (0.0, 1e-12, 0.2 * a, a * (1 - 1e-10), a):
+            triples += [(a, b, 0.0), (a, b, b), (a, b, 0.5 * b)]
+    triples += [(0.0, 0.0, 0.0), (1.0, 1.0, 0.0)]
+    return np.array(triples, dtype=float)
+
+
+def test_quadrature_batch_is_the_single_triple_quadrature():
+    triples = seeded_triples(60, 4)
+    values, bounds = sigma_quadrature_batch(*triples.T)
+    for (a, b, g), value, bound in zip(triples, values, bounds):
+        est = sigma_quadrature(SingularTriple(a, b, g))
+        assert (est.value, est.error_bound) == (value, bound)
+
+
+def test_quadrature_batch_matches_elliprg():
+    # Sigma = R_G(alpha^2, beta^2, gamma^2) / 2 (Carlson's symmetric integral)
+    special = pytest.importorskip("scipy.special")
+    triples = seeded_triples(500, 19)
+    values, bounds = sigma_quadrature_batch(*triples.T)
+    sq = triples**2
+    expected = 0.5 * special.elliprg(sq[:, 0], sq[:, 1], sq[:, 2])
+    assert np.max(np.abs(values - expected)) <= 1e-11
+    assert np.all(bounds >= 0.0)
+
+
+def test_closed_pure_batch_is_the_single_pair_closed_form():
+    rng = np.random.default_rng(12)
+    alpha = np.concatenate([rng.uniform(0.0, 1.0, 50), [0.0, 1.0, 1.0, 0.5]])
+    beta = np.concatenate([alpha[:50] * rng.uniform(0.0, 1.0, 50), [0.0, 1.0, 0.0, 1e-10]])
+    values = sigma_closed_pure_batch(alpha, beta)
+    assert [sigma_closed_pure(a, b).value for a, b in zip(alpha, beta)] == values.tolist()
+    with pytest.raises(ValueError):
+        sigma_closed_pure_batch([0.5, 0.5], [0.2, 0.6])
+
+
+def test_classify_batch_matches_classify():
+    values = np.array([0.0, 0.25, np.nextafter(0.25, 1.0), NONCLASSICAL_MIN,
+                       np.nextafter(NONCLASSICAL_MIN, 1.0), 0.5, np.nan])
+    assert classify_batch(values).tolist() == [classify(v) for v in values]
+
+
+def test_t_matrix_blocks():
+    rng = np.random.default_rng(1996)
+    for _ in range(20):
+        rho = random_density(rng)
+        t = t_matrix(rho)
+        assert t.shape == (4, 4) and t.dtype == float
+        assert abs(t[0, 0] - 1.0) <= 1e-15  # trace
+        assert np.array_equal(t[1:, 1:], correlation_matrix(rho))
+    with pytest.raises(ValueError):
+        t_matrix(np.diag([1.0, 0.0, 0.0, 1j]))

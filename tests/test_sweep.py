@@ -3,13 +3,23 @@ import pytest
 
 from avgcorr import (
     AMPLITUDE_DAMPING,
+    NONCLASSICAL_MIN,
     PHASE_DAMPING,
     SweepSpec,
+    apply_both,
+    classify,
+    correlation_matrix,
     decay_curve,
     figure_dataset,
+    make_channel,
+    make_pure_state,
     p_of_t,
+    sigma_closed_pure,
     sigma_monte_carlo,
+    sigma_quadrature,
+    singular_values,
 )
+from avgcorr.correlation import DEGENERATE_PAIR_TOL
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -172,3 +182,69 @@ def test_metadata_records_reproducibility_inputs(figure1):
 def test_figure_dataset_rejects_unknown_figure():
     with pytest.raises(ValueError):
         figure_dataset(3)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(c=np.nan),
+        dict(gammas=(1.0, np.nan)),
+        dict(gammas=(np.inf,)),
+        dict(t_max=np.inf),
+        dict(t_max=np.nan),
+    ],
+)
+def test_sweep_spec_rejects_non_finite(kwargs):
+    spec = dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=5)
+    with pytest.raises(ValueError):
+        SweepSpec(**{**spec, **kwargs})
+
+
+def per_point_rows(spec, n_samples, seed):
+    """The sweep rows computed point by point through the Kraus form:
+    apply_both -> correlation_matrix -> singular_values -> estimator."""
+    rho0 = make_pure_state(spec.c)
+    for bi, gamma in enumerate(spec.gammas):
+        for ti, t in enumerate(np.linspace(0.0, spec.t_max, spec.steps)):
+            p = p_of_t(gamma, t)
+            k = correlation_matrix(apply_both(rho0, make_channel(spec.channel_kind, p)))
+            s = singular_values(k)
+            if spec.method == "monte_carlo":
+                est = sigma_monte_carlo(
+                    k, n_samples, np.random.SeedSequence(seed, spawn_key=(bi, ti))
+                )
+            elif (spec.method == "closed_form"
+                  and abs(s.beta - s.gamma_sv) <= DEGENERATE_PAIR_TOL):
+                est = sigma_closed_pure(s.alpha, s.beta)
+            else:
+                est = sigma_quadrature(s)
+            yield gamma, (t, p, s.alpha, s.beta, s.gamma_sv, est.value), classify(est)
+
+
+def test_batched_sweep_matches_per_point_kraus_pipeline():
+    rng = np.random.default_rng(20240316)
+    methods = ("quadrature", "closed_form", "monte_carlo")
+    for i in range(24):
+        gammas = tuple(float(g) for g in rng.uniform(0.0, 3.0, rng.integers(1, 4)))
+        if i % 4 == 0:
+            gammas += (0.0, 50.0)  # p stays 0, and p reaches 1
+        spec = SweepSpec(
+            channel_kind=(PHASE_DAMPING, AMPLITUDE_DAMPING)[i % 2],
+            c=float(rng.choice([0.0, 1.0, INV_SQRT2, rng.uniform()])),
+            gammas=gammas,
+            t_max=float(rng.uniform(0.1, 10.0)),
+            steps=int(rng.integers(2, 13)),
+            method=methods[(i // 2) % 3],
+        )
+        seed = int(rng.integers(0, 2**31))
+        curve = decay_curve(spec, n_samples=10**4, seed=seed)
+        got = [(block.gamma, row) for block in curve.blocks for row in block.rows]
+        want = list(per_point_rows(spec, 10**4, seed))
+        assert len(got) == len(want)
+        for (gamma, row), (ref_gamma, numbers, label) in zip(got, want):
+            assert gamma == ref_gamma
+            values = (row.t, row.p, row.alpha, row.beta, row.gamma_sv, row.sigma)
+            assert np.max(np.abs(np.subtract(values, numbers))) <= 1e-15, (spec, row)
+            sigma = numbers[-1]
+            near = min(abs(sigma - 0.25), abs(sigma - NONCLASSICAL_MIN)) <= 1e-12
+            assert row.classification == label or near, (spec, row)
