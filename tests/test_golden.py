@@ -1,8 +1,9 @@
-"""Golden-file pin of the canned decay datasets.
+"""Golden-file pins of the sweep output bytes.
 
 `tests/data/figure{1,2}.csv` hold the exact bytes of `avgcorr sweep
---figure 1|2`; any change to how the sweep computes or renders a row must
-keep them.
+--figure 1|2`, and `tests/data/sweep_*.json` those of two small JSON
+sweeps; any change to how the sweep computes or renders a row must keep
+them.
 """
 
 from pathlib import Path
@@ -13,9 +14,28 @@ from avgcorr.cli import run
 
 DATA = Path(__file__).parent / "data"
 
+JSON_SWEEPS = {
+    "sweep_phase_closed.json": [
+        "--channel", "phase", "--method", "closed", "--c", "0.37",
+        "--gammas", "0.4,1.3,2.7", "--steps", "20",
+    ],
+    "sweep_amplitude_quadrature.json": [
+        "--channel", "amplitude", "--method", "quadrature", "--c", "0.8",
+        "--gammas", "1.5", "--steps", "40",
+    ],
+}
+
 
 @pytest.mark.parametrize("figure", [1, 2])
 def test_figure_csv_matches_golden_bytes(figure, tmp_path):
     out = tmp_path / f"figure{figure}.csv"
     assert run(["sweep", "--figure", str(figure), "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"figure{figure}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(JSON_SWEEPS))
+def test_sweep_json_matches_golden_bytes(name, tmp_path):
+    out = tmp_path / name
+    argv = ["sweep", *JSON_SWEEPS[name], "--format", "json", "--out", str(out)]
+    assert run(argv) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes()
