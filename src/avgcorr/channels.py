@@ -136,16 +136,3 @@ def p_of_t(gamma: float, t: float) -> float:
     # expm1 keeps full precision for small gamma*t
     return float(-np.expm1(-gamma * t))
 
-
-@dataclass(frozen=True)
-class DampingSchedule:
-    """Maps elapsed time to damping probability at a fixed rate."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError(f"decoherence rate must be >= 0, got {self.gamma}")
-
-    def probability(self, t: float) -> float:
-        return p_of_t(self.gamma, t)

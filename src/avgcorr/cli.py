@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from itertools import repeat
 
 import numpy as np
 
@@ -44,53 +44,69 @@ CHANNEL_KIND_BY_FLAG = {"phase": "phase_damping", "amplitude": "amplitude_dampin
 
 
 def format_sig12(x: float) -> str:
-    """Fixed-point representation with 12 significant digits."""
+    """Fixed-point representation with 12 significant digits; scientific
+    notation with 12 significant digits from |x| = 1e12 on."""
     x = float(x)
     if x == 0.0:
         return "0.000000000000"
-    exponent = math.floor(math.log10(abs(x)))
-    for _ in range(2):
-        decimals = max(11 - exponent, 0)
-        out = f"{x:.{decimals}f}"
-        rounded = float(out)
-        # rounding can carry into the next decade (0.0999... -> 0.100...)
-        if rounded != 0.0 and math.floor(math.log10(abs(rounded))) != exponent:
-            exponent += 1
-            continue
-        return out
+    size = abs(x)
+    if size >= 1e12:
+        if size == math.inf:
+            raise ValueError(f"cannot format {x} with 12 significant digits")
+        return "%.11e" % x
+    exponent = math.floor(math.log10(size))
+    out = "%.*f" % (max(11 - exponent, 0), x)
+    # rounding can carry into the next decade (0.0999... -> 0.100...),
+    # which shows as a 13th significant digit
+    if len(out.replace(".", "").lstrip("-0")) > 12:
+        out = "%.*f" % (max(10 - exponent, 0), x)
     return out
 
 
 def render_csv(curve: DecayCurve) -> str:
+    t_col = list(map(format_sig12, curve.t.tolist()))
     lines = [CSV_HEADER]
-    for block in curve.blocks:
-        for row in block.rows:
-            lines.append(
-                ",".join(
-                    [
-                        format_sig12(block.gamma),
-                        format_sig12(row.t),
-                        format_sig12(row.p),
-                        format_sig12(row.alpha),
-                        format_sig12(row.beta),
-                        format_sig12(row.gamma_sv),
-                        format_sig12(row.sigma),
-                        row.classification,
-                    ]
-                )
-            )
+    for bi, gamma in enumerate(curve.gammas.tolist()):
+        numbers = [map(format_sig12, col) for col in
+                   (curve.p[bi].tolist(), *curve.sv[bi].T.tolist(), curve.sigma[bi].tolist())]
+        lines.extend(",".join(fields) for fields in
+                     zip(repeat(format_sig12(gamma)), t_col, *numbers,
+                         curve.labels[bi].tolist()))
     return "\n".join(lines) + "\n"
 
 
+# The layout of json.dumps(..., indent=2) for a row and a block; %r of a
+# float is float.__repr__, as in json, t comes already written, and the
+# labels are plain identifiers that need no escaping.
+_JSON_ROW = (
+    "        {\n"
+    '          "t": %s,\n'
+    '          "p": %r,\n'
+    '          "alpha": %r,\n'
+    '          "beta": %r,\n'
+    '          "gamma_sv": %r,\n'
+    '          "sigma": %r,\n'
+    '          "classification": "%s"\n'
+    "        }"
+)
+_JSON_BLOCK = '    {\n      "gamma": %r,\n      "rows": [\n%s\n      ]\n    }'
+
+
 def render_json(curve: DecayCurve) -> str:
-    payload = {
-        "metadata": curve.metadata,
-        "blocks": [
-            {"gamma": block.gamma, "rows": [asdict(row) for row in block.rows]}
-            for block in curve.blocks
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The curve as `json.dumps({"metadata": ..., "blocks": ...}, indent=2)`
+    would write it, with the rows laid out from the columns directly."""
+    columns = (curve.gammas, curve.t, curve.p, curve.sv, curve.sigma)
+    if not all(np.isfinite(col).all() for col in columns):
+        raise ValueError("JSON cannot hold the non-finite values in this decay curve")
+    t_col = list(map(repr, curve.t.tolist()))
+    blocks = [
+        _JSON_BLOCK % (gamma, ",\n".join(map(_JSON_ROW.__mod__, zip(
+            t_col, curve.p[bi].tolist(), *curve.sv[bi].T.tolist(),
+            curve.sigma[bi].tolist(), curve.labels[bi].tolist()))))
+        for bi, gamma in enumerate(curve.gammas.tolist())
+    ]
+    head = json.dumps({"metadata": curve.metadata}, indent=2)[:-2]  # drop "\n}"
+    return f'{head},\n  "blocks": [\n' + ",\n".join(blocks) + "\n  ]\n}\n"
 
 
 def write_output(curve: DecayCurve, fmt: str = "csv", path: str | None = None) -> None:
@@ -206,7 +222,14 @@ def _damped_state(args, parser) -> np.ndarray:
     return apply_local_channel(make_pure_state(c), channel, channel)
 
 
+def _check_samples(args, parser) -> None:
+    if args.method == "mc" and args.samples < 1:
+        parser.error(f"--samples must be >= 1 with --method mc, got {args.samples}")
+
+
 def cmd_sigma(args, parser) -> int:
+    """Damp the state the flags describe, estimate Sigma, print it and its label."""
+    _check_samples(args, parser)
     rho = _damped_state(args, parser)
     est = sigma_for_state(
         rho, method=METHOD_NAMES[args.method], n_samples=args.samples, seed=args.seed
@@ -223,12 +246,7 @@ def cmd_classify(args, parser) -> int:
         return 0
     if args.c is None:
         parser.error("classify needs --value or a state via --c")
-    rho = _damped_state(args, parser)
-    est = sigma_for_state(
-        rho, method=METHOD_NAMES[args.method], n_samples=args.samples, seed=args.seed
-    )
-    _emit(f"{format_sig12(est.value)} {classify(est.value)}\n", args.out)
-    return 0
+    return cmd_sigma(args, parser)
 
 
 def cmd_sweep(args, parser) -> int:
@@ -248,6 +266,7 @@ def cmd_sweep(args, parser) -> int:
             parser.error(f"could not parse --gammas {args.gammas!r}")
         if not gammas:
             parser.error(f"--gammas {args.gammas!r} names no rates")
+        _check_samples(args, parser)
         c = INV_SQRT2 if args.c is None else _check_unit(args.c, "--c", parser)
         try:
             spec = SweepSpec(

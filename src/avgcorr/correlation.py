@@ -114,19 +114,6 @@ def singular_values(k: np.ndarray) -> SingularTriple:
     return SingularTriple(float(vals[0]), float(vals[1]), float(vals[2]))
 
 
-def f_phi(s: SingularTriple, phi) -> float | np.ndarray:
-    """Angular weight (beta/alpha)^2 sin^2(phi) + (gamma_sv/alpha)^2 cos^2(phi).
-
-    Lies in [0, 1] because the triple is sorted. Undefined at alpha = 0;
-    the caller must short-circuit Sigma = 0 there.
-    """
-    if s.alpha == 0.0:
-        raise ValueError("f_phi is undefined for alpha = 0 (Sigma is 0 there)")
-    b2 = (s.beta / s.alpha) ** 2
-    g2 = (s.gamma_sv / s.alpha) ** 2
-    return b2 * np.sin(phi) ** 2 + g2 * np.cos(phi) ** 2
-
-
 @dataclass(frozen=True)
 class SigmaEstimate:
     """Average-correlation value with its method tag and error bound."""

@@ -2,7 +2,8 @@
 
 A sweep applies the same channel to both qubits of a pure state at
 p(t) = 1 - exp(-gamma*t) over a uniform time grid and records the singular
-triple, Sigma, and its nonclassicality label per point, one block per rate.
+triple, Sigma, and its nonclassicality label per point, as columns over the
+(rate, time) grid with a row view per rate.
 
 The whole (rate, time) grid is computed as arrays: the state's real 4x4
 correlation matrix T is mapped to R T R^T by the channel's Pauli-transfer
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,10 +101,38 @@ class DecayBlock:
     rows: tuple[DecayRow, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecayCurve:
-    blocks: tuple[DecayBlock, ...]
+    """Decay curves as columns over the (rate, time) grid.
+
+    `gammas` has one entry per rate and `t` one per step; `p`, `sigma` and
+    `labels` have shape (rates, steps) and `sv`, the descending singular
+    values, (rates, steps, 3). `blocks` is a row view of the same arrays,
+    built on first read.
+    """
+
+    gammas: np.ndarray
+    t: np.ndarray
+    p: np.ndarray
+    sv: np.ndarray
+    sigma: np.ndarray
+    labels: np.ndarray
     metadata: dict
+
+    @cached_property
+    def blocks(self) -> tuple[DecayBlock, ...]:
+        t_list = self.t.tolist()
+        return tuple(
+            DecayBlock(
+                gamma=gamma,
+                rows=tuple(
+                    DecayRow(*fields)
+                    for fields in zip(t_list, self.p[bi].tolist(), *self.sv[bi].T.tolist(),
+                                      self.sigma[bi].tolist(), self.labels[bi].tolist())
+                ),
+            )
+            for bi, gamma in enumerate(self.gammas.tolist())
+        )
 
 
 def apply_both(rho: np.ndarray, channel) -> np.ndarray:
@@ -152,29 +182,16 @@ def decay_curve(
     n_samples: int = 1_000_000,
     seed: int = 42,
 ) -> DecayCurve:
-    """Compute Sigma(t) blocks for every rate in the spec."""
+    """Compute the Sigma(t) curve of every rate in the spec as columns."""
+    gammas = np.array(spec.gammas, dtype=float)
     times = np.linspace(0.0, spec.t_max, spec.steps)
-    p = -np.expm1(-np.array(spec.gammas)[:, None] * times)  # (rates, steps)
+    p = -np.expm1(-gammas[:, None] * times)  # (rates, steps)
     r = pauli_transfer(spec.channel_kind, p)
     t_damped = r @ t_matrix(make_pure_state(spec.c)) @ np.swapaxes(r, -1, -2)
     k = np.ascontiguousarray(t_damped[..., 1:, 1:])
     sv = np.linalg.svd(k, compute_uv=False)  # descending
     _check_analytic_triples(spec, times, p, sv)
     sigma = _sigmas(spec, k, sv, n_samples, seed)
-    labels = classify_batch(sigma)
-
-    t_list = times.tolist()
-    blocks = tuple(
-        DecayBlock(
-            gamma=float(gamma),
-            rows=tuple(
-                DecayRow(*fields)
-                for fields in zip(t_list, p[bi].tolist(), *sv[bi].T.tolist(),
-                                  sigma[bi].tolist(), labels[bi].tolist())
-            ),
-        )
-        for bi, gamma in enumerate(spec.gammas)
-    )
     metadata = {
         "channel": spec.channel_kind,
         "c": spec.c,
@@ -188,7 +205,8 @@ def decay_curve(
         "quadrature_rel_tol": QUADRATURE_REL_TOL,
         "rng": RNG_IDENTITY,
     }
-    return DecayCurve(blocks=blocks, metadata=metadata)
+    return DecayCurve(gammas=gammas, t=times, p=p, sv=sv, sigma=sigma,
+                      labels=classify_batch(sigma), metadata=metadata)
 
 
 def figure_dataset(figure: int, seed: int = 42) -> DecayCurve:

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from avgcorr import (
-    DampingSchedule,
     amplitude_damping,
     apply_both,
     apply_local_channel,
@@ -154,17 +153,6 @@ def test_p_of_t_monotone_in_time(gamma, t1, t2):
     lo, hi = sorted((t1, t2))
     assert p_of_t(gamma, lo) <= p_of_t(gamma, hi)
     assert 0.0 <= p_of_t(gamma, hi) <= 1.0
-
-
-def test_damping_schedule():
-    sched = DampingSchedule(gamma=1.5)
-    ts = np.linspace(0.0, 10.0, 50)
-    ps = [sched.probability(t) for t in ts]
-    assert ps[0] == 0.0
-    assert all(b >= a for a, b in zip(ps, ps[1:]))
-    assert ps[-1] > 0.999999
-    with pytest.raises(ValueError):
-        DampingSchedule(gamma=-0.1)
 
 
 @pytest.mark.parametrize("kind", ["phase", "amplitude"])

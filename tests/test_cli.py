@@ -209,3 +209,24 @@ def test_numeric_failure_reports_one_line_and_exits_1(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: damped singular values")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", "--c", "0.5", "--p", "0.2"],
+        ["classify", "--c", "0.5", "--p", "0.2"],
+        ["sweep", "--channel", "phase", "--steps", "3"],
+    ],
+)
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_monte_carlo_samples_below_one_is_a_usage_error(argv, samples, capsys):
+    assert run([*argv, "--method", "mc", "--samples", samples]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        err.splitlines()[-1]
+    ]
+    assert "--samples" in err.splitlines()[-1]
+    # the other estimators do not use --samples and still ignore it
+    assert run([*argv, "--method", "quadrature", "--samples", samples]) == 0

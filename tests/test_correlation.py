@@ -13,7 +13,6 @@ from avgcorr import (
     apply_both,
     classify,
     correlation_matrix,
-    f_phi,
     make_pure_state,
     phase_damping,
     random_density,
@@ -112,32 +111,6 @@ def test_singular_triple_sorting_and_validation():
         SingularTriple(0.2, 0.9, 0.5)
     with pytest.raises(ValueError):
         SingularTriple(1.0, 0.5, -0.1)
-
-
-def test_f_phi_constant_for_degenerate_pair():
-    s = SingularTriple(1.0, 0.6, 0.6)
-    for phi in np.linspace(0, 2 * np.pi, 17):
-        assert abs(f_phi(s, phi) - 0.36) < 1e-14
-
-
-def test_f_phi_values():
-    s = SingularTriple(1.0, 0.8, 0.2)
-    assert abs(f_phi(s, 0.0) - 0.04) < 1e-14
-    assert abs(f_phi(s, np.pi / 4) - 0.34) < 1e-14
-    with pytest.raises(ValueError):
-        f_phi(SingularTriple(0.0, 0.0, 0.0), 0.3)
-
-
-@given(
-    st.floats(min_value=1e-6, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1.0),
-    st.floats(min_value=0.0, max_value=2 * np.pi),
-)
-def test_f_phi_in_unit_interval(alpha, fb, fg, phi):
-    beta = alpha * fb
-    s = SingularTriple(alpha, beta, beta * fg)
-    assert -1e-12 <= f_phi(s, phi) <= 1.0 + 1e-12
 
 
 def test_quadrature_landmarks():
