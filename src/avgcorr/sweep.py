@@ -108,7 +108,7 @@ class DecayCurve:
     `gammas` has one entry per rate and `t` one per step; `p`, `sigma` and
     `labels` have shape (rates, steps) and `sv`, the descending singular
     values, (rates, steps, 3). `blocks` is a row view of the same arrays,
-    built on first read.
+    built on first read; `decay_curve` returns the arrays read-only.
     """
 
     gammas: np.ndarray
@@ -205,8 +205,11 @@ def decay_curve(
         "quadrature_rel_tol": QUADRATURE_REL_TOL,
         "rng": RNG_IDENTITY,
     }
-    return DecayCurve(gammas=gammas, t=times, p=p, sv=sv, sigma=sigma,
-                      labels=classify_batch(sigma), metadata=metadata)
+    columns = dict(gammas=gammas, t=times, p=p, sv=sv, sigma=sigma,
+                   labels=classify_batch(sigma))
+    for column in columns.values():
+        column.flags.writeable = False  # keeps the cached `blocks` view true
+    return DecayCurve(**columns, metadata=metadata)
 
 
 def figure_dataset(figure: int, seed: int = 42) -> DecayCurve:

@@ -109,6 +109,8 @@ def test_blocks_view_matches_columns():
     spec = SweepSpec(AMPLITUDE_DAMPING, 0.6, (0.5, 2), t_max=3.0, steps=7)
     curve = decay_curve(spec)
     assert curve.blocks is curve.blocks  # built once, on first read
+    with pytest.raises(ValueError):
+        curve.sigma[0, 0] = 0.0  # so the view cannot go stale
     assert [block.gamma for block in curve.blocks] == [0.5, 2.0]
     for bi, block in enumerate(curve.blocks):
         assert [row.t for row in block.rows] == curve.t.tolist()
