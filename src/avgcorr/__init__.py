@@ -1,17 +1,6 @@
 """Rotation-averaged correlation of two-qubit states under local damping."""
 
-from .channels import (
-    AMPLITUDE_DAMPING,
-    PHASE_DAMPING,
-    KrausChannel,
-    amplitude_damping,
-    apply_local_channel,
-    completeness_residual,
-    make_channel,
-    p_of_t,
-    pauli_transfer,
-    phase_damping,
-)
+from .channels import AMPLITUDE_DAMPING, PHASE_DAMPING, p_of_t, pauli_transfer
 from .correlation import (
     CLASSICAL_COMPATIBLE,
     CLASSICAL_MAX,
@@ -42,7 +31,7 @@ from .sweep import (
     DecayCurve,
     DecayRow,
     SweepSpec,
-    apply_both,
+    damped_sigma,
     decay_curve,
     figure_dataset,
 )
@@ -58,27 +47,21 @@ __all__ = [
     "DecayRow",
     "DensityReport",
     "INDETERMINATE",
-    "KrausChannel",
     "NONCLASSICAL",
     "NONCLASSICAL_MIN",
     "PHASE_DAMPING",
     "SigmaEstimate",
     "SingularTriple",
     "SweepSpec",
-    "amplitude_damping",
-    "apply_both",
-    "apply_local_channel",
     "classify",
-    "completeness_residual",
     "correlation_matrix",
+    "damped_sigma",
     "decay_curve",
     "figure_dataset",
-    "make_channel",
     "make_pure_state",
     "p_of_t",
     "pauli",
     "pauli_transfer",
-    "phase_damping",
     "random_density",
     "sigma_closed_pure",
     "sigma_for_state",

@@ -19,20 +19,21 @@ from itertools import repeat
 
 import numpy as np
 
-from .channels import apply_local_channel, make_channel, p_of_t
+from .channels import p_of_t
 from .correlation import (
     classify,
     correlation_matrix,
     sigma_for_state,
     sigma_monte_carlo,
 )
-from .states import make_pure_state, random_density
+from .states import random_density
 from .sweep import (
     FIGURE_STEPS,
     FIGURE_T_MAX,
     INV_SQRT2,
     DecayCurve,
     SweepSpec,
+    damped_sigma,
     decay_curve,
     figure_dataset,
 )
@@ -215,13 +216,6 @@ def _check_unit(value: float, name: str, parser) -> float:
     return value
 
 
-def _damped_state(args, parser) -> np.ndarray:
-    c = _check_unit(args.c, "--c", parser)
-    p = _resolve_p(args, parser)
-    channel = make_channel(args.channel, p)
-    return apply_local_channel(make_pure_state(c), channel, channel)
-
-
 def _check_samples(args, parser) -> None:
     if args.method == "mc" and args.samples < 1:
         parser.error(f"--samples must be >= 1 with --method mc, got {args.samples}")
@@ -230,11 +224,12 @@ def _check_samples(args, parser) -> None:
 def cmd_sigma(args, parser) -> int:
     """Damp the state the flags describe, estimate Sigma, print it and its label."""
     _check_samples(args, parser)
-    rho = _damped_state(args, parser)
-    est = sigma_for_state(
-        rho, method=METHOD_NAMES[args.method], n_samples=args.samples, seed=args.seed
-    )
-    _emit(f"{format_sig12(est.value)} {classify(est.value)}\n", args.out)
+    c = _check_unit(args.c, "--c", parser)
+    p = _resolve_p(args, parser)
+    _, sigma = damped_sigma(CHANNEL_KIND_BY_FLAG[args.channel], c, [p],
+                            METHOD_NAMES[args.method], args.samples, [args.seed])
+    value = float(sigma[0])
+    _emit(f"{format_sig12(value)} {classify(value)}\n", args.out)
     return 0
 
 

@@ -22,7 +22,9 @@ to the closed form implemented in `sigma_closed_pure`.
 
 Three estimators are provided: the closed form, a spectrally convergent
 periodic quadrature, and a seeded Monte Carlo average over the two spheres
-that serves as an independent cross-check of the other two.
+that serves as an independent cross-check of the other two. `sigma_batch`
+is the one dispatch between them, for the sweep, the CLI and
+`sigma_for_state` alike.
 """
 
 from __future__ import annotations
@@ -300,29 +302,62 @@ def sigma_monte_carlo(
     return SigmaEstimate(mean, "monte_carlo", stderr)
 
 
+ESTIMATORS = ("closed_form", "quadrature", "monte_carlo")
+
+
+def sigma_batch(
+    method: str,
+    k: np.ndarray,
+    sv: np.ndarray,
+    n_samples: int = 1_000_000,
+    seeds=(),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sigma of every correlation matrix in `k` (shape (..., 3, 3)) whose
+    descending singular values are `sv` (shape (..., 3)); returns (values,
+    error bounds, closed) with shape sv.shape[:-1], where `closed` marks the
+    points that took the closed form.
+
+    "monte_carlo" samples each matrix with its own entry of `seeds` (one per
+    matrix, in C order). "closed_form" applies only where the two smaller
+    singular values agree within DEGENERATE_PAIR_TOL; every other point, and
+    every point of a "quadrature" request, goes through the quadrature.
+    """
+    shape = sv.shape[:-1]
+    if method == "monte_carlo":
+        estimates = [sigma_monte_carlo(ki, n_samples, seed)
+                     for ki, seed in zip(k.reshape(-1, 3, 3), seeds, strict=True)]
+        values = np.array([e.value for e in estimates]).reshape(shape)
+        bounds = np.array([e.error_bound for e in estimates]).reshape(shape)
+        return values, bounds, np.zeros(shape, dtype=bool)
+    if method not in ESTIMATORS:
+        raise ValueError(f"unknown method {method!r}")
+    alpha, beta, gamma_sv = sv.reshape(-1, 3).T
+    closed = (method == "closed_form") & (np.abs(beta - gamma_sv) <= DEGENERATE_PAIR_TOL)
+    quad = ~closed
+    values = np.empty(alpha.shape)
+    bounds = np.zeros(alpha.shape)
+    values[closed] = sigma_closed_pure_batch(alpha[closed], beta[closed])
+    values[quad], bounds[quad] = sigma_quadrature_batch(
+        alpha[quad], beta[quad], gamma_sv[quad])
+    return values.reshape(shape), bounds.reshape(shape), closed.reshape(shape)
+
+
 def sigma_for_state(
     rho: np.ndarray,
     method: str = "quadrature",
     n_samples: int = 1_000_000,
     seed: int | np.random.SeedSequence = 42,
 ) -> SigmaEstimate:
-    """Full pipeline rho -> K -> singular values -> Sigma.
+    """Full pipeline rho -> K -> singular values -> Sigma by `sigma_batch`.
 
-    The closed form applies only when the two smaller singular values agree
-    (within DEGENERATE_PAIR_TOL); otherwise the request silently falls back
-    to quadrature and the returned method tag says so.
+    A closed-form request falls back to quadrature when the two smaller
+    singular values differ, and the returned method tag says so.
     """
     k = correlation_matrix(rho)
-    if method == "monte_carlo":
-        return sigma_monte_carlo(k, n_samples, seed)
-    s = singular_values(k)
-    if method == "closed_form":
-        if abs(s.beta - s.gamma_sv) <= DEGENERATE_PAIR_TOL:
-            return sigma_closed_pure(s.alpha, s.beta)
-        return sigma_quadrature(s)
-    if method == "quadrature":
-        return sigma_quadrature(s)
-    raise ValueError(f"unknown method {method!r}")
+    sv = np.linalg.svd(k, compute_uv=False)
+    values, bounds, closed = sigma_batch(method, k, sv, n_samples, (seed,))
+    tag = "quadrature" if method == "closed_form" and not closed else method
+    return SigmaEstimate(float(values), tag, float(bounds))
 
 
 def classify_batch(values) -> np.ndarray:

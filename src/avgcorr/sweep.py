@@ -10,9 +10,9 @@ correlation matrix T is mapped to R T R^T by the channel's Pauli-transfer
 matrix R(p) at every grid point, the singular values of the lower 3x3
 blocks come from one batched SVD, and each estimator runs once over the
 grid (Monte Carlo per point, with its own seed). The known damped forms of
-the singular values serve as a built-in cross-check of every point. The
-Kraus form (`apply_both`) stays the public way to damp a state and the
-oracle the tests hold this path to.
+the singular values serve as a built-in cross-check of every point.
+`damped_sigma` is that pipeline over any array of damping probabilities;
+the CLI's one-state `sigma` and `classify` run it on a single p.
 """
 
 from __future__ import annotations
@@ -27,18 +27,16 @@ from .channels import (
     AMPLITUDE_DAMPING,
     CHANNEL_KINDS,
     PHASE_DAMPING,
-    apply_local_channel,
+    p_of_t,
     pauli_transfer,
 )
 from .correlation import (
-    DEGENERATE_PAIR_TOL,
+    ESTIMATORS,
     QUADRATURE_REL_TOL,
     QUADRATURE_START_NODES,
     RNG_IDENTITY,
     classify_batch,
-    sigma_closed_pure_batch,
-    sigma_monte_carlo,
-    sigma_quadrature_batch,
+    sigma_batch,
     t_matrix,
 )
 from .states import make_pure_state
@@ -80,7 +78,7 @@ class SweepSpec:
             raise ValueError(f"t_max must be > 0, got {self.t_max}")
         if self.steps < 2:
             raise ValueError(f"need at least 2 time steps, got {self.steps}")
-        if self.method not in ("closed_form", "quadrature", "monte_carlo"):
+        if self.method not in ESTIMATORS:
             raise ValueError(f"unknown method {self.method!r}")
 
 
@@ -135,46 +133,43 @@ class DecayCurve:
         )
 
 
-def apply_both(rho: np.ndarray, channel) -> np.ndarray:
-    """Same channel on both qubits (symmetric local noise)."""
-    return apply_local_channel(rho, channel, channel)
-
-
-def _check_analytic_triples(spec: SweepSpec, times: np.ndarray, p: np.ndarray,
-                            sv: np.ndarray) -> None:
+def _check_analytic_triples(kind: str, c: float, p: np.ndarray, sv: np.ndarray) -> None:
     """Compare every computed triple with the damped magnitudes known in
     closed form; a NaN anywhere fails the check."""
-    c = spec.c
     shrunk = 2.0 * c * np.sqrt(1.0 - c * c) * (1.0 - p)
-    third = np.ones_like(p) if spec.channel_kind == PHASE_DAMPING else np.abs(1.0 - 2.0 * p)
+    third = np.ones_like(p) if kind == PHASE_DAMPING else np.abs(1.0 - 2.0 * p)
     expected = -np.sort(-np.stack([shrunk, shrunk, third], axis=-1), axis=-1)
     err = np.max(np.abs(sv - expected), axis=-1)
     worst = np.unravel_index(np.argmax(err), err.shape)
     if not err[worst] <= ANALYTIC_TRIPLE_TOL:
-        bi, ti = worst
         raise RuntimeError(
             f"damped singular values {sv[worst]} disagree with the analytic "
-            f"form {expected[worst]} at gamma={spec.gammas[bi]}, t={times[ti]}"
+            f"form {expected[worst]} at p={p[worst]}"
         )
 
 
-def _sigmas(spec: SweepSpec, k: np.ndarray, sv: np.ndarray, n_samples: int,
-            seed: int) -> np.ndarray:
-    """Sigma at every grid point by the spec's estimator, shape sv.shape[:-1]."""
-    if spec.method == "monte_carlo":
-        return np.array([
-            [sigma_monte_carlo(k[bi, ti], n_samples,
-                               np.random.SeedSequence(seed, spawn_key=(bi, ti))).value
-             for ti in range(k.shape[1])]
-            for bi in range(k.shape[0])
-        ])
-    alpha, beta, gamma_sv = sv.reshape(-1, 3).T
-    closed = (spec.method == "closed_form") & (np.abs(beta - gamma_sv) <= DEGENERATE_PAIR_TOL)
-    quad = ~closed
-    sigma = np.empty(alpha.shape)
-    sigma[closed] = sigma_closed_pure_batch(alpha[closed], beta[closed])
-    sigma[quad] = sigma_quadrature_batch(alpha[quad], beta[quad], gamma_sv[quad])[0]
-    return sigma.reshape(sv.shape[:-1])
+def damped_sigma(
+    kind: str,
+    c: float,
+    p,
+    method: str = "quadrature",
+    n_samples: int = 1_000_000,
+    seeds=(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Singular triples and Sigma of the pure state with Schmidt coefficient
+    c after `kind` damping of both qubits, at every probability in `p`;
+    returns (sv, sigma) of shapes p.shape + (3,) and p.shape.
+
+    `seeds` holds one Monte Carlo seed per point of `p`, in C order.
+    """
+    p = np.asarray(p, dtype=float)
+    r = pauli_transfer(kind, p)
+    t_damped = r @ t_matrix(make_pure_state(c)) @ np.swapaxes(r, -1, -2)
+    k = np.ascontiguousarray(t_damped[..., 1:, 1:])
+    sv = np.linalg.svd(k, compute_uv=False)  # descending
+    _check_analytic_triples(kind, c, p, sv)
+    sigma, _, _ = sigma_batch(method, k, sv, n_samples, seeds)
+    return sv, sigma
 
 
 def decay_curve(
@@ -185,13 +180,10 @@ def decay_curve(
     """Compute the Sigma(t) curve of every rate in the spec as columns."""
     gammas = np.array(spec.gammas, dtype=float)
     times = np.linspace(0.0, spec.t_max, spec.steps)
-    p = -np.expm1(-gammas[:, None] * times)  # (rates, steps)
-    r = pauli_transfer(spec.channel_kind, p)
-    t_damped = r @ t_matrix(make_pure_state(spec.c)) @ np.swapaxes(r, -1, -2)
-    k = np.ascontiguousarray(t_damped[..., 1:, 1:])
-    sv = np.linalg.svd(k, compute_uv=False)  # descending
-    _check_analytic_triples(spec, times, p, sv)
-    sigma = _sigmas(spec, k, sv, n_samples, seed)
+    p = p_of_t(gammas[:, None], times)  # (rates, steps)
+    # one seed per grid point, drawn only by Monte Carlo
+    seeds = (np.random.SeedSequence(seed, spawn_key=key) for key in np.ndindex(p.shape))
+    sv, sigma = damped_sigma(spec.channel_kind, spec.c, p, spec.method, n_samples, seeds)
     metadata = {
         "channel": spec.channel_kind,
         "c": spec.c,

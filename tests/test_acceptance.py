@@ -11,12 +11,9 @@ import pytest
 
 from avgcorr import (
     SingularTriple,
-    amplitude_damping,
-    apply_both,
     correlation_matrix,
     figure_dataset,
     make_pure_state,
-    phase_damping,
     random_density,
     sigma_closed_pure,
     sigma_for_state,
@@ -27,6 +24,7 @@ from avgcorr import (
 )
 from avgcorr.cli import run
 
+from kraus import amplitude_damping, apply_both, phase_damping
 from test_channels import amplitude_damped_matrix, phase_damped_matrix
 from test_correlation import singular_oracle
 

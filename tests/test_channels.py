@@ -4,18 +4,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from avgcorr import (
+    make_pure_state,
+    p_of_t,
+    pauli_transfer,
+    random_density,
+    t_matrix,
+    validate_density,
+)
+from avgcorr.channels import CHANNEL_KINDS, PHASE_DAMPING
+from kraus import (
     amplitude_damping,
     apply_both,
     apply_local_channel,
     completeness_residual,
     make_channel,
-    make_pure_state,
-    p_of_t,
-    pauli_transfer,
     phase_damping,
-    random_density,
-    t_matrix,
-    validate_density,
 )
 
 prob = st.floats(min_value=0.0, max_value=1.0)
@@ -136,9 +139,16 @@ def test_p_of_t_values():
     assert abs(p_of_t(2.0, 0.5) - (1 - np.exp(-1))) < 1e-15
     assert p_of_t(1.0, 1e3) == pytest.approx(1.0, abs=1e-12)
     assert p_of_t(0.0, 5.0) == 0.0
+    # arrays broadcast, element for element the scalar law
+    gammas, times = np.array([0.0, 0.5, 2.0]), np.linspace(0.0, 8.0, 9)
+    grid = p_of_t(gammas[:, None], times)
+    assert grid.shape == (3, 9)
+    for (bi, ti), p in np.ndenumerate(grid):
+        assert p == p_of_t(float(gammas[bi]), float(times[ti]))
 
 
-@pytest.mark.parametrize("gamma,t", [(-1.0, 1.0), (1.0, -1.0), (-0.5, -0.5)])
+@pytest.mark.parametrize("gamma,t", [(-1.0, 1.0), (1.0, -1.0), (-0.5, -0.5),
+                                     ([0.5, -1.0], 1.0), (1.0, [0.0, -0.5])])
 def test_p_of_t_domain_errors(gamma, t):
     with pytest.raises(ValueError):
         p_of_t(gamma, t)
@@ -155,7 +165,7 @@ def test_p_of_t_monotone_in_time(gamma, t1, t2):
     assert 0.0 <= p_of_t(gamma, hi) <= 1.0
 
 
-@pytest.mark.parametrize("kind", ["phase", "amplitude"])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS, ids=("phase", "amplitude"))
 def test_pauli_transfer_matches_kraus_sandwich(kind):
     # R T R^T must reproduce the T-matrix of the Kraus-damped state
     rng = np.random.default_rng(1838)
@@ -180,6 +190,7 @@ def test_pauli_transfer_stacks_over_p():
 @pytest.mark.parametrize("bad", [-0.1, 1.0001, np.nan, np.inf])
 def test_pauli_transfer_domain_errors(bad):
     with pytest.raises(ValueError):
-        pauli_transfer("phase", [0.5, bad])
-    with pytest.raises(ValueError):
-        pauli_transfer("bogus", 0.5)
+        pauli_transfer(PHASE_DAMPING, [0.5, bad])
+    for kind in ("bogus", "phase", "amplitude"):  # only CHANNEL_KINDS
+        with pytest.raises(ValueError):
+            pauli_transfer(kind, 0.5)

@@ -1,13 +1,21 @@
+import contextlib
+import io
+import itertools
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgcorr import NONCLASSICAL_MIN, SingularTriple, classify, sigma_quadrature
 from avgcorr import sweep
 from avgcorr.cli import CSV_HEADER, format_sig12, run
+
+INV_SQRT2 = 1 / np.sqrt(2)
 
 
 def test_format_sig12():
@@ -29,9 +37,42 @@ def test_sigma_balanced_closed(capsys):
 
 
 def test_sigma_c_one_any_damping(capsys):
-    assert run(["sigma", "--c", "1.0", "--channel", "phase",
-                "--p", "0.7", "--method", "quadrature"]) == 0
-    assert capsys.readouterr().out.startswith("0.250000000000")
+    # a product state keeps Sigma = 1/4 under phase damping, which lies on
+    # the closed classical boundary, so every form of the query must say so
+    damping = [["--p", p] for p in ("0.3", "0.5", "0.6", "0.7", "1.0")]
+    damping += [["--gamma", "1.0", "--t", repr(math.log(2.0))],
+                ["--gamma", "2.0", "--t", "0.5"]]
+    for c in ("0.0", "1.0"):
+        for flags in damping:
+            for command, method in (("sigma", "closed"), ("sigma", "quadrature"),
+                                    ("classify", "quadrature")):
+                argv = [command, "--c", c, "--channel", "phase", *flags,
+                        "--method", method]
+                assert run(argv) == 0, argv
+                out = capsys.readouterr().out
+                assert out == "0.250000000000 classical_compatible\n", argv
+
+
+def test_sigma_matches_every_sweep_row(capsys):
+    # `sigma --gamma g --t t` must print the sweep row of the same (g, t)
+    rng = np.random.default_rng(1838)
+    for i in range(12):
+        channel = ("phase", "amplitude")[i % 2]
+        method = ("closed", "quadrature")[(i // 2) % 2]
+        c = repr(float((0.0, 1.0, INV_SQRT2, rng.uniform())[(i // 4 + i) % 4]))
+        gammas = ",".join(repr(float(g)) for g in rng.uniform(0.0, 3.0, 1 + i % 3))
+        t_max = repr(float(rng.uniform(0.1, 10.0)))
+        steps = int(rng.integers(2, 21))
+        common = ["--channel", channel, "--method", method, "--c", c]
+        assert run(["sweep", *common, "--gammas", gammas, "--t-max", t_max,
+                    "--steps", str(steps)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        times = np.linspace(0.0, float(t_max), steps)
+        assert len(rows) == steps * len(gammas.split(","))
+        for row, (gamma, t) in zip(rows, itertools.product(gammas.split(","), times)):
+            assert run(["sigma", *common, "--gamma", gamma, "--t", repr(float(t))]) == 0
+            fields = row.split(",")
+            assert capsys.readouterr().out == f"{fields[6]} {fields[7]}\n", (common, row)
 
 
 def test_sigma_rate_time_pair_matches_direct_p(capsys):
@@ -230,3 +271,69 @@ def test_monte_carlo_samples_below_one_is_a_usage_error(argv, samples, capsys):
     assert "--samples" in err.splitlines()[-1]
     # the other estimators do not use --samples and still ignore it
     assert run([*argv, "--method", "quadrature", "--samples", samples]) == 0
+
+
+# The argv fuzz builds a well-formed call of each subcommand and then
+# replaces or inserts up to two odd tokens, so a third of the cases reach
+# the numerics whole and the rest probe one or two bad inputs at a time.
+# Every call that can compute more than one state names --samples (at most
+# 10^4) and a sweep also --steps (at most 50), so 300 cases take seconds.
+ODD_TOKENS = ("0", "1", "-0.0", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324",
+              "-1", "", "x", "-", "--", ",", "1,2", "0x10", "1e", "--c", "--bogus", "-h")
+odd = st.sampled_from(ODD_TOKENS) | st.floats().map(repr)
+unit = st.floats(0.0, 1.0).map(repr)
+rate = st.floats(0.0, 10.0).map(repr)
+samples = st.integers(1, 10**4).map(str)
+OPTIONAL_FLAGS = {
+    "--channel": st.sampled_from(("phase", "amplitude")),
+    "--method": st.sampled_from(("closed", "quadrature", "mc")),
+    "--seed": st.integers(0, 2**70).map(str),
+}
+SWEEP_FLAGS = {
+    "--c": unit, "--t-max": rate, "--format": st.sampled_from(("csv", "json")),
+    "--gammas": st.lists(rate, min_size=1, max_size=3).map(",".join),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(("sigma", "classify", "sweep")))
+    if command == "sweep" and draw(st.booleans()):
+        core = [("--figure", draw(st.sampled_from(("1", "2"))))]
+        extra = {"--seed": OPTIONAL_FLAGS["--seed"], "--format": SWEEP_FLAGS["--format"]}
+    elif command == "sweep":
+        core = [("--channel", draw(OPTIONAL_FLAGS["--channel"])),
+                ("--samples", draw(samples)),
+                ("--steps", draw(st.integers(2, 50).map(str)))]
+        extra = {**OPTIONAL_FLAGS, **SWEEP_FLAGS}
+        del extra["--channel"]
+    elif command == "classify" and draw(st.booleans()):
+        core, extra = [("--value", draw(unit))], {}
+    else:
+        damping = draw(st.sampled_from(((), ("--p",), ("--gamma", "--t"))))
+        core = [("--c", draw(unit)), ("--samples", draw(samples))]
+        core += [(flag, draw(unit if flag == "--p" else rate)) for flag in damping]
+        extra = OPTIONAL_FLAGS
+    names = draw(st.lists(st.sampled_from(sorted(extra)), unique=True)) if extra else []
+    argv = [command]
+    for flag, value in core + [(name, draw(extra[name])) for name in names]:
+        argv += [flag, value]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = [draw(odd)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_argv())
+def test_run_never_raises_on_fuzzed_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    err = err.getvalue()
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err, argv
+    if rc == 1:  # a numeric failure is one `error:` line
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    if rc == 2:
+        assert "error:" in err.splitlines()[-1], (argv, err)

@@ -9,12 +9,9 @@ from avgcorr import (
     NONCLASSICAL,
     NONCLASSICAL_MIN,
     SingularTriple,
-    amplitude_damping,
-    apply_both,
     classify,
     correlation_matrix,
     make_pure_state,
-    phase_damping,
     random_density,
     sigma_closed_pure,
     sigma_for_state,
@@ -28,6 +25,7 @@ from avgcorr.correlation import (
     sigma_closed_pure_batch,
     sigma_quadrature_batch,
 )
+from kraus import amplitude_damping, apply_both, phase_damping
 
 INV_SQRT2 = 1 / np.sqrt(2)
 

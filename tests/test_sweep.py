@@ -6,12 +6,10 @@ from avgcorr import (
     NONCLASSICAL_MIN,
     PHASE_DAMPING,
     SweepSpec,
-    apply_both,
     classify,
     correlation_matrix,
     decay_curve,
     figure_dataset,
-    make_channel,
     make_pure_state,
     p_of_t,
     sigma_closed_pure,
@@ -20,6 +18,7 @@ from avgcorr import (
     singular_values,
 )
 from avgcorr.correlation import DEGENERATE_PAIR_TOL
+from kraus import apply_both, make_channel
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
