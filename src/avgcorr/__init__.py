@@ -8,14 +8,10 @@ from .correlation import (
     NONCLASSICAL,
     NONCLASSICAL_MIN,
     SigmaEstimate,
-    SingularTriple,
     classify,
     correlation_matrix,
-    sigma_closed_pure,
     sigma_for_state,
     sigma_monte_carlo,
-    sigma_quadrature,
-    singular_values,
     t_matrix,
 )
 from .states import (
@@ -51,7 +47,6 @@ __all__ = [
     "NONCLASSICAL_MIN",
     "PHASE_DAMPING",
     "SigmaEstimate",
-    "SingularTriple",
     "SweepSpec",
     "classify",
     "correlation_matrix",
@@ -63,11 +58,8 @@ __all__ = [
     "pauli",
     "pauli_transfer",
     "random_density",
-    "sigma_closed_pure",
     "sigma_for_state",
     "sigma_monte_carlo",
-    "sigma_quadrature",
-    "singular_values",
     "t_matrix",
     "tensor2",
     "validate_density",

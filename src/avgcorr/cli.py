@@ -3,7 +3,7 @@
 Subcommands:
     sigma     average correlation of one damped pure state
     sweep     decay curves over a time grid, emitted as CSV or JSON
-    verify    quadrature vs Monte Carlo cross-check on random states
+    verify    R_G vs Monte Carlo cross-check on random states
     classify  nonclassicality label for a Sigma value or a state
 
 Exit codes: 0 success, 1 I/O or numeric failure, 2 usage error.
@@ -46,13 +46,13 @@ CHANNEL_KIND_BY_FLAG = {"phase": "phase_damping", "amplitude": "amplitude_dampin
 
 def format_sig12(x: float) -> str:
     """Fixed-point representation with 12 significant digits; scientific
-    notation with 12 significant digits from |x| = 1e12 on."""
+    notation with 12 significant digits below |x| = 1e-12 and from 1e12 on."""
     x = float(x)
     if x == 0.0:
         return "0.000000000000"
     size = abs(x)
-    if size >= 1e12:
-        if size == math.inf:
+    if not 1e-12 <= size < 1e12:
+        if size == math.inf or x != x:
             raise ValueError(f"cannot format {x} with 12 significant digits")
         return "%.11e" % x
     exponent = math.floor(math.log10(size))
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser(
-        "verify", help="check quadrature against the Monte Carlo oracle"
+        "verify", help="check the exact R_G estimator against the Monte Carlo oracle"
     )
     p_verify.add_argument("--samples", type=int, default=1_000_000)
     p_verify.add_argument("--seed", type=int, default=42)
@@ -226,9 +226,9 @@ def cmd_sigma(args, parser) -> int:
     _check_samples(args, parser)
     c = _check_unit(args.c, "--c", parser)
     p = _resolve_p(args, parser)
-    _, sigma = damped_sigma(CHANNEL_KIND_BY_FLAG[args.channel], c, [p],
+    _, sigma = damped_sigma(CHANNEL_KIND_BY_FLAG[args.channel], c, p,
                             METHOD_NAMES[args.method], args.samples, [args.seed])
-    value = float(sigma[0])
+    value = float(sigma)
     _emit(f"{format_sig12(value)} {classify(value)}\n", args.out)
     return 0
 

@@ -1,4 +1,4 @@
-"""Correlation matrix, singular values, and the rotation-averaged correlation.
+"""Correlation matrix and the rotation-averaged correlation.
 
 For a two-qubit state rho the correlation matrix is
 
@@ -6,30 +6,25 @@ For a two-qubit state rho the correlation matrix is
 
 and the average correlation Sigma is the mean of |a^T K b| over
 measurement directions a, b drawn independently and uniformly on the unit
-sphere. Sigma depends on K only through its singular values
-alpha >= beta >= gamma_sv and reduces to the single integral
+sphere. For fixed a, |a^T K b| = |v . b| with v = K^T a, and the mean of
+|cos| over the sphere is 1/2, so averaging over b first gives
+E_b |a^T K b| = |K^T a| / 2. In the singular basis of K,
+|K^T a|^2 = alpha^2 u1^2 + beta^2 u2^2 + gamma_sv^2 u3^2 for a uniform unit
+vector u, and the sphere mean of its square root is Carlson's symmetric
+elliptic integral R_G (DLMF 19.23). Hence, for every triple
+alpha >= beta >= gamma_sv >= 0,
 
-    Sigma = (alpha/4) * [1 + (1/2pi) * int_0^{2pi} g(f(phi)) dphi]
+    Sigma = (1/2) E_a |K^T a| = (1/2) R_G(alpha^2, beta^2, gamma_sv^2).
 
-with
-
-    f(phi) = (beta/alpha)^2 sin^2(phi) + (gamma_sv/alpha)^2 cos^2(phi),
-    g(f)   = f / sqrt(1-f) * arcsinh(sqrt((1-f)/f)),
-
-where g is extended by its limits g(0) = 0 and g(1) = 1. When the two
-smaller singular values coincide, f is constant and the integral collapses
-to the closed form implemented in `sigma_closed_pure`.
-
-Three estimators are provided: the closed form, a spectrally convergent
-periodic quadrature, and a seeded Monte Carlo average over the two spheres
-that serves as an independent cross-check of the other two. `sigma_batch`
-is the one dispatch between them, for the sweep, the CLI and
-`sigma_for_state` alike.
+`sigma_rg_batch` evaluates it with Carlson's duplication algorithm for R_F
+and R_D (B. C. Carlson, Numer. Algorithms 10 (1995) 13-26,
+arXiv:math/9409227). A seeded Monte Carlo average over the two spheres is
+the independent cross-check. `sigma_batch` is the one dispatch between the
+two, for the sweep, the CLI and `sigma_for_state` alike.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,15 +41,22 @@ INDETERMINATE = "indeterminate"
 NONCLASSICAL = "nonclassical"
 
 IMAG_RESIDUAL_HARD_LIMIT = 1e-9
-DEGENERATE_PAIR_TOL = 1e-9
 
-QUADRATURE_START_NODES = 512
-QUADRATURE_MAX_NODES = 2**20
-QUADRATURE_REL_TOL = 1e-10
-# Triples refined together, and the most integrand values evaluated at once
-# (16 triples x 1024 nodes); larger blocks cost memory and gain no speed.
-QUADRATURE_BLOCK = 16
-QUADRATURE_BLOCK_VALUES = QUADRATURE_BLOCK * 2 * QUADRATURE_START_NODES
+# Method tag of the exact estimator, which every request but Monte Carlo runs.
+ESTIMATOR = "carlson_rg"
+# Relative error bound of `sigma_rg_batch` for results above the subnormal
+# range; the tests hold it to a 40-digit mpmath.elliprg across the
+# sorted-triple simplex, where the worst of 24288 triples measured 6.8e-16.
+RG_REL_ERROR_BOUND = 1e-15
+# At beta/alpha <= 1e-150 Sigma is alpha/4 to double precision, and from
+# about 1e-154 on the R_D term would overflow.
+RG_TINY_RATIO = 1e-150
+# The duplication stops once every triple's largest value is within this
+# relative distance of its smallest. The series variables are then at most
+# 1.5e-3, below Carlson's (r/4)^(1/6) for a truncation error r = 2^-53.
+RG_SPREAD = 1.5e-3
+# b = 1e-150 takes 14 steps; a loop that reaches the cap has met a NaN.
+RG_MAX_STEPS = 40
 
 # Generator identity recorded in output metadata; the PCG64 stream is
 # stable across numpy versions, so a seed pins results exactly.
@@ -90,33 +92,6 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SingularTriple:
-    """Singular values of a correlation matrix, sorted descending."""
-
-    alpha: float
-    beta: float
-    gamma_sv: float
-
-    def __post_init__(self):
-        if not self.alpha >= self.beta >= self.gamma_sv >= 0.0:
-            raise ValueError(
-                f"singular values must satisfy alpha >= beta >= gamma_sv >= 0, "
-                f"got ({self.alpha}, {self.beta}, {self.gamma_sv})"
-            )
-
-    @classmethod
-    def from_values(cls, x: float, y: float, z: float) -> "SingularTriple":
-        a, b, g = sorted((float(x), float(y), float(z)), reverse=True)
-        return cls(a, b, g)
-
-
-def singular_values(k: np.ndarray) -> SingularTriple:
-    """Singular values of a 3x3 matrix, sorted descending."""
-    vals = np.linalg.svd(np.asarray(k, dtype=float), compute_uv=False)
-    return SingularTriple(float(vals[0]), float(vals[1]), float(vals[2]))
-
-
-@dataclass(frozen=True)
 class SigmaEstimate:
     """Average-correlation value with its method tag and error bound."""
 
@@ -125,143 +100,58 @@ class SigmaEstimate:
     error_bound: float
 
 
-def _g_kernel(f: np.ndarray) -> np.ndarray:
-    """g(f) = f/sqrt(1-f) * arcsinh(sqrt((1-f)/f)) on [0, 1], by its limits
-    at the endpoints.
+def sigma_rg_batch(alpha, beta, gamma_sv) -> np.ndarray:
+    """Sigma = R_G(alpha^2, beta^2, gamma_sv^2) / 2 of each sorted triple
+    (arrays of one shape, alpha >= beta >= gamma_sv >= 0).
 
-    Near f = 1 the direct expression cancels catastrophically, so it is
-    replaced by the expansion sqrt(f) * (1 - e/(6f) + 3e^2/(40f^2)) in
-    e = 1 - f, accurate to ~e^3.
+    Scaled by alpha, Sigma = (alpha/2) R_G(x, y, z) with (x, y, z) = (1, g^2,
+    b^2), b = beta/alpha and g = gamma_sv/alpha, and (DLMF 19.21.10)
+
+        2 R_G = z R_F - (x-z)(y-z) R_D / 3 + sqrt(xy/z).
+
+    The middle value sits in the z slot, so -(x-z)(y-z) >= 0 and no two
+    terms cancel. R_F and R_D share one duplication loop over the stacked
+    (x, y, z) and finish with Carlson's fifth-order series. Where b is at
+    most RG_TINY_RATIO, and so wherever alpha = 0, Sigma is alpha/4.
     """
-    f = np.clip(np.asarray(f, dtype=float), 0.0, 1.0)
-    out = np.zeros_like(f)
-    near_one = f > 1.0 - 1e-8
-    # below ~1e-300 the ratio (1-f)/f overflows; g there is < 1e-297 ~ 0
-    mid = ~near_one & (f > 1e-300)
-
-    fm = f[mid]
-    out[mid] = fm / np.sqrt(1.0 - fm) * np.arcsinh(np.sqrt((1.0 - fm) / fm))
-
-    fh = f[near_one]
-    eps = 1.0 - fh
-    out[near_one] = np.sqrt(fh) * (1.0 - eps / (6.0 * fh) + 3.0 * eps**2 / (40.0 * fh**2))
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _node_grid(n: int, midpoint: bool) -> tuple[np.ndarray, np.ndarray]:
-    """sin^2 and cos^2 at the n equally spaced nodes 2 pi k/n over the full
-    period, or at the midpoints between them."""
-    if midpoint:
-        phi = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    alpha = np.asarray(alpha, dtype=float)
+    scale = np.maximum(alpha, 5e-324)  # alpha = 0 has beta = gamma_sv = 0
+    b = np.asarray(beta, dtype=float) / scale
+    g = np.asarray(gamma_sv, dtype=float) / scale
+    tiny = b <= RG_TINY_RATIO
+    b = np.where(tiny, 1.0, b)  # any valid triple; its value is discarded
+    g2 = g * g  # may underflow; sqrt(xy/z) reads the same y = g2 as R_F and R_D
+    v = np.array([np.ones_like(b), g2, b * b])  # x >= z >= y, kept so
+    fac, rd_sum = 1.0, 0.0
+    for _ in range(RG_MAX_STEPS):
+        if (v[0] <= (1.0 + RG_SPREAD) * v[1]).all():
+            break
+        s = np.sqrt(v)
+        lam = s[0] * (s[1] + s[2]) + s[1] * s[2]
+        rd_sum += fac / (s[2] * (v[2] + lam))
+        fac *= 0.25
+        v += lam
+        v *= 0.25
     else:
-        phi = 2.0 * np.pi * np.arange(n) / n
-    s2, c2 = np.sin(phi) ** 2, np.cos(phi) ** 2
-    s2.flags.writeable = c2.flags.writeable = False
-    return s2, c2
-
-
-def _mean_g(b2: np.ndarray, g2: np.ndarray, n: int, midpoint: bool) -> np.ndarray:
-    """Per-row mean of g(b2 sin^2 + g2 cos^2) over one node grid, evaluated
-    in chunks of at most QUADRATURE_BLOCK_VALUES integrand values."""
-    s2, c2 = _node_grid(n, midpoint)
-    out = np.empty(len(b2))
-    rows = max(1, QUADRATURE_BLOCK_VALUES // n)
-    for lo in range(0, len(b2), rows):
-        part = slice(lo, lo + rows)
-        f = b2[part, None] * s2 + g2[part, None] * c2
-        out[part] = np.mean(_g_kernel(f.ravel()).reshape(f.shape), axis=1)
-    return out
-
-
-def sigma_quadrature_batch(
-    alpha,
-    beta,
-    gamma_sv,
-    rel_tol: float = QUADRATURE_REL_TOL,
-    start_nodes: int = QUADRATURE_START_NODES,
-    max_nodes: int = QUADRATURE_MAX_NODES,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Average correlation of each sorted triple (1-D arrays alpha >= beta >=
-    gamma_sv >= 0) by periodic trapezoidal quadrature over phi; returns
-    (values, error bounds).
-
-    Equally spaced nodes over the full period give spectral convergence for
-    the smooth integrand; each triple's node count doubles by midpoint
-    refinement until two successive estimates agree to `rel_tol`
-    (relative), and its error bound is the last successive difference.
-    Triples are refined together in blocks of QUADRATURE_BLOCK.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    # alpha = 0 forces beta = gamma_sv = 0, so g = 0 and Sigma = 0 with a
-    # zero error bound; dividing by 1 there keeps the arithmetic finite
-    scale = np.where(alpha == 0.0, 1.0, alpha)
-    b2_all = (np.asarray(beta, dtype=float) / scale) ** 2
-    g2_all = (np.asarray(gamma_sv, dtype=float) / scale) ** 2
-    values = np.empty(alpha.shape)
-    bounds = np.empty(alpha.shape)
-    for lo in range(0, len(alpha), QUADRATURE_BLOCK):
-        block = slice(lo, lo + QUADRATURE_BLOCK)
-        a, b2, g2 = alpha[block], b2_all[block], g2_all[block]
-        n = start_nodes
-        mean = _mean_g(b2, g2, n, midpoint=False)
-        value = a / 4.0 * (1.0 + mean)
-        delta = np.full(len(a), np.inf)
-        active = np.arange(len(a))
-        while n < max_nodes and active.size:
-            # midpoint refinement reuses all previous nodes
-            mean[active] = 0.5 * (mean[active] + _mean_g(b2[active], g2[active], n, midpoint=True))
-            new_value = a[active] / 4.0 * (1.0 + mean[active])
-            delta[active] = np.abs(new_value - value[active])
-            value[active] = new_value
-            n *= 2
-            tol = rel_tol * np.maximum(np.abs(new_value), np.finfo(float).tiny)
-            active = active[~(delta[active] <= tol)]
-        values[block] = value
-        bounds[block] = np.where(np.isfinite(delta), delta, 0.0)
-    return values, bounds
-
-
-def sigma_quadrature(
-    s: SingularTriple,
-    rel_tol: float = QUADRATURE_REL_TOL,
-    start_nodes: int = QUADRATURE_START_NODES,
-    max_nodes: int = QUADRATURE_MAX_NODES,
-) -> SigmaEstimate:
-    """Average correlation of one triple by `sigma_quadrature_batch`."""
-    values, bounds = sigma_quadrature_batch(
-        [s.alpha], [s.beta], [s.gamma_sv], rel_tol, start_nodes, max_nodes
-    )
-    return SigmaEstimate(float(values[0]), "quadrature", float(bounds[0]))
-
-
-def sigma_closed_pure_batch(alpha, beta) -> np.ndarray:
-    """Closed-form average correlation of degenerate triples (alpha, beta, beta).
-
-    Sigma = (alpha/4) * [1 + beta^2/(alpha sqrt(alpha^2-beta^2))
-                           * arcsinh(sqrt((alpha^2-beta^2)/beta^2))],
-
-    extended by its limits alpha/2 at beta = alpha and alpha/4 at beta = 0.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    bad = (beta < 0.0) | (beta > alpha)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"need 0 <= beta <= alpha, got beta={beta[i]}, alpha={alpha[i]}")
-    # factored difference keeps precision when beta -> alpha
-    root = np.sqrt((alpha - beta) * (alpha + beta))
-    with np.errstate(divide="ignore", invalid="ignore"):  # the limits below
-        values = alpha / 4.0 * (1.0 + beta**2 / (alpha * root) * np.arcsinh(root / beta))
-    values = np.where(beta == 0.0, alpha / 4.0, values)
-    return np.where(beta == alpha, alpha / 2.0, values)
-
-
-def sigma_closed_pure(alpha: float, beta: float) -> SigmaEstimate:
-    """Closed-form average correlation of one degenerate triple, by
-    `sigma_closed_pure_batch`."""
-    value = sigma_closed_pure_batch([float(alpha)], [float(beta)])[0]
-    return SigmaEstimate(float(value), "closed_form", 0.0)
+        raise RuntimeError(f"R_G duplication did not converge in {RG_MAX_STEPS} steps")
+    x, y, z = v
+    mean = (x + y + z) / 3.0
+    dx, dy = 1.0 - x / mean, 1.0 - y / mean
+    dz = -(dx + dy)
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mean)
+    mean = (x + y + 3.0 * z) / 5.0
+    dx, dy = 1.0 - x / mean, 1.0 - y / mean
+    dz = -(dx + dy) / 3.0
+    xy, zz = dx * dy, dz * dz
+    e2, e3 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * dz
+    e4, e5 = 3.0 * (xy - zz) * zz, xy * dz * zz
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    rd = 3.0 * rd_sum + fac * series / (mean * np.sqrt(mean))
+    gap = (1.0 - b) * (1.0 + b) * (b - g) * (b + g)  # -(x-z)(y-z)
+    return np.where(tiny, 0.25 * alpha,
+                    0.25 * alpha * (b * b * rf + gap * rd / 3.0 + np.sqrt(g2) / b))
 
 
 def sigma_monte_carlo(
@@ -311,35 +201,25 @@ def sigma_batch(
     sv: np.ndarray,
     n_samples: int = 1_000_000,
     seeds=(),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sigma of every correlation matrix in `k` (shape (..., 3, 3)) whose
     descending singular values are `sv` (shape (..., 3)); returns (values,
-    error bounds, closed) with shape sv.shape[:-1], where `closed` marks the
-    points that took the closed form.
+    error bounds) with shape sv.shape[:-1].
 
     "monte_carlo" samples each matrix with its own entry of `seeds` (one per
-    matrix, in C order). "closed_form" applies only where the two smaller
-    singular values agree within DEGENERATE_PAIR_TOL; every other point, and
-    every point of a "quadrature" request, goes through the quadrature.
+    matrix, in C order). "closed_form" and "quadrature" both run
+    `sigma_rg_batch`, whose error bound is RG_REL_ERROR_BOUND relative.
     """
-    shape = sv.shape[:-1]
     if method == "monte_carlo":
         estimates = [sigma_monte_carlo(ki, n_samples, seed)
                      for ki, seed in zip(k.reshape(-1, 3, 3), seeds, strict=True)]
-        values = np.array([e.value for e in estimates]).reshape(shape)
-        bounds = np.array([e.error_bound for e in estimates]).reshape(shape)
-        return values, bounds, np.zeros(shape, dtype=bool)
+        values = np.array([e.value for e in estimates]).reshape(sv.shape[:-1])
+        bounds = np.array([e.error_bound for e in estimates]).reshape(sv.shape[:-1])
+        return values, bounds
     if method not in ESTIMATORS:
         raise ValueError(f"unknown method {method!r}")
-    alpha, beta, gamma_sv = sv.reshape(-1, 3).T
-    closed = (method == "closed_form") & (np.abs(beta - gamma_sv) <= DEGENERATE_PAIR_TOL)
-    quad = ~closed
-    values = np.empty(alpha.shape)
-    bounds = np.zeros(alpha.shape)
-    values[closed] = sigma_closed_pure_batch(alpha[closed], beta[closed])
-    values[quad], bounds[quad] = sigma_quadrature_batch(
-        alpha[quad], beta[quad], gamma_sv[quad])
-    return values.reshape(shape), bounds.reshape(shape), closed.reshape(shape)
+    values = sigma_rg_batch(*np.moveaxis(sv, -1, 0))
+    return values, RG_REL_ERROR_BOUND * values
 
 
 def sigma_for_state(
@@ -350,13 +230,13 @@ def sigma_for_state(
 ) -> SigmaEstimate:
     """Full pipeline rho -> K -> singular values -> Sigma by `sigma_batch`.
 
-    A closed-form request falls back to quadrature when the two smaller
-    singular values differ, and the returned method tag says so.
+    The method tag is "monte_carlo" for a Monte Carlo request and
+    ESTIMATOR for the others.
     """
     k = correlation_matrix(rho)
     sv = np.linalg.svd(k, compute_uv=False)
-    values, bounds, closed = sigma_batch(method, k, sv, n_samples, (seed,))
-    tag = "quadrature" if method == "closed_form" and not closed else method
+    values, bounds = sigma_batch(method, k, sv, n_samples, (seed,))
+    tag = method if method == "monte_carlo" else ESTIMATOR
     return SigmaEstimate(float(values), tag, float(bounds))
 
 

@@ -31,9 +31,9 @@ from .channels import (
     pauli_transfer,
 )
 from .correlation import (
+    ESTIMATOR,
     ESTIMATORS,
-    QUADRATURE_REL_TOL,
-    QUADRATURE_START_NODES,
+    RG_REL_ERROR_BOUND,
     RNG_IDENTITY,
     classify_batch,
     sigma_batch,
@@ -168,7 +168,7 @@ def damped_sigma(
     k = np.ascontiguousarray(t_damped[..., 1:, 1:])
     sv = np.linalg.svd(k, compute_uv=False)  # descending
     _check_analytic_triples(kind, c, p, sv)
-    sigma, _, _ = sigma_batch(method, k, sv, n_samples, seeds)
+    sigma, _ = sigma_batch(method, k, sv, n_samples, seeds)
     return sv, sigma
 
 
@@ -184,6 +184,7 @@ def decay_curve(
     # one seed per grid point, drawn only by Monte Carlo
     seeds = (np.random.SeedSequence(seed, spawn_key=key) for key in np.ndindex(p.shape))
     sv, sigma = damped_sigma(spec.channel_kind, spec.c, p, spec.method, n_samples, seeds)
+    exact = spec.method != "monte_carlo"
     metadata = {
         "channel": spec.channel_kind,
         "c": spec.c,
@@ -192,9 +193,9 @@ def decay_curve(
         "steps": spec.steps,
         "method": spec.method,
         "seed": seed,
-        "samples": n_samples if spec.method == "monte_carlo" else None,
-        "quadrature_nodes": QUADRATURE_START_NODES,
-        "quadrature_rel_tol": QUADRATURE_REL_TOL,
+        "samples": None if exact else n_samples,
+        "estimator": ESTIMATOR if exact else spec.method,
+        "rel_error_bound": RG_REL_ERROR_BOUND if exact else None,
         "rng": RNG_IDENTITY,
     }
     columns = dict(gammas=gammas, t=times, p=p, sv=sv, sigma=sigma,
@@ -208,7 +209,7 @@ def figure_dataset(figure: int, seed: int = 42) -> DecayCurve:
     """Canned decay datasets: figure 1 is phase damping, figure 2 amplitude.
 
     Both use c = 1/sqrt(2) (so Sigma starts at its maximum 1/2), rates
-    {0.5, 1.0, 2.0}, and 201 points on t in [0, 8] with quadrature Sigma.
+    {0.5, 1.0, 2.0}, and 201 points on t in [0, 8] with exact (R_G) Sigma.
     """
     if figure not in (1, 2):
         raise ValueError(f"figure must be 1 or 2, got {figure}")

@@ -10,21 +10,19 @@ import numpy as np
 import pytest
 
 from avgcorr import (
-    SingularTriple,
     correlation_matrix,
     figure_dataset,
     make_pure_state,
     random_density,
-    sigma_closed_pure,
     sigma_for_state,
     sigma_monte_carlo,
-    sigma_quadrature,
-    singular_values,
     validate_density,
 )
 from avgcorr.cli import run
+from avgcorr.correlation import ESTIMATOR, sigma_batch
 
 from kraus import amplitude_damping, apply_both, phase_damping
+from oracles import sigma_closed_pure
 from test_channels import amplitude_damped_matrix, phase_damped_matrix
 from test_correlation import singular_oracle
 
@@ -60,10 +58,11 @@ def test_criterion_1_landmark_values():
         rho = make_pure_state(c)
         closed = sigma_for_state(rho, "closed_form")
         quad = sigma_for_state(rho, "quadrature")
-        assert closed.method == "closed_form"
+        assert closed.method == quad.method == ESTIMATOR
         assert abs(closed.value - expected) <= 1e-9
         assert abs(quad.value - expected) <= 1e-9
-    _report(1, "Sigma(c=1/sqrt2)=1/2 and Sigma(c=1)=1/4 by closed form and quadrature")
+    _report(1, "Sigma(c=1/sqrt2)=1/2 and Sigma(c=1)=1/4 by the exact R_G estimator, "
+               "requested as closed form and as quadrature")
 
 
 def test_criterion_2_maximizer_location():
@@ -81,14 +80,13 @@ def test_criterion_3_oracle_equivalence():
     for child in master.spawn(50):
         state_seq, mc_seq = child.spawn(2)
         rho = random_density(np.random.default_rng(state_seq))
-        k = correlation_matrix(rho)
-        quad = sigma_quadrature(singular_values(k))
-        mc = sigma_monte_carlo(k, 10**6, seed=mc_seq)
-        gap = abs(quad.value - mc.value)
+        exact = sigma_for_state(rho)
+        mc = sigma_monte_carlo(correlation_matrix(rho), 10**6, seed=mc_seq)
+        gap = abs(exact.value - mc.value)
         assert gap <= 4.0 * mc.error_bound
         if mc.error_bound:
             worst = max(worst, gap / mc.error_bound)
-    _report(3, f"50 random states, quadrature vs 1e6-sample Monte Carlo, "
+    _report(3, f"50 random states, R_G vs 1e6-sample Monte Carlo, "
                f"worst gap {worst:.2f} standard errors")
 
 
@@ -198,6 +196,15 @@ def test_criterion_7_channel_correctness():
     _report(7, "damped states match the closed-form matrices entrywise at 1e-12")
 
 
+def exact_sigma(triples):
+    """The runtime estimator on diagonal correlation matrices with these
+    singular values, one triple per row."""
+    triples = np.asarray(triples, dtype=float)
+    k = np.zeros(triples.shape[:-1] + (3, 3))
+    k[..., [0, 1, 2], [0, 1, 2]] = triples
+    return sigma_batch("quadrature", k, np.linalg.svd(k, compute_uv=False))[0]
+
+
 def test_criterion_8_property_suite():
     rng = np.random.default_rng(808)
 
@@ -206,37 +213,33 @@ def test_criterion_8_property_suite():
         k = rng.uniform(-1.0, 1.0, size=(3, 3))
         u, s, vt = np.linalg.svd(k)
         assert np.max(np.abs(u @ np.diag(s) @ vt - k)) <= 1e-10
-        triple = singular_values(k)
-        assert np.max(np.abs(np.array([triple.alpha, triple.beta, triple.gamma_sv])
-                             - singular_oracle(k))) <= 1e-10
+        assert np.max(np.abs(s - singular_oracle(k))) <= 1e-10
 
     # permutation and sign invariance
     base = (0.8, 0.45, 0.15)
-    reference = sigma_quadrature(SingularTriple.from_values(*base)).value
-    for perm in itertools.permutations(base):
-        assert abs(sigma_quadrature(SingularTriple.from_values(*perm)).value
-                   - reference) <= 1e-9
+    perms = [np.multiply(perm, signs) for perm in itertools.permutations(base)
+             for signs in itertools.product((1.0, -1.0), repeat=3)]
+    values = exact_sigma(perms)
+    assert np.max(np.abs(values - values[0])) <= 1e-9
     k = rng.uniform(-1.0, 1.0, size=(3, 3))
     assert (sigma_monte_carlo(k, 10**4, seed=2).value
             == sigma_monte_carlo(-k, 10**4, seed=2).value)
 
     # bounds alpha/4 <= Sigma <= alpha/2 on a 20x20x20 sorted-triple grid
     fractions = np.linspace(0.0, 1.0, 20)
-    for alpha in fractions:
-        for fb in fractions:
-            beta = alpha * fb
-            for fg in fractions:
-                s = SingularTriple(alpha, beta, beta * fg)
-                value = sigma_quadrature(s).value
-                assert alpha / 4 - 1e-9 <= value <= alpha / 2 + 1e-9
+    alpha, fb, fg = np.meshgrid(fractions, fractions, fractions, indexing="ij")
+    grid = np.stack([alpha, alpha * fb, alpha * fb * fg], axis=-1).reshape(-1, 3)
+    values = exact_sigma(grid)
+    assert np.all(grid[:, 0] / 4 - 1e-9 <= values)
+    assert np.all(values <= grid[:, 0] / 2 + 1e-9)
 
-    # singular-limit paths of the integrand: f -> 1 and f -> 0, exact and near
-    assert sigma_quadrature(SingularTriple(1.0, 1.0, 1.0)).value == 0.5
-    assert sigma_quadrature(SingularTriple(1.0, 0.0, 0.0)).value == 0.25
+    # limit paths: all singular values equal, two of them 0, and degenerate
+    # pairs near both ends, against the closed-form oracle
+    assert exact_sigma([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]).tolist() == [0.5, 0.25]
     for beta in (1.0 - 1e-10, np.sqrt(1.0 - 1e-9), 1e-10):
-        quad = sigma_quadrature(SingularTriple(1.0, beta, beta)).value
+        exact = exact_sigma([[1.0, beta, beta]])[0]
         closed = sigma_closed_pure(1.0, beta).value
-        assert abs(quad - closed) <= 1e-9
+        assert abs(exact - closed) <= 1e-9
     _report(8, "SVD reconstruction, permutation/sign invariance, "
                "alpha/4..alpha/2 bounds on 8000 triples, and limit paths")
 

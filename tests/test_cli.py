@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgcorr import NONCLASSICAL_MIN, SingularTriple, classify, sigma_quadrature
+from avgcorr import NONCLASSICAL_MIN, classify
 from avgcorr import sweep
 from avgcorr.cli import CSV_HEADER, format_sig12, run
+from oracles import SingularTriple, sigma_quadrature
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -51,6 +52,19 @@ def test_sigma_c_one_any_damping(capsys):
                 assert run(argv) == 0, argv
                 out = capsys.readouterr().out
                 assert out == "0.250000000000 classical_compatible\n", argv
+
+
+@pytest.mark.parametrize("c", ["5e-324", "1e-310", "1e-200"])
+def test_sigma_of_subnormal_schmidt_coefficient(c, capsys):
+    # the triple is (1, ~2c, ~2c), whose squares underflow: Sigma = 1/4 to
+    # double precision, with no overflow on the way, for both exact methods
+    for command, channel, method in itertools.product(
+            ("sigma", "classify"), ("phase", "amplitude"), ("closed", "quadrature")):
+        argv = [command, "--c", c, "--p", "0", "--channel", channel, "--method", method]
+        assert run(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == "", argv
+        assert captured.out == "0.250000000000 classical_compatible\n", argv
 
 
 def test_sigma_matches_every_sweep_row(capsys):
@@ -169,8 +183,9 @@ def test_sweep_json_round_trip(tmp_path):
     assert run(["sweep", "--figure", "2", "--format", "json",
                 "--out", str(path)]) == 0
     payload = json.loads(path.read_text())
-    for key in ("seed", "method", "quadrature_nodes", "rng"):
+    for key in ("seed", "method", "estimator", "rel_error_bound", "rng"):
         assert key in payload["metadata"]
+    assert payload["metadata"]["estimator"] == "carlson_rg"
     assert [b["gamma"] for b in payload["blocks"]] == [0.5, 1.0, 2.0]
     rng = np.random.default_rng(77)
     rows = [row for block in payload["blocks"] for row in block["rows"]]

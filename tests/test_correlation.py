@@ -8,24 +8,31 @@ from avgcorr import (
     INDETERMINATE,
     NONCLASSICAL,
     NONCLASSICAL_MIN,
-    SingularTriple,
     classify,
     correlation_matrix,
     make_pure_state,
     random_density,
-    sigma_closed_pure,
     sigma_for_state,
     sigma_monte_carlo,
-    sigma_quadrature,
-    singular_values,
     t_matrix,
 )
 from avgcorr.correlation import (
+    ESTIMATOR,
+    RG_REL_ERROR_BOUND,
+    RG_TINY_RATIO,
     classify_batch,
-    sigma_closed_pure_batch,
-    sigma_quadrature_batch,
+    sigma_batch,
+    sigma_rg_batch,
 )
 from kraus import amplitude_damping, apply_both, phase_damping
+from oracles import (
+    SingularTriple,
+    sigma_closed_pure,
+    sigma_closed_pure_batch,
+    sigma_quadrature,
+    sigma_quadrature_batch,
+    singular_values,
+)
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -209,14 +216,17 @@ def test_sigma_for_state_landmarks():
         sigma_for_state(make_pure_state(0.5), "bogus")
 
 
-def test_sigma_for_state_closed_form_fallback():
-    # amplitude damping at p = 0.2 leaves distinct smaller singular values,
-    # so a closed-form request must fall back to quadrature
-    rho = apply_both(make_pure_state(INV_SQRT2), amplitude_damping(0.2))
-    est = sigma_for_state(rho, "closed_form")
-    assert est.method == "quadrature"
-    pure = sigma_for_state(make_pure_state(0.4), "closed_form")
-    assert pure.method == "closed_form"
+def test_sigma_for_state_exact_methods_agree():
+    # amplitude damping at p = 0.2 leaves distinct smaller singular values and
+    # the undamped c = 0.4 state a degenerate pair; both exact requests run
+    # R_G on either, and the tag says so
+    for rho in (apply_both(make_pure_state(INV_SQRT2), amplitude_damping(0.2)),
+                make_pure_state(0.4)):
+        closed = sigma_for_state(rho, "closed_form")
+        quad = sigma_for_state(rho, "quadrature")
+        assert closed.method == quad.method == ESTIMATOR
+        assert closed.value == quad.value
+        assert closed.error_bound == quad.error_bound == RG_REL_ERROR_BOUND * quad.value
 
 
 def test_sigma_for_state_amplitude_damped_crosses_threshold():
@@ -333,3 +343,79 @@ def test_t_matrix_blocks():
         assert np.array_equal(t[1:, 1:], correlation_matrix(rho))
     with pytest.raises(ValueError):
         t_matrix(np.diag([1.0, 0.0, 0.0, 1j]))
+
+
+def simplex_triples(n, seed):
+    """`seeded_triples` plus the far ends of the simplex: alpha = 1e154,
+    magnitudes near 1e+-150 and 1e-300, subnormals, and ratios beta/alpha on
+    both sides of RG_TINY_RATIO."""
+    extremes = []
+    for a in (1e154, 1e150, 1e-150, 1e-300, 1e-310, 5e-324):
+        for fb in (1.0, 0.5, 1e-149, 1e-151, 0.0):
+            extremes += [(a, a * fb, a * fb * fg) for fg in (1.0, 0.3, 0.0)]
+    # subnormal smaller values under a unit alpha, as c = 5e-324 gives
+    for b in (5e-324, 1e-310, 2.2e-308, 1e-200):
+        extremes += [(1.0, b, b), (1.0, b, 0.0), (1.0, 1.0, b)]
+    return np.vstack([seeded_triples(n, seed), extremes])
+
+
+# Results below 2^-1022 are subnormal and carry an absolute rounding of a
+# few units of 2^-1074 that no relative bound can cover.
+SUBNORMAL_SLACK = 4 * 2.0**-1074
+
+
+def test_rg_matches_quadrature_oracle_across_simplex():
+    triples = simplex_triples(300, 61)
+    assert np.all(triples[:, 0] >= triples[:, 1]) and np.all(triples[:, 1] >= triples[:, 2])
+    # Sigma is homogeneous of degree one. The oracle runs on the triple
+    # scaled to alpha = 1, because at a subnormal alpha its own sums keep
+    # too few digits for 1e-11.
+    scale = np.where(triples[:, 0] > 0.0, triples[:, 0], 1.0)
+    expected = scale * sigma_quadrature_batch(*(triples / scale[:, None]).T)[0]
+    got = sigma_rg_batch(*triples.T)
+    assert np.all(np.abs(got - expected) <= 1e-11 * expected + SUBNORMAL_SLACK)
+
+
+def test_rg_matches_monte_carlo_across_simplex():
+    triples = simplex_triples(12, 62)
+    unit = triples[(triples[:, 0] <= 1.0) & (triples[:, 0] >= 1e-3)]
+    got = sigma_rg_batch(*unit.T)
+    master = np.random.SeedSequence(63)
+    for triple, value, seq in zip(unit, got, master.spawn(len(unit))):
+        mc = sigma_monte_carlo(np.diag(triple), 2 * 10**5, seed=seq)
+        assert abs(value - mc.value) <= 4 * mc.error_bound or value == mc.value, triple
+
+
+def test_rg_matches_mpmath_elliprg_across_simplex():
+    mpmath = pytest.importorskip("mpmath")
+    triples = simplex_triples(150, 64)
+    got = sigma_rg_batch(*triples.T)
+    with mpmath.workdps(40):
+        for (a, b, g), value in zip(triples.tolist(), got.tolist()):
+            exact = mpmath.elliprg(mpmath.mpf(a) ** 2, mpmath.mpf(b) ** 2,
+                                   mpmath.mpf(g) ** 2) / 2
+            error = abs(mpmath.mpf(value) - exact)
+            assert error <= RG_REL_ERROR_BOUND * exact + SUBNORMAL_SLACK, (a, b, g, value)
+
+
+def test_rg_guards_and_landmarks():
+    assert sigma_rg_batch([1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]).tolist() == [
+        0.5, 0.25, 0.0]
+    # at beta/alpha <= RG_TINY_RATIO Sigma is alpha/4, every entry taking
+    # the guard at once included
+    alpha = np.array([1.0, 1e154, 2.0, 5e-324])
+    guarded = sigma_rg_batch(alpha, alpha * RG_TINY_RATIO, [0.0, 0.0, 1e-300, 0.0])
+    assert guarded.tolist() == (alpha / 4).tolist()
+    assert sigma_rg_batch([], [], []).shape == (0,)
+    with pytest.raises(RuntimeError):
+        sigma_rg_batch([np.nan], [np.nan], [np.nan])
+
+
+def test_sigma_batch_exact_methods_are_one_estimator():
+    triples = simplex_triples(40, 65)
+    k = np.zeros((len(triples), 3, 3))
+    k[:, [0, 1, 2], [0, 1, 2]] = triples
+    for method in ("closed_form", "quadrature"):
+        values, bounds = sigma_batch(method, k, triples)
+        assert values.tolist() == sigma_rg_batch(*triples.T).tolist()
+        assert bounds.tolist() == (RG_REL_ERROR_BOUND * values).tolist()

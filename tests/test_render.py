@@ -56,7 +56,8 @@ def old_render_json(curve) -> str:
 def test_format_sig12_matches_old_below_1e12():
     rng = np.random.default_rng(1212)
     values = 10.0 ** rng.uniform(-12.0, 12.0, 10**5) * rng.choice([-1.0, 1.0], 10**5)
-    # and every double within 50 ulps of each decade, where rounding carries
+    # and every double within 50 ulps of each decade, where rounding carries,
+    # the lower switch at 1e-12 included
     for k in range(-12, 12):
         for side in (-np.inf, np.inf):
             x = 10.0**k
@@ -64,6 +65,7 @@ def test_format_sig12_matches_old_below_1e12():
                 values = np.append(values, [x, -x])
                 x = np.nextafter(x, side)
     values = values[(np.abs(values) >= 1e-12) & (np.abs(values) < 1e12)]
+    assert 1e-12 in values and np.nextafter(1e-12, 1.0) in values
     bad = [x for x in values.tolist() if format_sig12(x) != old_format_sig12(x)]
     assert not bad, f"{len(bad)} values differ, first {bad[0]!r}"
 
@@ -76,6 +78,14 @@ def test_format_sig12_is_scientific_from_1e12():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             format_sig12(bad)
+
+
+def test_format_sig12_is_scientific_below_1e_minus_12():
+    assert format_sig12(1e-200) == "1.00000000000e-200"
+    assert format_sig12(5e-324) == "4.94065645841e-324"
+    assert format_sig12(-2.5e-15) == "-2.50000000000e-15"
+    assert format_sig12(np.nextafter(1e-12, 0.0)) == "1.00000000000e-12"
+    assert format_sig12(1e-12) == old_format_sig12(1e-12) == "0.00000000000100000000000"
 
 
 def random_specs(count, seed):

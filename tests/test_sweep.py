@@ -12,13 +12,12 @@ from avgcorr import (
     figure_dataset,
     make_pure_state,
     p_of_t,
-    sigma_closed_pure,
+    sigma_for_state,
     sigma_monte_carlo,
-    sigma_quadrature,
-    singular_values,
 )
-from avgcorr.correlation import DEGENERATE_PAIR_TOL
+from avgcorr.correlation import ESTIMATOR, RG_REL_ERROR_BOUND
 from kraus import apply_both, make_channel
+from oracles import singular_values
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -156,24 +155,29 @@ def test_monte_carlo_sweep_method():
     assert [r.sigma for r in again.blocks[0].rows] == [
         r.sigma for r in curve.blocks[0].rows
     ]
+    assert curve.metadata["estimator"] == "monte_carlo"
+    assert curve.metadata["rel_error_bound"] is None
+    assert curve.metadata["samples"] == 10**5
 
 
-def test_closed_form_sweep_falls_back_when_not_degenerate():
-    # amplitude damping leaves distinct smaller singular values, so the
-    # closed-form method must quietly route those points through quadrature
+def test_closed_form_sweep_is_the_quadrature_sweep():
+    # both exact methods run R_G, on degenerate pairs (phase damping) and on
+    # distinct smaller singular values (amplitude damping) alike
     for kind in (PHASE_DAMPING, AMPLITUDE_DAMPING):
         closed = decay_curve(SweepSpec(kind, INV_SQRT2, (1.0,), t_max=4.0,
                                        steps=9, method="closed_form"))
         quad = decay_curve(SweepSpec(kind, INV_SQRT2, (1.0,), t_max=4.0, steps=9))
-        for c_row, q_row in zip(closed.blocks[0].rows, quad.blocks[0].rows):
-            assert abs(c_row.sigma - q_row.sigma) < 1e-9
+        assert closed.sigma.tobytes() == quad.sigma.tobytes()
+        assert closed.metadata["estimator"] == quad.metadata["estimator"] == ESTIMATOR
 
 
 def test_metadata_records_reproducibility_inputs(figure1):
     md = figure1.metadata
     assert md["method"] == "quadrature"
     assert md["seed"] == 42
-    assert md["quadrature_nodes"] == 512
+    assert md["samples"] is None
+    assert md["estimator"] == ESTIMATOR
+    assert md["rel_error_bound"] == RG_REL_ERROR_BOUND
     assert "PCG64" in md["rng"]
     assert md["gammas"] == [0.5, 1.0, 2.0]
 
@@ -201,22 +205,16 @@ def test_sweep_spec_rejects_non_finite(kwargs):
 
 def per_point_rows(spec, n_samples, seed):
     """The sweep rows computed point by point through the Kraus form:
-    apply_both -> correlation_matrix -> singular_values -> estimator."""
+    apply_both -> correlation_matrix -> singular_values, and the estimator
+    on that one state by `sigma_for_state`."""
     rho0 = make_pure_state(spec.c)
     for bi, gamma in enumerate(spec.gammas):
         for ti, t in enumerate(np.linspace(0.0, spec.t_max, spec.steps)):
             p = p_of_t(gamma, t)
-            k = correlation_matrix(apply_both(rho0, make_channel(spec.channel_kind, p)))
-            s = singular_values(k)
-            if spec.method == "monte_carlo":
-                est = sigma_monte_carlo(
-                    k, n_samples, np.random.SeedSequence(seed, spawn_key=(bi, ti))
-                )
-            elif (spec.method == "closed_form"
-                  and abs(s.beta - s.gamma_sv) <= DEGENERATE_PAIR_TOL):
-                est = sigma_closed_pure(s.alpha, s.beta)
-            else:
-                est = sigma_quadrature(s)
+            rho = apply_both(rho0, make_channel(spec.channel_kind, p))
+            s = singular_values(correlation_matrix(rho))
+            est = sigma_for_state(rho, spec.method, n_samples,
+                                  np.random.SeedSequence(seed, spawn_key=(bi, ti)))
             yield gamma, (t, p, s.alpha, s.beta, s.gamma_sv, est.value), classify(est)
 
 
