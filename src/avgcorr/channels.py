@@ -59,6 +59,8 @@ def p_of_t(gamma, t):
         raise ValueError(f"decoherence rate must be >= 0, got {gamma[gamma < 0.0].flat[0]}")
     if np.any(t < 0.0):
         raise ValueError(f"time must be >= 0, got {t[t < 0.0].flat[0]}")
-    # expm1 keeps full precision for small gamma*t
-    p = -np.expm1(-gamma * t)
+    # expm1 keeps full precision for small gamma*t; a product that overflows
+    # to inf is a rate-time far past saturation, and p = 1 there exactly
+    with np.errstate(over="ignore"):
+        p = -np.expm1(-gamma * t)
     return float(p) if p.ndim == 0 else p

@@ -139,6 +139,8 @@ def test_p_of_t_values():
     assert abs(p_of_t(2.0, 0.5) - (1 - np.exp(-1))) < 1e-15
     assert p_of_t(1.0, 1e3) == pytest.approx(1.0, abs=1e-12)
     assert p_of_t(0.0, 5.0) == 0.0
+    assert p_of_t(1e308, 8.0) == 1.0  # gamma * t overflows
+    assert np.array_equal(p_of_t(np.array([[1e308]]), np.array([0.0, 8.0])), [[0.0, 1.0]])
     # arrays broadcast, element for element the scalar law
     gammas, times = np.array([0.0, 0.5, 2.0]), np.linspace(0.0, 8.0, 9)
     grid = p_of_t(gammas[:, None], times)
