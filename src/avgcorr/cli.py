@@ -7,6 +7,12 @@ Subcommands:
     classify  nonclassicality label for a Sigma value or a state
 
 Exit codes: 0 success, 1 I/O or numeric failure, 2 usage error.
+
+`run()` builds its argument parser on its first call and reuses it for
+every later call in the process, since building the argparse tree costs
+several times what parsing and computing one `sigma` query do, and parsing
+leaves the parser unchanged. `build_parser()` returns a fresh parser on
+every call.
 """
 
 from __future__ import annotations
@@ -126,6 +132,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the four subcommands; each subcommand's handler is
+    in the parsed namespace as `func`."""
     parser = argparse.ArgumentParser(
         prog="avgcorr",
         description="Average correlation of two-qubit states under local damping.",
@@ -237,6 +245,8 @@ def cmd_classify(args, parser) -> int:
     if args.value is not None:
         if any(flag is not None for flag in (args.c, args.p, args.gamma, args.t)):
             parser.error("give either --value or a state description, not both")
+        if not math.isfinite(args.value):
+            parser.error(f"--value must be finite, got {args.value}")
         _emit(f"{classify(args.value)}\n", args.out)
         return 0
     if args.c is None:
@@ -309,8 +319,15 @@ def cmd_verify(args, parser) -> int:
     return 0 if all_ok else 1
 
 
+# The parser `run()` reuses; built on the first call, not at import.
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     try:
         args = parser.parse_args(argv)
         return args.func(args, parser)

@@ -48,6 +48,10 @@ ESTIMATOR = "carlson_rg"
 # range; the tests hold it to a 40-digit mpmath.elliprg across the
 # sorted-triple simplex, where the worst of 24288 triples measured 6.8e-16.
 RG_REL_ERROR_BOUND = 1e-15
+# Floor of the error bound for subnormal results, which carry an absolute
+# rounding of up to about 1.2 units of 2^-1074 (against mpmath). It lies
+# below RG_REL_ERROR_BOUND * 2^-1022, so normal-range bounds are relative.
+RG_ABS_ERROR_FLOOR = 4 * 2.0**-1074
 # At beta/alpha <= 1e-150 Sigma is alpha/4 to double precision, and from
 # about 1e-154 on the R_D term would overflow.
 RG_TINY_RATIO = 1e-150
@@ -208,7 +212,8 @@ def sigma_batch(
 
     "monte_carlo" samples each matrix with its own entry of `seeds` (one per
     matrix, in C order). "closed_form" and "quadrature" both run
-    `sigma_rg_batch`, whose error bound is RG_REL_ERROR_BOUND relative.
+    `sigma_rg_batch`, whose error bound is RG_REL_ERROR_BOUND relative and
+    at least RG_ABS_ERROR_FLOOR.
     """
     if method == "monte_carlo":
         estimates = [sigma_monte_carlo(ki, n_samples, seed)
@@ -219,7 +224,7 @@ def sigma_batch(
     if method not in ESTIMATORS:
         raise ValueError(f"unknown method {method!r}")
     values = sigma_rg_batch(*np.moveaxis(sv, -1, 0))
-    return values, RG_REL_ERROR_BOUND * values
+    return values, np.maximum(RG_REL_ERROR_BOUND * values, RG_ABS_ERROR_FLOOR)
 
 
 def sigma_for_state(

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgcorr import NONCLASSICAL_MIN, classify
-from avgcorr import sweep
-from avgcorr.cli import CSV_HEADER, format_sig12, run
+from avgcorr import cli, sweep
+from avgcorr.cli import CSV_HEADER, build_parser, format_sig12, run
 from oracles import SingularTriple, sigma_quadrature
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -141,6 +141,11 @@ def test_classify_value(capsys):
     assert capsys.readouterr().out == "indeterminate\n"
     assert run(["classify", "--value", "0.2"]) == 0
     assert capsys.readouterr().out == "classical_compatible\n"
+    # finite values outside [0, 1/2] keep their labels
+    for value, label in (("-1", "classical_compatible"), ("0.9", "nonclassical"),
+                         ("1e308", "nonclassical")):
+        assert run(["classify", "--value", value]) == 0
+        assert capsys.readouterr().out == f"{label}\n"
 
 
 def test_classify_state(capsys):
@@ -245,6 +250,9 @@ def test_module_entry_point(tmp_path):
         ["sigma", "--c", "0.5", "--gamma", "inf", "--t", "0"],
         ["sigma", "--c", "0.5", "--gamma", "1", "--t", "nan"],
         ["sigma", "--c", "0.5", "--p", "nan"],
+        ["classify", "--value", "nan"],
+        ["classify", "--value", "inf"],
+        ["classify", "--value", "-inf"],
     ],
 )
 def test_non_finite_input_is_a_usage_error(argv, capsys):
@@ -352,3 +360,52 @@ def test_run_never_raises_on_fuzzed_argv(argv):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     if rc == 2:
         assert "error:" in err.splitlines()[-1], (argv, err)
+
+
+def outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+USAGE_ERROR_ARGV = ["sigma", "--c", "1.5", "--p", "0"]
+VALID_ARGV = ["classify", "--c", "0.6", "--channel", "amplitude", "--p", "0.3"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(fuzz_argv(), min_size=1, max_size=4), st.randoms(use_true_random=False))
+def test_reused_parser_matches_a_fresh_parser(argvs, random):
+    # a usage error exits through parser.error, part way into a parse; the
+    # calls after it must not see a trace of it in the shared parser
+    argvs = argvs + [USAGE_ERROR_ARGV, VALID_ARGV, USAGE_ERROR_ARGV]
+    random.shuffle(argvs)
+    saved = cli._parser
+    try:
+        fresh = []
+        for argv in argvs:
+            cli._parser = None  # run() builds a new parser for this call
+            fresh.append(outcome(argv))
+        cli._parser = None
+        shared = [outcome(argv) for argv in argvs]
+    finally:
+        cli._parser = saved
+    for argv, want, got in zip(argvs, fresh, shared):
+        assert got == want, argv
+
+
+def test_run_builds_its_parser_once(monkeypatch, capsys):
+    builds = []
+
+    def counted():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv in (["sigma", "--c", "0.5", "--p", "0.2"], USAGE_ERROR_ARGV,
+                 ["classify", "--value", "0.3"], ["verify", "--trials", "0"]):
+        run(argv)
+    capsys.readouterr()
+    assert len(builds) == 1
+    assert build_parser() is not build_parser()

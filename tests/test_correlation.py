@@ -18,12 +18,14 @@ from avgcorr import (
 )
 from avgcorr.correlation import (
     ESTIMATOR,
+    RG_ABS_ERROR_FLOOR,
     RG_REL_ERROR_BOUND,
     RG_TINY_RATIO,
     classify_batch,
     sigma_batch,
     sigma_rg_batch,
 )
+from avgcorr.states import IDENTITY_2, PAULIS, tensor2
 from kraus import amplitude_damping, apply_both, phase_damping
 from oracles import (
     SingularTriple,
@@ -418,4 +420,31 @@ def test_sigma_batch_exact_methods_are_one_estimator():
     for method in ("closed_form", "quadrature"):
         values, bounds = sigma_batch(method, k, triples)
         assert values.tolist() == sigma_rg_batch(*triples.T).tolist()
-        assert bounds.tolist() == (RG_REL_ERROR_BOUND * values).tolist()
+        normal = values >= 2.0**-1022
+        assert bounds[normal].tolist() == (RG_REL_ERROR_BOUND * values[normal]).tolist()
+        assert np.all(bounds[~normal] == RG_ABS_ERROR_FLOOR)
+
+
+def test_sigma_for_state_error_bound_covers_subnormal_values():
+    mpmath = pytest.importorskip("mpmath")
+    # correlations of about 1e-310 and 1e-320 give subnormal values of Sigma.
+    # The z-z entry stays 0: it sits on the diagonal of rho beside 1/4, where
+    # a subnormal part would be rounded away.
+    rng = np.random.default_rng(66)
+    products = [[tensor2(si, sj) for sj in PAULIS] for si in PAULIS]
+    worst = 0.0
+    for scale in (1e-310, 1e-320):
+        for _ in range(20):
+            t = scale * rng.uniform(-1.0, 1.0, (3, 3))
+            t[2, 2] = 0.0
+            rho = (tensor2(IDENTITY_2, IDENTITY_2)
+                   + np.einsum("ij,ijkl->kl", t, products)) / 4
+            est = sigma_for_state(rho)
+            sv = np.linalg.svd(correlation_matrix(rho), compute_uv=False)
+            with mpmath.workdps(40):
+                exact = mpmath.elliprg(*(mpmath.mpf(s) ** 2 for s in sv.tolist())) / 2
+                error = float(abs(mpmath.mpf(est.value) - exact))
+            assert 0.0 < est.value < 2.0**-1022
+            assert error <= est.error_bound, (scale, t)
+            worst = max(worst, error)
+    assert worst > 0.0  # the states do round
