@@ -14,10 +14,9 @@ from avgcorr.cli import write_output
 
 def summarize(curve, name):
     print(name)
-    for block in curve.blocks:
-        sigmas = [row.sigma for row in block.rows]
+    for gamma, sigmas in zip(curve.gammas.tolist(), curve.sigma.tolist()):
         print(
-            f"  gamma={block.gamma:<4}: start={sigmas[0]:.6f} "
+            f"  gamma={gamma:<4}: start={sigmas[0]:.6f} "
             f"min={min(sigmas):.6f} final={sigmas[-1]:.6f}"
         )
 

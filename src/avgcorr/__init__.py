@@ -23,9 +23,7 @@ from .states import (
     validate_density,
 )
 from .sweep import (
-    DecayBlock,
     DecayCurve,
-    DecayRow,
     SweepSpec,
     damped_sigma,
     decay_curve,
@@ -38,9 +36,7 @@ __all__ = [
     "AMPLITUDE_DAMPING",
     "CLASSICAL_COMPATIBLE",
     "CLASSICAL_MAX",
-    "DecayBlock",
     "DecayCurve",
-    "DecayRow",
     "DensityReport",
     "INDETERMINATE",
     "NONCLASSICAL",

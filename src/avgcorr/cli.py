@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import sys
-from itertools import repeat
 
 import numpy as np
 
@@ -70,16 +69,53 @@ def format_sig12(x: float) -> str:
     return out
 
 
+# 10**k, correctly rounded, at index k + 12 for k in -12..12
+_POW10 = np.array([float(f"1e{k}") for k in range(-12, 13)])
+# ",%.*f" takes (decimals, value); ",%.0s%s" (unused, format_sig12's text)
+_CELL = np.array([",%.0s%s", ",%.*f"], dtype=object)
+
+
+def _sig12_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """%-format cells and their argument pairs (shapes values.shape and
+    values.shape + (2,)) that write each value as `format_sig12` does.
+
+    Where 10**e <= |x| < 10**(e+1) * (1 - 1e-10), format_sig12 prints 11 - e
+    decimals: math.log10 gives e, or e - 1 within an ulp of 10**e and then
+    the 13-digit check cuts one. numpy's log10 only guesses e; the bracket
+    decides. The other cells go through format_sig12: zero, non-finite values
+    (which raise), |x| outside [1e-12, 1e12), and any outside the bracket.
+    """
+    size = np.abs(values)
+    in_range = (size >= 1e-12) & (size < 1e12)
+    e = np.clip(np.floor(np.log10(np.where(in_range, size, 1.0))), -12, 11).astype(np.intp)
+    fast = in_range & (size >= _POW10[e + 12]) & (size < _POW10[e + 13] * (1.0 - 1e-10))
+    args = np.empty(values.shape + (2,), dtype=object)
+    args[..., 0] = 11 - e
+    args[..., 1] = values
+    args[~fast, 1] = list(map(format_sig12, values[~fast].tolist()))
+    return _CELL[fast.astype(np.intp)], args
+
+
 def render_csv(curve: DecayCurve) -> str:
-    t_col = list(map(format_sig12, curve.t.tolist()))
-    lines = [CSV_HEADER]
-    for bi, gamma in enumerate(curve.gammas.tolist()):
-        numbers = [map(format_sig12, col) for col in
-                   (curve.p[bi].tolist(), *curve.sv[bi].T.tolist(), curve.sigma[bi].tolist())]
-        lines.extend(",".join(fields) for fields in
-                     zip(repeat(format_sig12(gamma)), t_col, *numbers,
-                         curve.labels[bi].tolist()))
-    return "\n".join(lines) + "\n"
+    """CSV_HEADER and one row per grid point; each rate's block is written
+    by one %-format of its row templates, one block at a time."""
+    rates, steps = curve.p.shape
+    cells, args = _sig12_cells(np.concatenate((curve.gammas, curve.t)))
+    gammas_t = ("".join(cells.tolist()) % tuple(args.ravel().tolist())).split(",")[1:]
+    template = np.empty((steps, 7), dtype=object)
+    template[:, 0], template[:, 6] = "%s,%s", ",%s\n"
+    row_args = np.empty((steps, 13), dtype=object)
+    row_args[:, 1] = gammas_t[rates:]
+    out = [CSV_HEADER + "\n"]
+    for bi, gamma in enumerate(gammas_t[:rates]):
+        cells, args = _sig12_cells(
+            np.column_stack((curve.p[bi], curve.sv[bi], curve.sigma[bi])))
+        template[:, 1:6] = cells
+        row_args[:, 0] = gamma
+        row_args[:, 2:12] = args.reshape(steps, 10)
+        row_args[:, 12] = curve.labels[bi]
+        out.append("".join(template.ravel().tolist()) % tuple(row_args.ravel().tolist()))
+    return "".join(out)
 
 
 # The layout of json.dumps(..., indent=2) for a row and a block; %r of a

@@ -180,10 +180,12 @@ def sigma_monte_carlo(
     while left > 0:
         m = min(MC_CHUNK, left)
         a = rng.standard_normal((m, 3))
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
         b = rng.standard_normal((m, 3))
-        b /= np.linalg.norm(b, axis=1, keepdims=True)
-        vals = np.abs(np.sum((a @ k) * b, axis=1))
+        # |a^T K b| / (|a| |b|): the directions without normalised copies
+        vals = np.abs(np.einsum("ij,ij->i", a @ k, b))
+        norms = np.einsum("ij,ij->i", a, a)
+        norms *= np.einsum("ij,ij->i", b, b)
+        vals /= np.sqrt(norms, out=norms)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
         left -= m

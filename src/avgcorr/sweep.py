@@ -3,7 +3,7 @@
 A sweep applies the same channel to both qubits of a pure state at
 p(t) = 1 - exp(-gamma*t) over a uniform time grid and records the singular
 triple, Sigma, and its nonclassicality label per point, as columns over the
-(rate, time) grid with a row view per rate.
+(rate, time) grid.
 
 The whole (rate, time) grid is computed as arrays: the state's real 4x4
 correlation matrix T is mapped to R T R^T by the channel's Pauli-transfer
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -82,31 +81,13 @@ class SweepSpec:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-@dataclass(frozen=True)
-class DecayRow:
-    t: float
-    p: float
-    alpha: float
-    beta: float
-    gamma_sv: float
-    sigma: float
-    classification: str
-
-
-@dataclass(frozen=True)
-class DecayBlock:
-    gamma: float
-    rows: tuple[DecayRow, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class DecayCurve:
     """Decay curves as columns over the (rate, time) grid.
 
     `gammas` has one entry per rate and `t` one per step; `p`, `sigma` and
     `labels` have shape (rates, steps) and `sv`, the descending singular
-    values, (rates, steps, 3). `blocks` is a row view of the same arrays,
-    built on first read; `decay_curve` returns the arrays read-only.
+    values, (rates, steps, 3). `decay_curve` returns the arrays read-only.
     """
 
     gammas: np.ndarray
@@ -116,21 +97,6 @@ class DecayCurve:
     sigma: np.ndarray
     labels: np.ndarray
     metadata: dict
-
-    @cached_property
-    def blocks(self) -> tuple[DecayBlock, ...]:
-        t_list = self.t.tolist()
-        return tuple(
-            DecayBlock(
-                gamma=gamma,
-                rows=tuple(
-                    DecayRow(*fields)
-                    for fields in zip(t_list, self.p[bi].tolist(), *self.sv[bi].T.tolist(),
-                                      self.sigma[bi].tolist(), self.labels[bi].tolist())
-                ),
-            )
-            for bi, gamma in enumerate(self.gammas.tolist())
-        )
 
 
 def _check_analytic_triples(kind: str, c: float, p: np.ndarray, sv: np.ndarray) -> None:
@@ -201,7 +167,7 @@ def decay_curve(
     columns = dict(gammas=gammas, t=times, p=p, sv=sv, sigma=sigma,
                    labels=classify_batch(sigma))
     for column in columns.values():
-        column.flags.writeable = False  # keeps the cached `blocks` view true
+        column.flags.writeable = False  # frozen=True guards the fields, this their contents
     return DecayCurve(**columns, metadata=metadata)
 
 

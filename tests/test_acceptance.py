@@ -23,6 +23,7 @@ from avgcorr.correlation import ESTIMATOR, sigma_batch
 
 from kraus import amplitude_damping, apply_both, phase_damping
 from oracles import sigma_closed_pure
+from rows import blocks
 from test_channels import amplitude_damped_matrix, phase_damped_matrix
 from test_correlation import singular_oracle
 
@@ -91,7 +92,7 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4_phase_damping_floor(figure1):
-    for block in figure1.blocks:
+    for block in blocks(figure1):
         sigmas = np.array([r.sigma for r in block.rows])
         assert np.all(sigmas >= 0.25 - 1e-9)
         assert np.all(sigmas <= 0.5 + 1e-9)
@@ -103,7 +104,7 @@ def test_criterion_4_phase_damping_floor(figure1):
 
 
 def test_criterion_5_amplitude_damping_crossing(figure2):
-    for block in figure2.blocks:
+    for block in blocks(figure2):
         minimum = min(r.sigma for r in block.rows)
         assert minimum < 0.25
         assert abs(minimum - FROZEN_AMPLITUDE_MINIMA[block.gamma]) <= 1e-6
@@ -136,11 +137,12 @@ def test_criterion_6_rate_ordering(figure1, figure2):
     tol = 1e-12
     violations = []  # (channel, claim, excess, where)
     for name, curve in (("phase", figure1), ("amplitude", figure2)):
-        rates = [block.gamma for block in curve.blocks]
+        curve_blocks = blocks(curve)
+        rates = [block.gamma for block in curve_blocks]
         assert rates[1:] == [2 * g for g in rates[:-1]], \
             f"{name} rescaling: rates {rates} must double from block to block"
-        step = curve.blocks[0].rows[1].t - curve.blocks[0].rows[0].t
-        for slow, fast in zip(curve.blocks, curve.blocks[1:]):
+        step = curve_blocks[0].rows[1].t - curve_blocks[0].rows[0].t
+        for slow, fast in zip(curve_blocks, curve_blocks[1:]):
             pair = f"gamma={slow.gamma} vs {fast.gamma}"
             for k in range((len(slow.rows) + 1) // 2):
                 r_fast, r_slow = fast.rows[k], slow.rows[2 * k]
@@ -159,7 +161,7 @@ def test_criterion_6_rate_ordering(figure1, figure2):
                         violations.append((name, "rising branch",
                                            r_slow.sigma - r_fast.sigma, where))
         if name == "amplitude":
-            for block in curve.blocks:
+            for block in curve_blocks:
                 t_min = min(block.rows, key=lambda r: r.sigma).t
                 off = abs(t_min - np.log(3.0) / block.gamma)
                 if off > step + tol:

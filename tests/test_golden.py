@@ -3,7 +3,8 @@
 `tests/data/figure{1,2}.csv` hold the exact bytes of `avgcorr sweep
 --figure 1|2`, and `tests/data/sweep_*.json` those of two small JSON
 sweeps; any change to how the sweep computes or renders a row must keep
-them.
+them. `tests/data/verify_small.txt` holds the stdout of a small `avgcorr
+verify` run, `quadrature=` token included.
 """
 
 from pathlib import Path
@@ -39,3 +40,9 @@ def test_sweep_json_matches_golden_bytes(name, tmp_path):
     argv = ["sweep", *JSON_SWEEPS[name], "--format", "json", "--out", str(out)]
     assert run(argv) == 0
     assert out.read_bytes() == (DATA / name).read_bytes()
+
+
+def test_verify_stdout_matches_golden_bytes(capsys):
+    assert run(["verify", "--samples", "20000", "--trials", "3", "--seed", "42"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (DATA / "verify_small.txt").read_bytes()

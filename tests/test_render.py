@@ -1,8 +1,10 @@
 """The columnar renderers against the per-row renderers they replaced.
 
 `old_format_sig12`, `old_render_csv` and `old_render_json` are copies of
-the renderers that walked `DecayCurve.blocks` row by row; the CSV and JSON
-written from the columns must match them byte for byte.
+the renderers that walked the curve row by row (`rows.blocks`); the CSV and
+JSON written from the columns must match them byte for byte. With
+`format_sig12` as its formatter, `old_render_csv` is the CSV writer that
+made one `format_sig12` call per value.
 """
 
 import json
@@ -12,9 +14,11 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from avgcorr import AMPLITUDE_DAMPING, PHASE_DAMPING, SweepSpec, decay_curve
+from avgcorr import AMPLITUDE_DAMPING, PHASE_DAMPING, DecayCurve, SweepSpec, decay_curve
 from avgcorr import cli
 from avgcorr.cli import CSV_HEADER, format_sig12, render_csv, render_json, run
+from avgcorr.correlation import classify_batch
+from rows import blocks
 
 
 def old_format_sig12(x: float) -> str:
@@ -33,12 +37,12 @@ def old_format_sig12(x: float) -> str:
     return out
 
 
-def old_render_csv(curve) -> str:
+def old_render_csv(curve, fmt=old_format_sig12) -> str:
     lines = [CSV_HEADER]
-    for block in curve.blocks:
+    for block in blocks(curve):
         for row in block.rows:
             numbers = (block.gamma, row.t, row.p, row.alpha, row.beta, row.gamma_sv, row.sigma)
-            lines.append(",".join([*map(old_format_sig12, numbers), row.classification]))
+            lines.append(",".join([*map(fmt, numbers), row.classification]))
     return "\n".join(lines) + "\n"
 
 
@@ -47,7 +51,7 @@ def old_render_json(curve) -> str:
         "metadata": curve.metadata,
         "blocks": [
             {"gamma": block.gamma, "rows": [asdict(row) for row in block.rows]}
-            for block in curve.blocks
+            for block in blocks(curve)
         ],
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -115,14 +119,88 @@ def test_columnar_renderers_match_per_row_renderers():
         assert render_json(curve) == old_render_json(curve), spec
 
 
+def adversarial_values():
+    """Doubles on which a per-column formatter could slip: every double
+    within 50 ulps of each decade 1e-12 .. 1e12, both signs; +-0.0; values
+    near a half-way point of the 12th significant digit; values just below
+    1e-12 and at or above 1e12."""
+    values = [0.0, -0.0]
+    for k in range(-12, 13):
+        for side in (-np.inf, np.inf):
+            x = 10.0**k
+            for _ in range(50):
+                values += [x, -x]
+                x = float(np.nextafter(x, side))
+    rng = np.random.default_rng(5125)
+    for digits, k in zip(rng.integers(10**11, 10**12, 2000).tolist(),
+                         rng.integers(-12, 12, 2000).tolist()):
+        x = float(f"{digits}5e{k - 12}")  # d.ddddddddddd5 x 10^k
+        values += [x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, np.inf)), -x]
+    tiny = np.nextafter(1e-12, 0.0)
+    values += [tiny, -tiny, 9.99e-13, 5e-324, -5e-324, 1e12, -1e12, 1e15, 1e308,
+               999999999999.5, 999999999999.4999, np.nextafter(1e12, 0.0)]
+    values = np.array(values)
+    assert (np.signbit(values) & (values == 0.0)).any()
+    return values
+
+
+def curve_from_values(values, rates, steps, seed):
+    """A DecayCurve whose seven numeric columns are filled from `values`,
+    shuffled and cycled over the (rate, time) grid."""
+    rng = np.random.default_rng(seed)
+    pool = rng.permutation(np.resize(values, max(values.size, rates * (1 + 5 * steps) + steps)))
+    gammas, t, rest = pool[:rates], pool[rates:rates + steps], pool[rates + steps:]
+    grid = rest[:rates * steps * 5].reshape(rates, steps, 5)
+    sigma = grid[..., 4].copy()
+    return DecayCurve(gammas=gammas, t=t, p=grid[..., 0].copy(), sv=grid[..., 1:4].copy(),
+                      sigma=sigma, labels=classify_batch(sigma), metadata={})
+
+
+@pytest.mark.parametrize("rates, steps", [(1, 2), (2, 37), (3, 10**4)])
+def test_render_csv_matches_per_value_formatter_on_adversarial_columns(rates, steps):
+    values = adversarial_values()
+    for seed in range(3 if steps < 100 else 1):
+        curve = curve_from_values(values, rates, steps, seed)
+        assert render_csv(curve) == old_render_csv(curve, format_sig12), (rates, steps, seed)
+    if steps > values.size // 5:
+        # the big curve holds every value in a numeric cell
+        cells = np.concatenate([curve.gammas, curve.t, curve.p.ravel(), curve.sv.ravel(),
+                                curve.sigma.ravel()])
+        assert np.isin(values, cells).all()
+
+
+@pytest.mark.parametrize("column, bad", [
+    ("alpha", math.nan), ("sigma", math.nan),
+    ("alpha", math.inf), ("sigma", -math.inf),
+])
+def test_one_non_finite_cell_exits_1_with_one_line(column, bad, monkeypatch, capsys):
+    def spoiled_curve(spec, **kwargs):
+        curve = decay_curve(spec, **kwargs)
+        sv, sigma = curve.sv.copy(), curve.sigma.copy()
+        if column == "alpha":
+            sv[1, 3, 0] = bad
+        else:
+            sigma[1, 3] = bad
+        return replace(curve, sv=sv, sigma=sigma)
+
+    monkeypatch.setattr(cli, "decay_curve", spoiled_curve)
+    argv = ["sweep", "--channel", "amplitude", "--gammas", "0.5,1.0", "--steps", "7"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_blocks_view_matches_columns():
     spec = SweepSpec(AMPLITUDE_DAMPING, 0.6, (0.5, 2), t_max=3.0, steps=7)
     curve = decay_curve(spec)
-    assert curve.blocks is curve.blocks  # built once, on first read
-    with pytest.raises(ValueError):
-        curve.sigma[0, 0] = 0.0  # so the view cannot go stale
-    assert [block.gamma for block in curve.blocks] == [0.5, 2.0]
-    for bi, block in enumerate(curve.blocks):
+    for column in (curve.gammas, curve.t, curve.p, curve.sv, curve.sigma, curve.labels):
+        with pytest.raises(ValueError):
+            column[0] = column[-1]  # the columns are read-only
+    curve_blocks = blocks(curve)
+    assert [block.gamma for block in curve_blocks] == [0.5, 2.0]
+    for bi, block in enumerate(curve_blocks):
         assert [row.t for row in block.rows] == curve.t.tolist()
         assert [row.p for row in block.rows] == curve.p[bi].tolist()
         assert [[row.alpha, row.beta, row.gamma_sv] for row in block.rows] == (

@@ -24,6 +24,8 @@ def test_make_figure_data_writes_the_golden_csvs(tmp_path):
     for figure in (1, 2):
         name = f"figure{figure}.csv"
         assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+    # the per-rate summary reads the curve's columns
+    assert "  gamma=2.0 : start=0.500000 min=0.166711 final=0.250000" in result.stdout
 
 
 def test_scan_schmidt_peaks_at_the_grid_point_nearest_inv_sqrt2():

@@ -18,6 +18,7 @@ from avgcorr import (
 from avgcorr.correlation import ESTIMATOR, RG_REL_ERROR_BOUND
 from kraus import apply_both, make_channel
 from oracles import singular_values
+from rows import blocks
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -54,7 +55,7 @@ def test_sweep_spec_validation(kwargs):
 
 def test_phase_decay_shape():
     spec = SweepSpec(PHASE_DAMPING, INV_SQRT2, (1.0,), t_max=8.0, steps=81)
-    (block,) = decay_curve(spec).blocks
+    (block,) = blocks(decay_curve(spec))
     sigmas = [r.sigma for r in block.rows]
     assert abs(sigmas[0] - 0.5) < 1e-12
     assert all(b <= a + 1e-12 for a, b in zip(sigmas, sigmas[1:]))
@@ -63,7 +64,7 @@ def test_phase_decay_shape():
 
 def test_phase_decay_zero_rate_is_flat():
     spec = SweepSpec(PHASE_DAMPING, INV_SQRT2, (0.0,), t_max=8.0, steps=21)
-    (block,) = decay_curve(spec).blocks
+    (block,) = blocks(decay_curve(spec))
     assert all(abs(r.sigma - 0.5) < 1e-12 for r in block.rows)
     assert all(r.p == 0.0 for r in block.rows)
 
@@ -72,7 +73,7 @@ def test_rows_match_damped_singular_forms():
     # the pipeline triple must reproduce the closed-form damped magnitudes
     for kind in (PHASE_DAMPING, AMPLITUDE_DAMPING):
         spec = SweepSpec(kind, 0.6, (1.3,), t_max=4.0, steps=17)
-        (block,) = decay_curve(spec).blocks
+        (block,) = blocks(decay_curve(spec))
         for row in block.rows:
             shrunk = 2 * 0.6 * np.sqrt(1 - 0.36) * (1 - row.p)
             third = 1.0 if kind == PHASE_DAMPING else abs(1 - 2 * row.p)
@@ -84,8 +85,8 @@ def test_rows_match_damped_singular_forms():
 def test_grid_structure():
     spec = SweepSpec(PHASE_DAMPING, 0.5, (0.5, 2.0), t_max=3.0, steps=7)
     curve = decay_curve(spec)
-    assert [b.gamma for b in curve.blocks] == [0.5, 2.0]
-    for block in curve.blocks:
+    assert [b.gamma for b in blocks(curve)] == [0.5, 2.0]
+    for block in blocks(curve):
         ts = [r.t for r in block.rows]
         ps = [r.p for r in block.rows]
         assert len(ts) == 7
@@ -98,7 +99,7 @@ def test_grid_structure():
 
 def test_amplitude_decay_dips_below_quarter():
     spec = SweepSpec(AMPLITUDE_DAMPING, INV_SQRT2, (1.0,), t_max=8.0, steps=201)
-    (block,) = decay_curve(spec).blocks
+    (block,) = blocks(decay_curve(spec))
     sigmas = np.array([r.sigma for r in block.rows])
     assert sigmas.min() < 0.25
     assert abs(sigmas[-1] - 0.25) < 0.02
@@ -110,23 +111,24 @@ def test_amplitude_decay_dips_below_quarter():
 
 
 def test_figure1_starts_at_half_and_orders_by_rate(figure1):
-    for block in figure1.blocks:
+    figure_blocks = blocks(figure1)
+    for block in figure_blocks:
         assert len(block.rows) == 201
         assert abs(block.rows[0].sigma - 0.5) < 1e-12
-    for slow, fast in zip(figure1.blocks, figure1.blocks[1:]):
+    for slow, fast in zip(figure_blocks, figure_blocks[1:]):
         assert fast.gamma > slow.gamma
         for r_slow, r_fast in zip(slow.rows[1:], fast.rows[1:]):
             assert r_fast.sigma <= r_slow.sigma + 1e-12
 
 
 def test_figure2_crosses_threshold(figure2):
-    for block in figure2.blocks:
+    for block in blocks(figure2):
         assert min(r.sigma for r in block.rows) < 0.25
         assert abs(block.rows[0].sigma - 0.5) < 1e-12
 
 
 def test_figure2_classification_transitions(figure2):
-    for block in figure2.blocks:
+    for block in blocks(figure2):
         ranks = [LABEL_RANK[r.classification] for r in block.rows]
         assert ranks[0] == 2
         assert ranks[-1] == 0
@@ -135,7 +137,7 @@ def test_figure2_classification_transitions(figure2):
 
 
 def test_figure_rows_recomputable_by_monte_carlo(figure2):
-    block = figure2.blocks[1]
+    block = blocks(figure2)[1]
     for idx in (20, 120):
         row = block.rows[idx]
         k = np.diag([row.alpha, row.beta, row.gamma_sv])
@@ -149,11 +151,11 @@ def test_monte_carlo_sweep_method():
     curve = decay_curve(spec, n_samples=10**5, seed=5)
     reference = decay_curve(SweepSpec(AMPLITUDE_DAMPING, INV_SQRT2, (1.0,),
                                       t_max=2.0, steps=4))
-    for mc_row, q_row in zip(curve.blocks[0].rows, reference.blocks[0].rows):
+    for mc_row, q_row in zip(blocks(curve)[0].rows, blocks(reference)[0].rows):
         assert abs(mc_row.sigma - q_row.sigma) < 6e-3  # ~4 standard errors at 1e5
     again = decay_curve(spec, n_samples=10**5, seed=5)
-    assert [r.sigma for r in again.blocks[0].rows] == [
-        r.sigma for r in curve.blocks[0].rows
+    assert [r.sigma for r in blocks(again)[0].rows] == [
+        r.sigma for r in blocks(curve)[0].rows
     ]
     assert curve.metadata["estimator"] == "monte_carlo"
     assert curve.metadata["rel_error_bound"] is None
@@ -235,7 +237,7 @@ def test_batched_sweep_matches_per_point_kraus_pipeline():
         )
         seed = int(rng.integers(0, 2**31))
         curve = decay_curve(spec, n_samples=10**4, seed=seed)
-        got = [(block.gamma, row) for block in curve.blocks for row in block.rows]
+        got = [(block.gamma, row) for block in blocks(curve) for row in block.rows]
         want = list(per_point_rows(spec, 10**4, seed))
         assert len(got) == len(want)
         for (gamma, row), (ref_gamma, numbers, label) in zip(got, want):
