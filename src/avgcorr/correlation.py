@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import IDENTITY_2, PAULIS, tensor2
+from .states import IDENTITY_2, PAULIS, tensor2, validate_density
 
 # Sigma <= 1/4 is attainable by classical correlations; Sigma > 1/(2 sqrt 2)
 # only by nonclassical states. The lower boundary is closed, the upper open.
@@ -237,9 +237,11 @@ def sigma_for_state(
 ) -> SigmaEstimate:
     """Full pipeline rho -> K -> singular values -> Sigma by `sigma_batch`.
 
-    The method tag is "monte_carlo" for a Monte Carlo request and
-    ESTIMATOR for the others.
+    A rho that fails `validate_density` raises ValueError. The method tag is
+    "monte_carlo" for a Monte Carlo request and ESTIMATOR for the others.
     """
+    if failures := validate_density(rho).failures:
+        raise ValueError(f"not a density matrix: {'; '.join(failures)}")
     k = correlation_matrix(rho)
     sv = np.linalg.svd(k, compute_uv=False)
     values, bounds = sigma_batch(method, k, sv, n_samples, (seed,))

@@ -62,11 +62,11 @@ class DensityReport:
     @property
     def failures(self) -> list[str]:
         out = []
-        if self.hermiticity_residual > HERMITICITY_TOL:
+        if not self.hermiticity_residual <= HERMITICITY_TOL:  # NaN fails
             out.append(f"hermiticity residual {self.hermiticity_residual:.3e}")
-        if self.trace_deviation > TRACE_TOL:
+        if not self.trace_deviation <= TRACE_TOL:
             out.append(f"trace deviation {self.trace_deviation:.3e}")
-        if self.min_eigenvalue < MIN_EIGENVALUE_TOL:
+        if not self.min_eigenvalue >= MIN_EIGENVALUE_TOL:
             out.append(f"min eigenvalue {self.min_eigenvalue:.3e}")
         return out
 

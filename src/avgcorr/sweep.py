@@ -7,10 +7,10 @@ triple, Sigma, and its nonclassicality label per point, as columns over the
 
 The whole (rate, time) grid is computed as arrays: the state's real 4x4
 correlation matrix T is mapped to R T R^T by the channel's Pauli-transfer
-matrix R(p) at every grid point, the singular values of the lower 3x3
-blocks come from one batched SVD, and each estimator runs once over the
-grid (Monte Carlo per point, with its own seed). The known damped forms of
-the singular values serve as a built-in cross-check of every point.
+matrix R(p) at every grid point, and each estimator runs once over the grid.
+R is diagonal but for R_30, which only feeds T_00 into K_33, so the lower
+3x3 block K stays diagonal and its singular values are its sorted |diagonal|.
+Exact zeros off it and the known damped singular values check every point.
 `damped_sigma` is that pipeline over any array of damping probabilities;
 the CLI's one-state `sigma` and `classify` run it on a single p.
 """
@@ -99,19 +99,23 @@ class DecayCurve:
     metadata: dict
 
 
-def _check_analytic_triples(kind: str, c: float, p: np.ndarray, sv: np.ndarray) -> None:
-    """Compare every computed triple with the damped magnitudes known in
-    closed form; a NaN anywhere fails the check."""
+def _check_analytic_triples(kind: str, c: float, p: np.ndarray, k: np.ndarray,
+                            sv: np.ndarray) -> None:
+    """Require each K to be exactly diagonal, so sv are its singular values, and
+    each triple to match the damped magnitudes in closed form; NaN fails both."""
+    off = np.argwhere((k != 0.0) & ~np.eye(3, dtype=bool))
+    if off.size:
+        *at, i, j = off[0]
+        raise RuntimeError(f"damped correlation entry K_{i + 1}{j + 1} = "
+                           f"{k[tuple(off[0])]} is not 0 at p={p[tuple(at)]}")
     shrunk = 2.0 * c * np.sqrt(1.0 - c * c) * (1.0 - p)
     third = np.ones_like(p) if kind == PHASE_DAMPING else np.abs(1.0 - 2.0 * p)
     expected = -np.sort(-np.stack([shrunk, shrunk, third], axis=-1), axis=-1)
     err = np.max(np.abs(sv - expected), axis=-1)
     worst = np.unravel_index(np.argmax(err), err.shape)
     if not err[worst] <= ANALYTIC_TRIPLE_TOL:
-        raise RuntimeError(
-            f"damped singular values {sv[worst]} disagree with the analytic "
-            f"form {expected[worst]} at p={p[worst]}"
-        )
+        raise RuntimeError(f"damped singular values {sv[worst]} disagree with the "
+                           f"analytic form {expected[worst]} at p={p[worst]}")
 
 
 def damped_sigma(
@@ -130,10 +134,9 @@ def damped_sigma(
     """
     p = np.asarray(p, dtype=float)
     r = pauli_transfer(kind, p)
-    t_damped = r @ t_matrix(make_pure_state(c)) @ np.swapaxes(r, -1, -2)
-    k = np.ascontiguousarray(t_damped[..., 1:, 1:])
-    sv = np.linalg.svd(k, compute_uv=False)  # descending
-    _check_analytic_triples(kind, c, p, sv)
+    k = (r @ t_matrix(make_pure_state(c)) @ np.swapaxes(r, -1, -2))[..., 1:, 1:]
+    sv = -np.sort(-np.abs(np.diagonal(k, axis1=-2, axis2=-1)), axis=-1)  # descending
+    _check_analytic_triples(kind, c, p, k, sv)
     sigma, _ = sigma_batch(method, k, sv, n_samples, seeds)
     return sv, sigma
 

@@ -231,6 +231,26 @@ def test_sigma_for_state_exact_methods_agree():
         assert closed.error_bound == quad.error_bound == RG_REL_ERROR_BOUND * quad.value
 
 
+def _non_hermitian():
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = 0.2j
+    return rho
+
+
+@pytest.mark.parametrize("rho, failure", [
+    (2.0 * make_pure_state(0.6), "trace deviation 1.000e+00"),
+    (np.diag([0.5, 0.5, 0.5, -0.5]), "min eigenvalue -5.000e-01"),
+    (_non_hermitian(), "hermiticity residual 2.000e-01"),
+    (np.diag([np.nan, 1.0, 0.0, 0.0]), "trace deviation nan"),
+])
+def test_sigma_for_state_rejects_a_non_density_matrix(rho, failure):
+    for method in ("quadrature", "monte_carlo"):
+        with pytest.raises(ValueError, match="^not a density matrix: ") as info:
+            sigma_for_state(rho, method, n_samples=10)
+        assert failure in str(info.value)
+        assert "\n" not in str(info.value)
+
+
 def test_sigma_for_state_amplitude_damped_crosses_threshold():
     rho = apply_both(make_pure_state(INV_SQRT2), amplitude_damping(0.5))
     quad = sigma_for_state(rho, "quadrature")
