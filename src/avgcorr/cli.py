@@ -6,7 +6,8 @@ Subcommands:
     verify    R_G vs Monte Carlo cross-check on random states
     classify  nonclassicality label for a Sigma value or a state
 
-Exit codes: 0 success, 1 I/O or numeric failure, 2 usage error.
+Exit codes: 0 success, 1 I/O or numeric failure (a grid too large to
+allocate included), 2 usage error.
 
 `run()` builds its argument parser on its first call and reuses it for
 every later call in the process, since building the argparse tree costs
@@ -69,53 +70,69 @@ def format_sig12(x: float) -> str:
     return out
 
 
-# 10**k, correctly rounded, at index k + 12 for k in -12..12
-_POW10 = np.array([float(f"1e{k}") for k in range(-12, 13)])
-# ",%.*f" takes (decimals, value); ",%.0s%s" (unused, format_sig12's text)
-_CELL = np.array([",%.0s%s", ",%.*f"], dtype=object)
+# 10**k, correctly rounded, at index k + 12 for k in -12..23
+_POW10 = np.array([float(f"1e{k}") for k in range(-12, 24)])
+# the ASCII digits of 0000 .. 9999, four bytes to an entry
+_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
+_WIDTH = 26  # the widest cell: "-0." and 11 zeros before 12 digits
+# format_sig12's cells with @ for the 12 digits, at index 24 * neg + e + 12
+_CELLS = [format_sig12(float(f"{'-' * neg}1.11111111111e{e}")).replace("1", "@")
+          for neg in (0, 1) for e in range(-12, 12)]
+_LAYOUT = np.array(_CELLS, dtype=f"S{_WIDTH}")
+_PLACES = np.array([[i for i, char in enumerate(cell) if char == "@"] for cell in _CELLS])
 
 
-def _sig12_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """%-format cells and their argument pairs (shapes values.shape and
-    values.shape + (2,)) that write each value as `format_sig12` does.
-
-    Where 10**e <= |x| < 10**(e+1) * (1 - 1e-10), format_sig12 prints 11 - e
-    decimals: math.log10 gives e, or e - 1 within an ulp of 10**e and then
-    the 13-digit check cuts one. numpy's log10 only guesses e; the bracket
-    decides. The other cells go through format_sig12: zero, non-finite values
-    (which raise), |x| outside [1e-12, 1e12), and any outside the bracket.
+def _sig12_bytes(x: np.ndarray) -> np.ndarray:
+    """The cells `format_sig12` writes for the 1-D `x`, NUL-padded, as an
+    (x.size, 26) uint8 array. Where 10**e <= |x| < 10**(e+1) * (1 - 1e-10),
+    a bracket numpy's log10 guesses and the code checks, format_sig12 writes
+    n = rint(|x| * 10**(11 - e)) with 11 - e decimals (math.log10 may give
+    e - 1 near 10**e; the 13-digit check then cuts a decimal). The product is
+    at most 2.3e-4 off, so n is exact unless it lies within 1e-3 of a
+    half-way point. Near-ties go through format_sig12, as do zero, non-finite
+    values (which raise), |x| outside [1e-12, 1e12) and cells off the bracket.
     """
-    size = np.abs(values)
+    size = np.abs(x)
     in_range = (size >= 1e-12) & (size < 1e12)
-    e = np.clip(np.floor(np.log10(np.where(in_range, size, 1.0))), -12, 11).astype(np.intp)
+    size = np.where(in_range, size, 1.0)
+    e = np.clip(np.floor(np.log10(size)), -12, 11).astype(np.intp)
+    y = size * _POW10[23 - e]
+    n = np.rint(y)
     fast = in_range & (size >= _POW10[e + 12]) & (size < _POW10[e + 13] * (1.0 - 1e-10))
-    args = np.empty(values.shape + (2,), dtype=object)
-    args[..., 0] = 11 - e
-    args[..., 1] = values
-    args[~fast, 1] = list(map(format_sig12, values[~fast].tolist()))
-    return _CELL[fast.astype(np.intp)], args
+    fast &= np.abs(y - n) < 0.499
+    # sort the cells by (sign, e), slow ones last, and fill each group at once
+    key = np.where(fast, (x < 0.0) * 24 + e + 12, 48).astype(np.uint8)
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(49))
+    # n's 4-digit chunks; floors of quotients of integers below 2**53 are exact
+    chunks = np.floor(n[order[:bounds[48]]] / [[1e8], [1e4], [1.0]])
+    chunks[1:] -= chunks[:-1] * 1e4
+    digits = np.take(_DIGITS4, chunks.T.astype(np.intp)).view(np.uint8)
+    out = np.take(_LAYOUT, key[order], mode="clip")  # slow cells are written below
+    grid = out.view(np.uint8).reshape(x.size, _WIDTH)
+    for k in np.flatnonzero(np.diff(bounds)).tolist():
+        grid[bounds[k]:bounds[k + 1], _PLACES[k]] = digits[bounds[k]:bounds[k + 1]]
+    out[bounds[48]:] = [format_sig12(v).encode() for v in x[order[bounds[48]:]].tolist()]
+    out[order] = out.copy()  # undo the sort
+    return grid
 
 
 def render_csv(curve: DecayCurve) -> str:
-    """CSV_HEADER and one row per grid point; each rate's block is written
-    by one %-format of its row templates, one block at a time."""
+    """CSV_HEADER and one row per grid point, laid out as bytes in one
+    (rates, steps, 8 fields, width) NUL-padded matrix; the NULs are dropped."""
     rates, steps = curve.p.shape
-    cells, args = _sig12_cells(np.concatenate((curve.gammas, curve.t)))
-    gammas_t = ("".join(cells.tolist()) % tuple(args.ravel().tolist())).split(",")[1:]
-    template = np.empty((steps, 7), dtype=object)
-    template[:, 0], template[:, 6] = "%s,%s", ",%s\n"
-    row_args = np.empty((steps, 13), dtype=object)
-    row_args[:, 1] = gammas_t[rates:]
-    out = [CSV_HEADER + "\n"]
-    for bi, gamma in enumerate(gammas_t[:rates]):
-        cells, args = _sig12_cells(
-            np.column_stack((curve.p[bi], curve.sv[bi], curve.sigma[bi])))
-        template[:, 1:6] = cells
-        row_args[:, 0] = gamma
-        row_args[:, 2:12] = args.reshape(steps, 10)
-        row_args[:, 12] = curve.labels[bi]
-        out.append("".join(template.ravel().tolist()) % tuple(row_args.ravel().tolist()))
-    return "".join(out)
+    cells = _sig12_bytes(np.concatenate((curve.gammas, curve.t, np.concatenate(
+        (curve.p[..., None], curve.sv, curve.sigma[..., None]), axis=-1).ravel())))
+    # the labels are ASCII, so their UCS-4 code points are their bytes
+    labels = np.asarray(curve.labels, dtype=str)[..., None].view(np.uint32)
+    rows = np.zeros((rates, steps, 8, max(_WIDTH, labels.shape[-1]) + 1), np.uint8)
+    rows[..., 0, :_WIDTH] = cells[:rates, None]
+    rows[..., 1, :_WIDTH] = cells[rates:rates + steps]
+    rows[..., 2:7, :_WIDTH] = cells[rates + steps:].reshape(rates, steps, 5, _WIDTH)
+    rows[..., 7, :labels.shape[-1]] = labels
+    rows[..., -1] = np.frombuffer(b",,,,,,,\n", np.uint8)
+    return CSV_HEADER + "\n" + rows[rows != 0].tobytes().decode("ascii")
 
 
 # The layout of json.dumps(..., indent=2) for a row and a block; %r of a
@@ -369,7 +386,7 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         # one line, however the message is laid out
         print("error:", " ".join(str(exc).split()), file=sys.stderr)
         return 1

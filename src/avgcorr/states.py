@@ -58,10 +58,11 @@ class DensityReport:
     hermiticity_residual: float
     trace_deviation: float
     min_eigenvalue: float
+    non_finite_entries: int = 0
 
     @property
     def failures(self) -> list[str]:
-        out = []
+        out = [f"non-finite entries: {self.non_finite_entries}"] if self.non_finite_entries else []
         if not self.hermiticity_residual <= HERMITICITY_TOL:  # NaN fails
             out.append(f"hermiticity residual {self.hermiticity_residual:.3e}")
         if not self.trace_deviation <= TRACE_TOL:
@@ -78,9 +79,11 @@ class DensityReport:
 def validate_density(rho: np.ndarray) -> DensityReport:
     """Check Hermiticity, unit trace, and positive semidefiniteness.
 
-    Failed checks are reported with their residuals rather than raised.
+    Failed checks are reported with their residuals (NaN for non-finite entries), not raised.
     """
     rho = np.asarray(rho, dtype=complex)
+    if bad := int(np.count_nonzero(~np.isfinite(rho))):  # NaN residuals, no arithmetic
+        return DensityReport(np.nan, np.nan, np.nan, bad)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     trace_dev = float(abs(np.trace(rho) - 1.0))
     # eigvalsh assumes Hermitian input and returns real eigenvalues; use the

@@ -275,6 +275,16 @@ def test_numeric_failure_reports_one_line_and_exits_1(monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_grid_too_large_to_allocate_exits_1(capsys):
+    # 10^15 steps ask for petabytes at once, so the allocation fails at
+    # once; a size that could be allocated must not be tried here
+    assert run(["sweep", "--channel", "phase", "--steps", "1000000000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,11 +10,15 @@ made one `format_sig12` call per value.
 import json
 import math
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from avgcorr import AMPLITUDE_DAMPING, PHASE_DAMPING, DecayCurve, SweepSpec, decay_curve
+from avgcorr import (AMPLITUDE_DAMPING, PHASE_DAMPING, DecayCurve, SweepSpec, decay_curve,
+                     figure_dataset)
 from avgcorr import cli
 from avgcorr.cli import CSV_HEADER, format_sig12, render_csv, render_json, run
 from avgcorr.correlation import classify_batch
@@ -119,11 +123,31 @@ def test_columnar_renderers_match_per_row_renderers():
         assert render_json(curve) == old_render_json(curve), spec
 
 
+def exact_ties():
+    """Doubles exactly on a half-way point of the 12th significant digit,
+    both signs: x = m / 2**(d + 1) with m odd makes x * 10**d end in .5, and
+    x has 12 - d digits before the point for d = 0 .. 17, which m < 2**53
+    can reach (123456789012.5, 12345678901.25, 1234567890.125, ...)."""
+    rng = np.random.default_rng(2125)
+    named = (123456789012.5, 12345678901.25, 1234567890.125)
+    values = []
+    for d in range(18):
+        lo = Fraction(2 ** (d + 1) * 10**11, 10**d)  # m in [lo, 10 lo)
+        odd = {math.ceil(lo) | 1, (math.ceil(10 * lo) - 2) | 1}
+        odd |= {int(m) | 1 for m in rng.uniform(float(lo), float(10 * lo), 20)}
+        odd |= {int(x * 2 ** (d + 1)) for x in named}
+        for m in sorted(m for m in odd if m % 2 and lo <= m < 10 * lo):
+            x = m / 2 ** (d + 1)
+            assert Fraction(x) * 10**d % 1 == Fraction(1, 2) and 10 ** (11 - d) <= x
+            values += [x, -x]
+    return np.array(values)
+
+
 def adversarial_values():
     """Doubles on which a per-column formatter could slip: every double
     within 50 ulps of each decade 1e-12 .. 1e12, both signs; +-0.0; values
-    near a half-way point of the 12th significant digit; values just below
-    1e-12 and at or above 1e12."""
+    near a half-way point of the 12th significant digit and exactly on one;
+    values just below 1e-12 and at or above 1e12."""
     values = [0.0, -0.0]
     for k in range(-12, 13):
         for side in (-np.inf, np.inf):
@@ -139,7 +163,7 @@ def adversarial_values():
     tiny = np.nextafter(1e-12, 0.0)
     values += [tiny, -tiny, 9.99e-13, 5e-324, -5e-324, 1e12, -1e12, 1e15, 1e308,
                999999999999.5, 999999999999.4999, np.nextafter(1e12, 0.0)]
-    values = np.array(values)
+    values = np.concatenate([values, exact_ties()])
     assert (np.signbit(values) & (values == 0.0)).any()
     return values
 
@@ -167,6 +191,64 @@ def test_render_csv_matches_per_value_formatter_on_adversarial_columns(rates, st
         cells = np.concatenate([curve.gammas, curve.t, curve.p.ravel(), curve.sv.ravel(),
                                 curve.sigma.ravel()])
         assert np.isin(values, cells).all()
+
+
+def test_exact_ties_round_half_to_even():
+    ties = exact_ties()
+    assert {123456789012.5, 12345678901.25, 1234567890.125} <= set(ties.tolist())
+    assert {abs(x) < 1e-5 for x in ties.tolist()} == {True, False}
+    for x in ties.tolist():
+        assert int(format_sig12(x)[-1]) % 2 == 0, x
+    curve = curve_from_values(ties, rates=2, steps=ties.size // 5, seed=7)
+    assert render_csv(curve) == old_render_csv(curve, format_sig12)
+    cells = np.concatenate([curve.gammas, curve.t, curve.p.ravel(), curve.sv.ravel(),
+                            curve.sigma.ravel()])
+    assert np.isin(ties, cells).all()
+
+
+def one_point_curve(gamma, t, p, alpha, beta, gamma_sv, sigma):
+    sigma = np.array([[sigma]])
+    return DecayCurve(gammas=np.array([gamma]), t=np.array([t]), p=np.array([[p]]),
+                      sv=np.array([[[alpha, beta, gamma_sv]]]), sigma=sigma,
+                      labels=classify_batch(sigma), metadata={})
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(finite.map(lambda x: (x,) * 7) | st.tuples(*[finite] * 7))
+def test_render_csv_row_of_any_finite_values_matches_format_sig12(values):
+    curve = one_point_curve(*values)
+    row = ",".join([*map(format_sig12, values), str(curve.labels[0, 0])])
+    assert render_csv(curve) == f"{CSV_HEADER}\n{row}\n"
+
+
+@pytest.mark.parametrize("rates, steps", [(0, 3), (2, 0)])
+def test_render_csv_of_an_empty_grid_is_the_header(rates, steps):
+    sigma = np.zeros((rates, steps))
+    curve = DecayCurve(gammas=np.ones(rates), t=np.ones(steps), p=sigma,
+                       sv=np.zeros((rates, steps, 3)), sigma=sigma,
+                       labels=classify_batch(sigma), metadata={})
+    assert render_csv(curve) == old_render_csv(curve, format_sig12) == CSV_HEADER + "\n"
+
+
+def test_render_csv_sends_few_cells_to_format_sig12(monkeypatch):
+    """A fall-back of the CSV writer to the per-value formatter must fail
+    here, not only show in the benchmark."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return format_sig12(x)
+
+    monkeypatch.setattr(cli, "format_sig12", counted)
+    sweep = SweepSpec(AMPLITUDE_DAMPING, 0.6, (0.5, 1.0, 2.0), t_max=8.0, steps=400)
+    for curve in (figure_dataset(2), decay_curve(sweep)):
+        calls.clear()
+        render_csv(curve)
+        cells = curve.gammas.size + curve.t.size + 5 * curve.p.size
+        # the zeros at t = 0 always reach it, so the counter is known to be wired
+        assert 0 < len(calls) < 0.01 * cells, (len(calls), cells)
 
 
 @pytest.mark.parametrize("column, bad", [

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from avgcorr import make_pure_state, pauli, random_density, tensor2, validate_density
+from avgcorr import (make_pure_state, pauli, random_density, sigma_for_state, tensor2,
+                     validate_density)
 from avgcorr.states import IDENTITY_2, PAULIS, SIGMA_1, SIGMA_2, SIGMA_3
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -160,6 +163,19 @@ def test_validate_density_flags_non_hermitian():
     report = validate_density(rho)
     assert not report.ok
     assert report.hermiticity_residual > 0.1
+
+
+@pytest.mark.parametrize("at, bad", [((0, 1), np.inf), ((2, 2), np.nan)])
+def test_non_finite_entries_are_reported_without_warnings(at, bad):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[at] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        report = validate_density(rho)
+        assert report.failures[0] == "non-finite entries: 1"
+        assert not report.ok
+        with pytest.raises(ValueError, match="^not a density matrix: non-finite entries: 1;"):
+            sigma_for_state(rho)
 
 
 def test_random_density_is_physical():
