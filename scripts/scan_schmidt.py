@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from avgcorr import classify, make_pure_state, sigma_for_state
+from avgcorr import PHASE_DAMPING, classify, damped_sigma
 
 
 def main():
@@ -19,9 +19,7 @@ def main():
     args = parser.parse_args()
 
     grid = np.linspace(0.0, 1.0, args.points)
-    values = np.array(
-        [sigma_for_state(make_pure_state(c), "closed_form").value for c in grid]
-    )
+    _, values = damped_sigma(PHASE_DAMPING, grid, 0.0, "closed_form")  # undamped
     print(f"{'c':>8}  {'sigma':>14}  label")
     for c, v in zip(grid[:: max(args.points // 20, 1)],
                     values[:: max(args.points // 20, 1)]):

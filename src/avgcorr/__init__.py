@@ -1,6 +1,6 @@
 """Rotation-averaged correlation of two-qubit states under local damping."""
 
-from .channels import AMPLITUDE_DAMPING, PHASE_DAMPING, p_of_t, pauli_transfer
+from .channels import AMPLITUDE_DAMPING, PHASE_DAMPING, p_of_t
 from .correlation import (
     CLASSICAL_COMPATIBLE,
     CLASSICAL_MAX,
@@ -14,21 +14,8 @@ from .correlation import (
     sigma_monte_carlo,
     t_matrix,
 )
-from .states import (
-    DensityReport,
-    make_pure_state,
-    pauli,
-    random_density,
-    tensor2,
-    validate_density,
-)
-from .sweep import (
-    DecayCurve,
-    SweepSpec,
-    damped_sigma,
-    decay_curve,
-    figure_dataset,
-)
+from .states import DensityReport, make_pure_state, random_density, tensor2, validate_density
+from .sweep import DecayCurve, SweepSpec, damped_sigma, decay_curve, figure_dataset
 
 __version__ = "0.1.0"
 
@@ -51,8 +38,6 @@ __all__ = [
     "figure_dataset",
     "make_pure_state",
     "p_of_t",
-    "pauli",
-    "pauli_transfer",
     "random_density",
     "sigma_for_state",
     "sigma_monte_carlo",

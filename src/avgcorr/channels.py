@@ -1,4 +1,4 @@
-"""Local decoherence channels in Pauli-transfer form.
+"""Local decoherence channels and the damping law p(t).
 
 Phase damping (coherence loss without energy exchange) and amplitude damping
 (energy decay toward |0>) have the Kraus operators
@@ -6,16 +6,14 @@ Phase damping (coherence loss without energy exchange) and amplitude damping
     phase:     K0 = diag(1, sqrt(1-p)),   K1 = diag(0, sqrt(p))
     amplitude: K0 = diag(1, sqrt(1-p)),   K1 = sqrt(p) |0><1|
 
-and act on a qubit as rho -> sum_i Ki rho Ki^dag. Their Pauli-transfer
-matrices R_mu,nu = tr(sigma_mu E(sigma_nu))/2, with sigma_0 = I, follow from
-these operators and are real 4x4 matrices (q = sqrt(1-p)):
-
-    phase:     diag(1, q, q, 1)
-    amplitude: diag(1, q, q, 1-p) plus R_30 = p
-
-A local pair acts on the real correlation matrix T of a two-qubit state
-(see `correlation.t_matrix`) as T' = R_A T R_B^T, so no damped density
-matrix is ever built.
+and act on a qubit as rho -> sum_i Ki rho Ki^dag. Applied to both qubits of
+the pure state c|01> - sqrt(1-c^2)|10>, whose correlation matrix is
+diag(-s0, -s0, -1) with s0 = 2c sqrt(1-c^2), either channel scales the two
+transverse entries by 1-p and keeps K diagonal; the third entry stays -1
+under phase damping and becomes 2p - 1 under amplitude damping, which moves
+weight toward |00>. `sweep.damped_sigma` builds that K directly. The Kraus
+and Pauli-transfer forms of the channels are test oracles (`tests/kraus.py`,
+`tests/transfer.py`).
 """
 
 from __future__ import annotations
@@ -25,26 +23,6 @@ import numpy as np
 PHASE_DAMPING = "phase_damping"
 AMPLITUDE_DAMPING = "amplitude_damping"
 CHANNEL_KINDS = (PHASE_DAMPING, AMPLITUDE_DAMPING)
-
-
-def pauli_transfer(kind: str, p) -> np.ndarray:
-    """Pauli-transfer matrices of a channel in CHANNEL_KINDS for every damping
-    probability in `p`, shape p.shape + (4, 4)."""
-    p = np.asarray(p, dtype=float)
-    bad = ~((p >= 0.0) & (p <= 1.0))
-    if bad.any():
-        raise ValueError(f"p must lie in [0, 1], got {p[bad].flat[0]}")
-    r = np.zeros(p.shape + (4, 4))
-    r[..., 0, 0] = 1.0
-    r[..., 1, 1] = r[..., 2, 2] = np.sqrt(1.0 - p)
-    if kind == PHASE_DAMPING:
-        r[..., 3, 3] = 1.0
-    elif kind == AMPLITUDE_DAMPING:
-        r[..., 3, 0] = p
-        r[..., 3, 3] = 1.0 - p
-    else:
-        raise ValueError(f"unknown channel kind {kind!r}")
-    return r
 
 
 def p_of_t(gamma, t):

@@ -80,18 +80,20 @@ _WIDTH = 26  # the widest cell: "-0." and 11 zeros before 12 digits
 _CELLS = [format_sig12(float(f"{'-' * neg}1.11111111111e{e}")).replace("1", "@")
           for neg in (0, 1) for e in range(-12, 12)]
 _LAYOUT = np.array(_CELLS, dtype=f"S{_WIDTH}")
+_LENGTHS = np.array([len(cell) for cell in _CELLS])
 _PLACES = np.array([[i for i, char in enumerate(cell) if char == "@"] for cell in _CELLS])
 
 
-def _sig12_bytes(x: np.ndarray) -> np.ndarray:
+def _sig12_bytes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cells `format_sig12` writes for the 1-D `x`, NUL-padded, as an
-    (x.size, 26) uint8 array. Where 10**e <= |x| < 10**(e+1) * (1 - 1e-10),
-    a bracket numpy's log10 guesses and the code checks, format_sig12 writes
-    n = rint(|x| * 10**(11 - e)) with 11 - e decimals (math.log10 may give
-    e - 1 near 10**e; the 13-digit check then cuts a decimal). The product is
-    at most 2.3e-4 off, so n is exact unless it lies within 1e-3 of a
-    half-way point. Near-ties go through format_sig12, as do zero, non-finite
-    values (which raise), |x| outside [1e-12, 1e12) and cells off the bracket.
+    (x.size, 26) uint8 array, and their lengths. Where 10**e <= |x| <
+    10**(e+1) * (1 - 1e-10), a bracket numpy's log10 guesses and the code
+    checks, format_sig12 writes n = rint(|x| * 10**(11 - e)) with 11 - e
+    decimals (math.log10 may give e - 1 near 10**e; the 13-digit check then
+    cuts a decimal). The product is at most 2.3e-4 off, so n is exact unless
+    it lies within 1e-3 of a half-way point. Near-ties go through
+    format_sig12, as do zero, non-finite values (which raise), |x| outside
+    [1e-12, 1e12) and cells off the bracket.
     """
     size = np.abs(x)
     in_range = (size >= 1e-12) & (size < 1e12)
@@ -113,26 +115,33 @@ def _sig12_bytes(x: np.ndarray) -> np.ndarray:
     grid = out.view(np.uint8).reshape(x.size, _WIDTH)
     for k in np.flatnonzero(np.diff(bounds)).tolist():
         grid[bounds[k]:bounds[k + 1], _PLACES[k]] = digits[bounds[k]:bounds[k + 1]]
-    out[bounds[48]:] = [format_sig12(v).encode() for v in x[order[bounds[48]:]].tolist()]
+    slow = [format_sig12(v).encode() for v in x[order[bounds[48]:]].tolist()]
+    out[bounds[48]:] = slow
     out[order] = out.copy()  # undo the sort
-    return grid
+    lengths = np.take(_LENGTHS, key, mode="clip")
+    lengths[order[bounds[48]:]] = list(map(len, slow))
+    return grid, lengths
 
 
 def render_csv(curve: DecayCurve) -> str:
     """CSV_HEADER and one row per grid point, laid out as bytes in one
-    (rates, steps, 8 fields, width) NUL-padded matrix; the NULs are dropped."""
+    (rates, steps, row width) NUL-padded matrix, each of the 8 fields as wide
+    as its widest cell; the NULs are then deleted from its bytes."""
     rates, steps = curve.p.shape
-    cells = _sig12_bytes(np.concatenate((curve.gammas, curve.t, np.concatenate(
+    cells, lengths = _sig12_bytes(np.concatenate((curve.gammas, curve.t, np.concatenate(
         (curve.p[..., None], curve.sv, curve.sigma[..., None]), axis=-1).ravel())))
     # the labels are ASCII, so their UCS-4 code points are their bytes
     labels = np.asarray(curve.labels, dtype=str)[..., None].view(np.uint32)
-    rows = np.zeros((rates, steps, 8, max(_WIDTH, labels.shape[-1]) + 1), np.uint8)
-    rows[..., 0, :_WIDTH] = cells[:rates, None]
-    rows[..., 1, :_WIDTH] = cells[rates:rates + steps]
-    rows[..., 2:7, :_WIDTH] = cells[rates + steps:].reshape(rates, steps, 5, _WIDTH)
-    rows[..., 7, :labels.shape[-1]] = labels
-    rows[..., -1] = np.frombuffer(b",,,,,,,\n", np.uint8)
-    return CSV_HEADER + "\n" + rows[rows != 0].tobytes().decode("ascii")
+    body = cells[rates + steps:].reshape(rates, steps, 5, _WIDTH)
+    fields = (cells[:rates, None], cells[rates:rates + steps], *np.moveaxis(body, 2, 0), labels)
+    widths = (lengths[:rates].max(initial=0), lengths[rates:rates + steps].max(initial=0),
+              *lengths[rates + steps:].reshape(-1, 5).max(axis=0, initial=0), labels.shape[-1])
+    ends = np.cumsum(np.add(widths, 1))  # each field and its separator
+    rows = np.zeros((rates, steps, ends[-1]), np.uint8)
+    for field, width, end in zip(fields, widths, ends.tolist()):
+        rows[..., end - width - 1:end - 1] = field[..., :width]
+    rows[..., ends - 1] = np.frombuffer(b",,,,,,,\n", np.uint8)
+    return CSV_HEADER + "\n" + rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 # The layout of json.dumps(..., indent=2) for a row and a block; %r of a

@@ -25,13 +25,6 @@ PAULIS = (SIGMA_1, SIGMA_2, SIGMA_3)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
-def pauli(index: int) -> np.ndarray:
-    """Pauli matrix for axis `index` in {1, 2, 3}."""
-    if index not in (1, 2, 3):
-        raise ValueError(f"Pauli index must be 1, 2 or 3, got {index}")
-    return PAULIS[index - 1].copy()
-
-
 def tensor2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product A (x) B with A acting on the left (qubit A) slot."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

@@ -5,14 +5,14 @@ p(t) = 1 - exp(-gamma*t) over a uniform time grid and records the singular
 triple, Sigma, and its nonclassicality label per point, as columns over the
 (rate, time) grid.
 
-The whole (rate, time) grid is computed as arrays: the state's real 4x4
-correlation matrix T is mapped to R T R^T by the channel's Pauli-transfer
-matrix R(p) at every grid point, and each estimator runs once over the grid.
-R is diagonal but for R_30, which only feeds T_00 into K_33, so the lower
-3x3 block K stays diagonal and its singular values are its sorted |diagonal|.
-Exact zeros off it and the known damped singular values check every point.
-`damped_sigma` is that pipeline over any array of damping probabilities;
-the CLI's one-state `sigma` and `classify` run it on a single p.
+For the pure Schmidt state c|01> - sqrt(1-c^2)|10>, both channels keep the
+correlation matrix diagonal: K = diag(-s, -s, kappa) with
+s = 2c sqrt(1-c^2)(1-p), kappa = -1 under phase damping and 2p - 1 under
+amplitude damping (see `channels`). `damped_sigma` builds that K in closed
+form over any array of damping probabilities; its descending singular triple
+is (max(s, |kappa|), s, min(s, |kappa|)), so neither an SVD nor a sort is
+needed, and each estimator runs once over the whole grid. The CLI's
+one-state `sigma` and `classify` run it on a single p.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    AMPLITUDE_DAMPING,
-    CHANNEL_KINDS,
-    PHASE_DAMPING,
-    p_of_t,
-    pauli_transfer,
-)
+from .channels import AMPLITUDE_DAMPING, CHANNEL_KINDS, PHASE_DAMPING, p_of_t
 from .correlation import (
     ESTIMATOR,
     ESTIMATORS,
@@ -36,11 +30,7 @@ from .correlation import (
     RNG_IDENTITY,
     classify_batch,
     sigma_batch,
-    t_matrix,
 )
-from .states import make_pure_state
-
-ANALYTIC_TRIPLE_TOL = 1e-10
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 FIGURE_GAMMAS = (0.5, 1.0, 2.0)
@@ -99,25 +89,6 @@ class DecayCurve:
     metadata: dict
 
 
-def _check_analytic_triples(kind: str, c: float, p: np.ndarray, k: np.ndarray,
-                            sv: np.ndarray) -> None:
-    """Require each K to be exactly diagonal, so sv are its singular values, and
-    each triple to match the damped magnitudes in closed form; NaN fails both."""
-    off = np.argwhere((k != 0.0) & ~np.eye(3, dtype=bool))
-    if off.size:
-        *at, i, j = off[0]
-        raise RuntimeError(f"damped correlation entry K_{i + 1}{j + 1} = "
-                           f"{k[tuple(off[0])]} is not 0 at p={p[tuple(at)]}")
-    shrunk = 2.0 * c * np.sqrt(1.0 - c * c) * (1.0 - p)
-    third = np.ones_like(p) if kind == PHASE_DAMPING else np.abs(1.0 - 2.0 * p)
-    expected = -np.sort(-np.stack([shrunk, shrunk, third], axis=-1), axis=-1)
-    err = np.max(np.abs(sv - expected), axis=-1)
-    worst = np.unravel_index(np.argmax(err), err.shape)
-    if not err[worst] <= ANALYTIC_TRIPLE_TOL:
-        raise RuntimeError(f"damped singular values {sv[worst]} disagree with the "
-                           f"analytic form {expected[worst]} at p={p[worst]}")
-
-
 def damped_sigma(
     kind: str,
     c: float,
@@ -127,16 +98,27 @@ def damped_sigma(
     seeds=(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Singular triples and Sigma of the pure state with Schmidt coefficient
-    c after `kind` damping of both qubits, at every probability in `p`;
-    returns (sv, sigma) of shapes p.shape + (3,) and p.shape.
+    c after `kind` damping of both qubits, at every probability in `p`; c
+    broadcasts against p. Returns (sv, sigma) of shapes S + (3,) and S, S
+    the broadcast shape of c and p.
 
-    `seeds` holds one Monte Carlo seed per point of `p`, in C order.
+    `seeds` holds one Monte Carlo seed per point of S, in C order.
     """
     p = np.asarray(p, dtype=float)
-    r = pauli_transfer(kind, p)
-    k = (r @ t_matrix(make_pure_state(c)) @ np.swapaxes(r, -1, -2))[..., 1:, 1:]
-    sv = -np.sort(-np.abs(np.diagonal(k, axis1=-2, axis2=-1)), axis=-1)  # descending
-    _check_analytic_triples(kind, c, p, k, sv)
+    c = np.asarray(c, dtype=float)
+    if (bad := ~((p >= 0.0) & (p <= 1.0))).any():  # NaN fails
+        raise ValueError(f"p must lie in [0, 1], got {p[bad].flat[0]}")
+    if kind not in CHANNEL_KINDS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    kappa = 2.0 * p - 1.0 if kind == AMPLITUDE_DAMPING else np.full(p.shape, -1.0)
+    if (bad := ~((c >= 0.0) & (c <= 1.0))).any():
+        raise ValueError(f"Schmidt coefficient must lie in [0, 1], got {c[bad].flat[0]}")
+    s, kappa = np.broadcast_arrays(2.0 * c * np.sqrt(1.0 - c * c) * (1.0 - p), kappa)
+    third = np.abs(kappa)
+    sv = np.stack((np.maximum(s, third), s, np.minimum(s, third)), axis=-1)  # descending
+    k = np.zeros(s.shape + (3, 3))
+    k[..., 0, 0] = k[..., 1, 1] = -s
+    k[..., 2, 2] = kappa
     sigma, _ = sigma_batch(method, k, sv, n_samples, seeds)
     return sv, sigma
 

@@ -1,5 +1,5 @@
 """Phase and amplitude damping in Kraus form: the oracle the tests hold the
-Pauli-transfer pipeline to.
+Pauli-transfer matrices and the closed-form damped triple to.
 
 Phase damping (coherence loss without energy exchange):
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from avgcorr import (
     make_pure_state,
     p_of_t,
-    pauli_transfer,
     random_density,
     t_matrix,
     validate_density,
@@ -20,6 +19,7 @@ from kraus import (
     make_channel,
     phase_damping,
 )
+from transfer import pauli_transfer
 
 prob = st.floats(min_value=0.0, max_value=1.0)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgcorr import NONCLASSICAL_MIN, classify
-from avgcorr import cli, sweep
+from avgcorr import cli, correlation
 from avgcorr.cli import CSV_HEADER, build_parser, format_sig12, run
 from oracles import SingularTriple, sigma_quadrature
 
@@ -265,13 +265,13 @@ def test_non_finite_input_is_a_usage_error(argv, capsys):
 
 
 def test_numeric_failure_reports_one_line_and_exits_1(monkeypatch, capsys):
-    # a negative tolerance makes the sweep's analytic-triple check fail
-    monkeypatch.setattr(sweep, "ANALYTIC_TRIPLE_TOL", -1.0)
+    # no duplication step allowed makes the R_G estimator fail to converge
+    monkeypatch.setattr(correlation, "RG_MAX_STEPS", 0)
     assert run(["sweep", "--channel", "phase", "--gammas", "1.0",
                 "--steps", "3", "--t-max", "1.0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: damped singular values")
+    assert captured.err.startswith("error: R_G duplication did not converge in 0 steps")
     assert captured.err.count("\n") == 1
 
 

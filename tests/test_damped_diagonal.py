@@ -1,5 +1,9 @@
-"""The damped correlation matrix K is exactly diagonal, so `damped_sigma`
-reads its singular values off the sorted |diagonal| instead of an SVD."""
+"""`damped_sigma` builds the damped correlation matrix K = diag(-s, -s, kappa)
+in closed form and reads the descending singular triple off it with no SVD,
+no sort and no runtime cross-check. The Pauli-transfer product R T R^T of
+`tests/transfer.py` is the oracle it is held to here."""
+
+import sys
 
 import numpy as np
 import pytest
@@ -12,10 +16,10 @@ from avgcorr import (
     figure_dataset,
     make_pure_state,
     p_of_t,
-    pauli_transfer,
     t_matrix,
 )
 from avgcorr.cli import run
+from transfer import pauli_transfer
 
 CS = [0.0, 1.0, 5e-324, 1e-300, 1 / np.sqrt(2), 0.6, 0.3,
       *np.random.default_rng(9403).uniform(size=12)]
@@ -25,21 +29,56 @@ PS = np.concatenate((
 ))
 
 
+def damped_k(kind, c, p, monkeypatch):
+    """The K that `damped_sigma` hands to the estimator dispatch, with its sv."""
+    seen = []
+
+    def record(method, k, sv, *args):
+        seen.append(k)
+        return np.zeros(sv.shape[:-1]), np.zeros(sv.shape[:-1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(avgcorr.sweep, "sigma_batch", record)
+        sv, _ = damped_sigma(kind, c, p)
+    return seen[0], sv
+
+
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
-def test_sorted_diagonal_is_the_svd_bit_for_bit(kind):
+def test_transfer_oracle_matches_the_closed_form(kind, monkeypatch):
     r = pauli_transfer(kind, PS)
     for c in CS:
-        k = (r @ t_matrix(make_pure_state(c)) @ np.swapaxes(r, -1, -2))[..., 1:, 1:]
-        sv, _ = damped_sigma(kind, c, PS)
-        want = np.linalg.svd(k, compute_uv=False)
+        want = (r @ t_matrix(make_pure_state(c)) @ np.swapaxes(r, -1, -2))[..., 1:, 1:]
+        k, _ = damped_k(kind, c, PS, monkeypatch)
+        assert np.max(np.abs(k - want)) <= 1e-15, c
+        assert (k * want >= 0.0).all(), c  # Monte Carlo sees the product's signs
+
+
+@pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
+def test_sorted_diagonal_is_the_svd_bit_for_bit(kind, monkeypatch):
+    for c in CS:
+        k, sv = damped_k(kind, c, PS, monkeypatch)
+        assert not k[..., ~np.eye(3, dtype=bool)].any()  # exactly diagonal
+        # LAPACK rescales a matrix whose entries all lie below about 1e-138
+        # by a factor that is not a power of two, and so moves its singular
+        # values by an ulp (at p = 1/2, c = 1e-300); 2**600 scales exactly
+        tiny = np.abs(k).max(axis=(-2, -1)) < 1e-100
+        want = np.linalg.svd(np.ldexp(k, np.where(tiny, 600, 0)[..., None, None]),
+                             compute_uv=False)
+        want = np.ldexp(want, np.where(tiny, -600, 0)[..., None])
         assert np.array_equal(sv.view(np.int64), want.view(np.int64)), c
 
 
 def test_damping_path_runs_no_svd(monkeypatch, capsys):
-    def no_svd(*args, **kwargs):
-        raise AssertionError("np.linalg.svd called on the damping path")
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called on the damping path")
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "svd", forbidden("np.linalg.svd"))
+    for module in [m for name, m in sys.modules.items() if name.startswith("avgcorr")]:
+        for name in ("t_matrix", "make_pure_state"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden(name))
     figure_dataset(1)
     figure_dataset(2)
     assert run(["sigma", "--c", "0.6", "--channel", "amplitude", "--p", "0.3"]) == 0
@@ -47,21 +86,42 @@ def test_damping_path_runs_no_svd(monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("bad", [1e-300, np.nan])
-def test_nonzero_off_diagonal_entry_fails_the_check(bad, monkeypatch, capsys):
-    real_t_matrix = avgcorr.sweep.t_matrix
+@pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
+@pytest.mark.parametrize("bad", [-0.1, 1.0001, np.nan, -np.inf])
+def test_damped_sigma_rejects_p_outside_the_unit_interval(kind, bad):
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got "):
+        damped_sigma(kind, 0.6, [0.5, bad])
 
-    def leaky_t_matrix(rho):
-        t = real_t_matrix(rho)
-        t[1, 2] = bad
-        return t
 
-    monkeypatch.setattr(avgcorr.sweep, "t_matrix", leaky_t_matrix)
-    for kind in (PHASE_DAMPING, AMPLITUDE_DAMPING):
-        with pytest.raises(RuntimeError, match=r"K_12 = .* at p=0\.0$"):
-            damped_sigma(kind, 0.6, np.linspace(0.0, 0.9, 7))
-    argv = ["sweep", "--channel", "phase", "--c", "0.6", "--gammas", "1", "--steps", "5"]
-    assert run(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+@pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
+@pytest.mark.parametrize("bad", [-0.1, 1.0001, np.nan, np.inf])
+def test_damped_sigma_rejects_c_outside_the_unit_interval(kind, bad):
+    with pytest.raises(ValueError,
+                       match=r"^Schmidt coefficient must lie in \[0, 1\], got "):
+        damped_sigma(kind, bad, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("kind", ["bogus", "phase", "amplitude"])
+def test_damped_sigma_rejects_an_unknown_kind(kind):
+    with pytest.raises(ValueError, match=f"^unknown channel kind '{kind}'$"):
+        damped_sigma(kind, 0.6, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
+@pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+def test_damped_sigma_of_no_points_is_empty(kind, method):
+    sv, sigma = damped_sigma(kind, 0.6, [], method)
+    assert sv.shape == (0, 3) and sigma.shape == (0,)
+
+
+@pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
+def test_c_broadcasts_against_p(kind):
+    cs = np.array(CS)[:, None]
+    sv, sigma = damped_sigma(kind, cs, PS)
+    assert sv.shape == (len(CS), len(PS), 3) and sigma.shape == (len(CS), len(PS))
+    for i, c in enumerate(CS):
+        want_sv, want_sigma = damped_sigma(kind, c, PS)
+        assert np.array_equal(sv[i], want_sv), c
+        # R_G's duplication runs until the slowest triple of its batch has
+        # converged, so a value may move in its last bit with the batch
+        np.testing.assert_allclose(sigma[i], want_sigma, rtol=1e-15, atol=0.0)

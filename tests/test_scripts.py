@@ -9,6 +9,35 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DATA = Path(__file__).resolve().parent / "data"
 
+# `scan_schmidt.py --points 21` as the per-state `sigma_for_state` loop printed
+# it, before the script became one `damped_sigma` call
+SCAN_21 = (
+    "       c           sigma  label\n"
+    "  0.0000    0.2500000000  classical_compatible\n"
+    "  0.0500    0.2575050113  indeterminate\n"
+    "  0.1000    0.2732100441  indeterminate\n"
+    "  0.1500    0.2934288240  indeterminate\n"
+    "  0.2000    0.3163246017  indeterminate\n"
+    "  0.2500    0.3406713237  indeterminate\n"
+    "  0.3000    0.3655406712  nonclassical\n"
+    "  0.3500    0.3901665768  nonclassical\n"
+    "  0.4000    0.4138719511  nonclassical\n"
+    "  0.4500    0.4360220651  nonclassical\n"
+    "  0.5000    0.4559898041  nonclassical\n"
+    "  0.5500    0.4731248854  nonclassical\n"
+    "  0.6000    0.4867212482  nonclassical\n"
+    "  0.6500    0.4959763925  nonclassical\n"
+    "  0.7000    0.4999333280  nonclassical\n"
+    "  0.7500    0.4973876403  nonclassical\n"
+    "  0.8000    0.4867212482  nonclassical\n"
+    "  0.8500    0.4655637809  nonclassical\n"
+    "  0.9000    0.4299649726  nonclassical\n"
+    "  0.9500    0.3716235573  nonclassical\n"
+    "  1.0000    0.2500000000  classical_compatible\n"
+    "\n"
+    "peak sigma = 0.4999333280 at c = 0.700000 (1/sqrt(2) = 0.707107)\n"
+)
+
 
 def run_script(name, *args):
     env = dict(os.environ)
@@ -32,6 +61,4 @@ def test_scan_schmidt_peaks_at_the_grid_point_nearest_inv_sqrt2():
     # 21 points put the grid at multiples of 0.05, so 0.7 is nearest 1/sqrt(2)
     result = run_script("scan_schmidt.py", "--points", "21")
     assert result.returncode == 0, result.stderr
-    last = result.stdout.splitlines()[-1]
-    assert last.startswith("peak sigma = 0.49993332"), last
-    assert last.endswith("at c = 0.700000 (1/sqrt(2) = 0.707107)"), last
+    assert result.stdout == SCAN_21

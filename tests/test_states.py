@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from avgcorr import (make_pure_state, pauli, random_density, sigma_for_state, tensor2,
-                     validate_density)
+from avgcorr import make_pure_state, random_density, sigma_for_state, tensor2, validate_density
 from avgcorr.states import IDENTITY_2, PAULIS, SIGMA_1, SIGMA_2, SIGMA_3
+from transfer import pauli
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
