@@ -9,6 +9,13 @@ Subcommands:
 Exit codes: 0 success, 1 I/O or numeric failure (a grid too large to
 allocate included), 2 usage error.
 
+The handlers only map flags to library calls. The library owns the model's
+rules: `damped_sigma` and `p_of_t` check c, p, gamma and t, `SweepSpec`
+checks a sweep and supplies the figures' shape for every flag left out, and
+a ValueError they raise becomes a usage error. The handlers check only what
+the flags alone decide: which flags go together, `--samples` and `--trials`,
+and that `--gamma`, `--t` and `classify --value` are finite.
+
 `run()` builds its argument parser on its first call and reuses it for
 every later call in the process, since building the argparse tree costs
 several times what parsing and computing one `sigma` query do, and parsing
@@ -26,23 +33,9 @@ import sys
 import numpy as np
 
 from .channels import p_of_t
-from .correlation import (
-    classify,
-    correlation_matrix,
-    sigma_for_state,
-    sigma_monte_carlo,
-)
+from .correlation import classify, sigma_for_state
 from .states import random_density
-from .sweep import (
-    FIGURE_STEPS,
-    FIGURE_T_MAX,
-    INV_SQRT2,
-    DecayCurve,
-    SweepSpec,
-    damped_sigma,
-    decay_curve,
-    figure_dataset,
-)
+from .sweep import FIGURE_KINDS, DecayCurve, SweepSpec, damped_sigma, decay_curve
 
 CSV_HEADER = "gamma,t,p,alpha,beta,gamma_sv,sigma,classification"
 
@@ -225,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sigma.set_defaults(func=cmd_sigma)
 
     p_sweep = sub.add_parser("sweep", help="Sigma(t) decay curves")
-    p_sweep.add_argument("--figure", type=int, choices=(1, 2), default=None,
+    p_sweep.add_argument("--figure", type=int, choices=tuple(FIGURE_KINDS), default=None,
                          help="canned dataset (1: phase damping, 2: amplitude damping)")
     p_sweep.add_argument("--channel", choices=("phase", "amplitude"), default=None)
     p_sweep.add_argument("--c", type=float, default=None,
@@ -261,29 +254,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_p(args, parser) -> float:
-    explicit = args.p is not None  # the range check below also rejects nan and inf
+    """The damping probability the flags give, unchecked: `damped_sigma`
+    checks its range and `p_of_t` the signs of gamma and t."""
     timed = args.gamma is not None or args.t is not None
-    if explicit and timed:
+    if args.p is not None and timed:
         parser.error("give either --p or the pair --gamma/--t, not both")
-    if timed:
-        if args.gamma is None or args.t is None:
-            parser.error("--gamma and --t must be given together")
-        if not (math.isfinite(args.gamma) and math.isfinite(args.t)):
-            parser.error(f"--gamma and --t must be finite, got {args.gamma} and {args.t}")
-        if args.gamma < 0 or args.t < 0:
-            parser.error("--gamma and --t must be >= 0")
-        return p_of_t(args.gamma, args.t)
-    if explicit:
-        if not 0.0 <= args.p <= 1.0:
-            parser.error(f"--p must lie in [0, 1], got {args.p}")
-        return args.p
-    return 0.0
-
-
-def _check_unit(value: float, name: str, parser) -> float:
-    if not 0.0 <= value <= 1.0:
-        parser.error(f"{name} must lie in [0, 1], got {value}")
-    return value
+    if not timed:
+        return 0.0 if args.p is None else args.p
+    if args.gamma is None or args.t is None:
+        parser.error("--gamma and --t must be given together")
+    # gamma = inf at t = 0 would make p NaN, with a RuntimeWarning
+    if not (math.isfinite(args.gamma) and math.isfinite(args.t)):
+        parser.error(f"--gamma and --t must be finite, got {args.gamma} and {args.t}")
+    return p_of_t(args.gamma, args.t)
 
 
 def _check_samples(args, parser) -> None:
@@ -294,10 +277,12 @@ def _check_samples(args, parser) -> None:
 def cmd_sigma(args, parser) -> int:
     """Damp the state the flags describe, estimate Sigma, print it and its label."""
     _check_samples(args, parser)
-    c = _check_unit(args.c, "--c", parser)
-    p = _resolve_p(args, parser)
-    _, sigma = damped_sigma(CHANNEL_KIND_BY_FLAG[args.channel], c, p,
-                            METHOD_NAMES[args.method], args.samples, [args.seed])
+    try:
+        _, sigma = damped_sigma(CHANNEL_KIND_BY_FLAG[args.channel], args.c,
+                                _resolve_p(args, parser), METHOD_NAMES[args.method],
+                                args.samples, [args.seed])
+    except ValueError as exc:
+        parser.error(str(exc))
     value = float(sigma)
     _emit(f"{format_sig12(value)} {classify(value)}\n", args.out)
     return 0
@@ -317,36 +302,29 @@ def cmd_classify(args, parser) -> int:
 
 
 def cmd_sweep(args, parser) -> int:
-    shape_flags = (args.channel, args.c, args.gammas, args.t_max, args.steps, args.method)
+    """Build a SweepSpec from the shape flags given, the rest left to its
+    defaults; --figure N presets the channel and allows no other shape flag."""
+    shape = dict(c=args.c, gammas=args.gammas, t_max=args.t_max, steps=args.steps,
+                 method=METHOD_NAMES.get(args.method))
+    given = {name: value for name, value in shape.items() if value is not None}
+    kind = CHANNEL_KIND_BY_FLAG.get(args.channel)
     if args.figure is not None:
-        if any(flag is not None for flag in shape_flags):
+        if args.channel is not None or given:
             parser.error("--figure fixes the sweep shape; drop the other sweep flags")
-        curve = figure_dataset(args.figure, seed=args.seed)
-    else:
-        if args.channel is None:
-            parser.error("sweep needs --figure or --channel")
+        kind = FIGURE_KINDS[args.figure]
+    if kind is None:
+        parser.error("sweep needs --figure or --channel")
+    if args.gammas is not None:
         try:
-            gammas = tuple(
-                float(tok) for tok in (args.gammas or "0.5,1.0,2.0").split(",") if tok.strip()
-            )
+            given["gammas"] = tuple(float(tok) for tok in args.gammas.split(",") if tok.strip())
         except ValueError:
             parser.error(f"could not parse --gammas {args.gammas!r}")
-        if not gammas:
-            parser.error(f"--gammas {args.gammas!r} names no rates")
-        _check_samples(args, parser)
-        c = INV_SQRT2 if args.c is None else _check_unit(args.c, "--c", parser)
-        try:
-            spec = SweepSpec(
-                channel_kind=CHANNEL_KIND_BY_FLAG[args.channel],
-                c=c,
-                gammas=gammas,
-                t_max=FIGURE_T_MAX if args.t_max is None else args.t_max,
-                steps=FIGURE_STEPS if args.steps is None else args.steps,
-                method=METHOD_NAMES[args.method or "quadrature"],
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        curve = decay_curve(spec, n_samples=args.samples, seed=args.seed)
+    _check_samples(args, parser)
+    try:
+        spec = SweepSpec(kind, **given)
+    except ValueError as exc:
+        parser.error(str(exc))
+    curve = decay_curve(spec, n_samples=args.samples, seed=args.seed)
     write_output(curve, fmt=args.format, path=args.out)
     return 0
 
@@ -363,7 +341,7 @@ def cmd_verify(args, parser) -> int:
         state_seq, mc_seq = child.spawn(2)
         rho = random_density(np.random.default_rng(state_seq))
         quad = sigma_for_state(rho, method="quadrature")
-        mc = sigma_monte_carlo(correlation_matrix(rho), args.samples, mc_seq)
+        mc = sigma_for_state(rho, "monte_carlo", args.samples, mc_seq)
         gap = abs(quad.value - mc.value)
         ok = gap <= 4.0 * mc.error_bound or gap == 0.0
         all_ok &= ok

@@ -32,21 +32,23 @@ from .correlation import (
     sigma_batch,
 )
 
-INV_SQRT2 = 1.0 / np.sqrt(2.0)
-FIGURE_GAMMAS = (0.5, 1.0, 2.0)
-FIGURE_T_MAX = 8.0
-FIGURE_STEPS = 201
+# the channel each canned figure shows
+FIGURE_KINDS = {1: PHASE_DAMPING, 2: AMPLITUDE_DAMPING}
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Parameters of one decay-curve computation."""
+    """Parameters of one decay-curve computation; those left out take the
+    figures' shape: c = 1/sqrt(2) (so Sigma starts at its maximum 1/2),
+    rates {0.5, 1.0, 2.0} and 201 points on t in [0, 8], with exact (R_G)
+    Sigma. Every value is checked here, so a bad one raises ValueError at
+    construction."""
 
     channel_kind: str
-    c: float
-    gammas: tuple[float, ...]
-    t_max: float
-    steps: int
+    c: float = 1.0 / math.sqrt(2.0)
+    gammas: tuple[float, ...] = (0.5, 1.0, 2.0)
+    t_max: float = 8.0
+    steps: int = 201
     method: str = "quadrature"
 
     def __post_init__(self):
@@ -102,17 +104,18 @@ def damped_sigma(
     broadcasts against p. Returns (sv, sigma) of shapes S + (3,) and S, S
     the broadcast shape of c and p.
 
-    `seeds` holds one Monte Carlo seed per point of S, in C order.
+    `seeds` holds one Monte Carlo seed per point of S, in C order. A c or p
+    outside [0, 1] (NaN included) or an unknown kind raises ValueError.
     """
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
-    if (bad := ~((p >= 0.0) & (p <= 1.0))).any():  # NaN fails
+    if (bad := ~((c >= 0.0) & (c <= 1.0))).any():  # NaN fails
+        raise ValueError(f"Schmidt coefficient must lie in [0, 1], got {c[bad].flat[0]}")
+    if (bad := ~((p >= 0.0) & (p <= 1.0))).any():
         raise ValueError(f"p must lie in [0, 1], got {p[bad].flat[0]}")
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}")
     kappa = 2.0 * p - 1.0 if kind == AMPLITUDE_DAMPING else np.full(p.shape, -1.0)
-    if (bad := ~((c >= 0.0) & (c <= 1.0))).any():
-        raise ValueError(f"Schmidt coefficient must lie in [0, 1], got {c[bad].flat[0]}")
     s, kappa = np.broadcast_arrays(2.0 * c * np.sqrt(1.0 - c * c) * (1.0 - p), kappa)
     third = np.abs(kappa)
     sv = np.stack((np.maximum(s, third), s, np.minimum(s, third)), axis=-1)  # descending
@@ -157,20 +160,8 @@ def decay_curve(
 
 
 def figure_dataset(figure: int, seed: int = 42) -> DecayCurve:
-    """Canned decay datasets: figure 1 is phase damping, figure 2 amplitude.
-
-    Both use c = 1/sqrt(2) (so Sigma starts at its maximum 1/2), rates
-    {0.5, 1.0, 2.0}, and 201 points on t in [0, 8] with exact (R_G) Sigma.
-    """
-    if figure not in (1, 2):
+    """Canned decay datasets on SweepSpec's default shape: figure 1 is phase
+    damping, figure 2 amplitude damping."""
+    if figure not in FIGURE_KINDS:
         raise ValueError(f"figure must be 1 or 2, got {figure}")
-    kind = PHASE_DAMPING if figure == 1 else AMPLITUDE_DAMPING
-    spec = SweepSpec(
-        channel_kind=kind,
-        c=INV_SQRT2,
-        gammas=FIGURE_GAMMAS,
-        t_max=FIGURE_T_MAX,
-        steps=FIGURE_STEPS,
-        method="quadrature",
-    )
-    return decay_curve(spec, seed=seed)
+    return decay_curve(SweepSpec(FIGURE_KINDS[figure]), seed=seed)

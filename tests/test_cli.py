@@ -125,6 +125,7 @@ def test_sigma_monte_carlo_deterministic(capsys):
         ["sweep", "--channel", "phase", "--steps", "1"],
         ["sweep", "--channel", "phase", "--gammas", "a,b"],
         ["sweep", "--channel", "phase", "--gammas", ","],
+        ["sweep", "--channel", "phase", "--gammas", ""],
         ["sweep"],
         ["classify"],
         ["classify", "--value", "0.3", "--c", "0.5"],
@@ -134,6 +135,30 @@ def test_sigma_monte_carlo_deterministic(capsys):
 def test_usage_errors_exit_2(argv, capsys):
     assert run(argv) == 2
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["sigma", "--c", "1.25", "--p", "0"], "1.25"),
+        (["sigma", "--c", "0.5", "--p", "-0.5"], "-0.5"),
+        (["sigma", "--c", "0.5", "--gamma", "-1.5", "--t", "1"], "-1.5"),
+        (["sigma", "--c", "0.5", "--gamma", "1", "--t", "-2.5"], "-2.5"),
+        (["sweep", "--channel", "phase", "--c", "1.75"], "1.75"),
+        (["sweep", "--channel", "amplitude", "--gammas", "1,-0.25"], "-0.25"),
+        (["sweep", "--channel", "phase", "--t-max", "-3.5"], "-3.5"),
+        (["sweep", "--channel", "phase", "--steps", "-7"], "-7"),
+    ],
+)
+def test_range_errors_name_the_bad_value(argv, bad, capsys):
+    # the library checks these ranges; the CLI reports its ValueError as a
+    # usage error
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    last = captured.err.splitlines()[-1]
+    assert "error:" in last and bad in last, last
 
 
 def test_classify_value(capsys):
@@ -173,6 +198,17 @@ def test_sweep_figure1_csv(tmp_path):
     first = lines[1].split(",")
     assert first[1] == "0.000000000000"  # t = 0
     assert first[6] == "0.500000000000"  # starts at the maximum
+
+
+@pytest.mark.parametrize("figure, channel", [("1", "phase"), ("2", "amplitude")])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_figure_is_a_channel_preset(figure, channel, fmt):
+    # --figure N fixes only the channel; every other shape value is
+    # SweepSpec's default, as in a plain --channel sweep
+    preset = outcome(["sweep", "--figure", figure, "--seed", "7", "--format", fmt])
+    plain = outcome(["sweep", "--channel", channel, "--seed", "7", "--format", fmt])
+    assert preset[0] == 0 and preset[1] != ""
+    assert preset == plain
 
 
 def test_sweep_custom_flags(tmp_path):
@@ -273,6 +309,15 @@ def test_numeric_failure_reports_one_line_and_exits_1(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: R_G duplication did not converge in 0 steps")
     assert captured.err.count("\n") == 1
+    # the one-state commands report a usage error only for a ValueError;
+    # the estimator's RuntimeError stays a numeric failure
+    for argv in (["sigma", "--c", "0.6", "--p", "0.2"],
+                 ["classify", "--c", "0.6", "--channel", "amplitude", "--p", "0.2"]):
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: R_G duplication did not converge in 0 steps")
+        assert captured.err.count("\n") == 1, argv
 
 
 def test_grid_too_large_to_allocate_exits_1(capsys):

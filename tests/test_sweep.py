@@ -184,6 +184,17 @@ def test_metadata_records_reproducibility_inputs(figure1):
     assert md["gammas"] == [0.5, 1.0, 2.0]
 
 
+@pytest.mark.parametrize("figure, kind", [(1, PHASE_DAMPING), (2, AMPLITUDE_DAMPING)])
+def test_figure_dataset_is_the_default_spec(figure, kind):
+    spec = SweepSpec(kind)
+    assert (spec.c, spec.gammas, spec.t_max, spec.steps, spec.method) == (
+        INV_SQRT2, (0.5, 1.0, 2.0), 8.0, 201, "quadrature")
+    canned, plain = figure_dataset(figure, seed=5), decay_curve(spec, seed=5)
+    assert canned.metadata == plain.metadata
+    for name in ("gammas", "t", "p", "sv", "sigma", "labels"):
+        np.testing.assert_array_equal(getattr(canned, name), getattr(plain, name))
+
+
 def test_figure_dataset_rejects_unknown_figure():
     with pytest.raises(ValueError):
         figure_dataset(3)
