@@ -25,6 +25,9 @@ two, for the sweep, the CLI and `sigma_for_state` alike.
 
 from __future__ import annotations
 
+import mmap
+import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +68,20 @@ RG_MAX_STEPS = 40
 # Generator identity recorded in output metadata; the PCG64 stream is
 # stable across numpy versions, so a seed pins results exactly.
 RNG_IDENTITY = "numpy.random.Generator(PCG64)"
+# Samples per draw of the first axes a; the second axes b come in blocks of
+# MC_BLOCK rows, whose temporaries stay in cache.
 MC_CHUNK = 1_000_000
+MC_BLOCK = 2**14
+# `sigma_batch` runs Monte Carlo estimates concurrently only from MC_BLOCK
+# samples on: below that an estimate is mostly interpreter time, which holds
+# the GIL, and a pool made it slower. It runs at most MC_MAX_WORKERS at once,
+# whatever the CPU count, since each holds 32 bytes per sample of its chunk
+# (32 MB at MC_CHUNK): two hold less than the 88 MB one unblocked estimate did.
+MC_MAX_WORKERS = 2
+# LAPACK's dgesdd rescales a matrix whose largest entry lies below
+# sqrt(safe minimum) / eps = 2^-459 by a factor that is not a power of two,
+# which can cost the singular values an ulp.
+SVD_RESCALE_BELOW = 2.0**-459
 
 # _PAULI_PRODUCTS[mu, nu] = sigma_mu (x) sigma_nu with sigma_0 = I
 _PAULI_PRODUCTS = np.array(
@@ -158,6 +174,17 @@ def sigma_rg_batch(alpha, beta, gamma_sv) -> np.ndarray:
                     0.25 * alpha * (b * b * rf + gap * rd / 3.0 + np.sqrt(g2) / b))
 
 
+def _sample_count(n_samples) -> int:
+    """`n_samples` as an int; ValueError unless it is an integer >= 1."""
+    try:
+        n_samples = operator.index(n_samples)
+    except TypeError:
+        raise ValueError(f"the sample count must be an integer, got {n_samples!r}") from None
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
+    return n_samples
+
+
 def sigma_monte_carlo(
     k: np.ndarray,
     n_samples: int,
@@ -167,28 +194,48 @@ def sigma_monte_carlo(
 
     Directions come from normalized standard-normal triples, which is
     exactly rotation invariant. Results are deterministic for a fixed seed;
-    the error bound is the standard error of the mean.
+    the error bound is the standard error of the mean. A K that is not a
+    finite 3x3 matrix, or an n_samples that is not an integer >= 1, raises
+    ValueError before any draw.
+
+    Per MC_CHUNK samples the first axes a are drawn whole, then the second
+    axes b in blocks of MC_BLOCK rows, which reads the generator's stream in
+    the same order as one draw of b. Each block's values are written over
+    |a|^2, so an estimate holds about 32 bytes per sample of its chunk, and
+    the sums run over the whole chunk in numpy's pairwise order.
     """
-    n_samples = int(n_samples)
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
     k = np.asarray(k, dtype=float)
+    if k.shape != (3, 3):
+        raise ValueError(f"K must be a 3x3 matrix, got shape {k.shape}")
+    if not np.isfinite(k).all():
+        raise ValueError("K has non-finite entries")
+    n_samples = _sample_count(n_samples)
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    left = n_samples
-    while left > 0:
-        m = min(MC_CHUNK, left)
-        a = rng.standard_normal((m, 3))
-        b = rng.standard_normal((m, 3))
-        # |a^T K b| / (|a| |b|): the directions without normalised copies
-        vals = np.abs(np.einsum("ij,ij->i", a @ k, b))
-        norms = np.einsum("ij,ij->i", a, a)
-        norms *= np.einsum("ij,ij->i", b, b)
-        vals /= np.sqrt(norms, out=norms)
+    for lo in range(0, n_samples, MC_CHUNK):
+        m = min(MC_CHUNK, n_samples - lo)
+        if m >= MC_BLOCK:
+            # a and |a|^2 in an anonymous mapping, unmapped when its last
+            # array goes: malloc keeps freed buffers of this size in the
+            # arena of the worker thread that freed them, so the resident
+            # size would grow
+            buf = np.frombuffer(mmap.mmap(-1, 32 * m), float)
+            a = rng.standard_normal(out=buf[:3 * m].reshape(m, 3))
+            vals = np.einsum("ij,ij->i", a, a, out=buf[3 * m:])
+        else:  # two arrays, each below the size malloc maps on its own
+            a = rng.standard_normal((m, 3))
+            vals = np.einsum("ij,ij->i", a, a)
+        for blk in range(0, m, MC_BLOCK):
+            rows = slice(blk, blk + MC_BLOCK)
+            b = rng.standard_normal((min(MC_BLOCK, m - blk), 3))
+            # |a^T K b| / (|a| |b|): the directions without normalised copies
+            norms = np.einsum("ij,ij->i", b, b)
+            norms *= vals[rows]
+            np.sqrt(norms, out=norms)
+            np.divide(np.abs(np.einsum("ij,ij->i", a[rows] @ k, b)), norms, out=vals[rows])
         total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        left -= m
+        total_sq += float(np.square(vals, out=a.reshape(-1)[:m]).sum())
     mean = total / n_samples
     if n_samples > 1:
         var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
@@ -198,35 +245,69 @@ def sigma_monte_carlo(
     return SigmaEstimate(mean, "monte_carlo", stderr)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 ESTIMATORS = ("closed_form", "quadrature", "monte_carlo")
 
 
 def sigma_batch(
     method: str,
     k: np.ndarray,
-    sv: np.ndarray,
+    sv: np.ndarray | None,
     n_samples: int = 1_000_000,
     seeds=(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sigma of every correlation matrix in `k` (shape (..., 3, 3)) whose
     descending singular values are `sv` (shape (..., 3)); returns (values,
-    error bounds) with shape sv.shape[:-1].
+    error bounds) with shape k.shape[:-2].
 
     "monte_carlo" samples each matrix with its own entry of `seeds` (one per
-    matrix, in C order). "closed_form" and "quadrature" both run
+    matrix, in C order); it does not read `sv`, which may be None. From
+    MC_BLOCK samples on, the estimates run on a thread pool made for this
+    call only, with one worker per CPU this process may use, at most one per
+    matrix and at most MC_MAX_WORKERS; fewer samples, one matrix or one CPU
+    run in the calling thread. Each value depends only on its matrix and seed, so the results
+    are the same bytes whatever the worker count, and a worker's exception
+    is raised here. "closed_form" and "quadrature" both run
     `sigma_rg_batch`, whose error bound is RG_REL_ERROR_BOUND relative and
     at least RG_ABS_ERROR_FLOOR.
     """
     if method == "monte_carlo":
-        estimates = [sigma_monte_carlo(ki, n_samples, seed)
-                     for ki, seed in zip(k.reshape(-1, 3, 3), seeds, strict=True)]
-        values = np.array([e.value for e in estimates]).reshape(sv.shape[:-1])
-        bounds = np.array([e.error_bound for e in estimates]).reshape(sv.shape[:-1])
+        n_samples = _sample_count(n_samples)
+        jobs = list(zip(k.reshape(-1, 3, 3), seeds, strict=True))
+        workers = min(len(jobs), _cpu_count(), MC_MAX_WORKERS) if n_samples >= MC_BLOCK else 1
+        if workers <= 1:
+            estimates = [sigma_monte_carlo(ki, n_samples, seed) for ki, seed in jobs]
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # ~6 ms to import
+
+            with ThreadPoolExecutor(workers) as pool:
+                estimates = list(pool.map(
+                    lambda job: sigma_monte_carlo(job[0], n_samples, job[1]), jobs))
+        values = np.array([e.value for e in estimates]).reshape(k.shape[:-2])
+        bounds = np.array([e.error_bound for e in estimates]).reshape(k.shape[:-2])
         return values, bounds
     if method not in ESTIMATORS:
         raise ValueError(f"unknown method {method!r}")
     values = sigma_rg_batch(*np.moveaxis(sv, -1, 0))
     return values, np.maximum(RG_REL_ERROR_BOUND * values, RG_ABS_ERROR_FLOOR)
+
+
+def _singular_values(k: np.ndarray) -> np.ndarray:
+    """Descending singular values of the 3x3 `k`. Where its largest entry is
+    below SVD_RESCALE_BELOW, K is first scaled exactly by a power of two into
+    [1/2, 1), so LAPACK's own rescaling never runs, and the values scaled back."""
+    peak = np.max(np.abs(k))
+    if peak >= SVD_RESCALE_BELOW:
+        return np.linalg.svd(k, compute_uv=False)
+    _, e = np.frexp(peak)
+    return np.ldexp(np.linalg.svd(np.ldexp(k, -e), compute_uv=False), e)
 
 
 def sigma_for_state(
@@ -243,8 +324,7 @@ def sigma_for_state(
     if failures := validate_density(rho).failures:
         raise ValueError(f"not a density matrix: {'; '.join(failures)}")
     k = correlation_matrix(rho)
-    sv = np.linalg.svd(k, compute_uv=False)
-    values, bounds = sigma_batch(method, k, sv, n_samples, (seed,))
+    values, bounds = sigma_batch(method, k, _singular_values(k), n_samples, (seed,))
     tag = method if method == "monte_carlo" else ESTIMATOR
     return SigmaEstimate(float(values), tag, float(bounds))
 

@@ -1,5 +1,7 @@
 """The periodic quadrature and the degenerate-pair closed form of Sigma: the
-oracles the tests hold the runtime estimator, Carlson's R_G, to.
+oracles the tests hold the runtime estimator, Carlson's R_G, to. Also the
+one-shot Monte Carlo loop that the blocked `sigma_monte_carlo` must match
+bit for bit.
 
 Sigma depends on K only through its singular values alpha >= beta >=
 gamma_sv and reduces to the single integral
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from avgcorr.correlation import SigmaEstimate
+from avgcorr.correlation import MC_CHUNK, SigmaEstimate
 
 DEGENERATE_PAIR_TOL = 1e-9
 
@@ -200,3 +202,32 @@ def sigma_closed_pure(alpha: float, beta: float) -> SigmaEstimate:
     `sigma_closed_pure_batch`."""
     value = sigma_closed_pure_batch([float(alpha)], [float(beta)])[0]
     return SigmaEstimate(float(value), "closed_form", 0.0)
+
+
+def sigma_monte_carlo_one_shot(k: np.ndarray, n_samples: int, seed) -> SigmaEstimate:
+    """The Monte Carlo estimate with each MC_CHUNK of a and b drawn and
+    reduced in one go, which the blocked `sigma_monte_carlo` must match bit
+    for bit."""
+    k = np.asarray(k, dtype=float)
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    left = n_samples
+    while left > 0:
+        m = min(MC_CHUNK, left)
+        a = rng.standard_normal((m, 3))
+        b = rng.standard_normal((m, 3))
+        vals = np.abs(np.einsum("ij,ij->i", a @ k, b))
+        norms = np.einsum("ij,ij->i", a, a)
+        norms *= np.einsum("ij,ij->i", b, b)
+        vals /= np.sqrt(norms, out=norms)
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        left -= m
+    mean = total / n_samples
+    if n_samples > 1:
+        var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
+        stderr = float(np.sqrt(var / n_samples))
+    else:
+        stderr = 0.0
+    return SigmaEstimate(mean, "monte_carlo", stderr)

@@ -21,6 +21,7 @@ from avgcorr.correlation import (
     RG_ABS_ERROR_FLOOR,
     RG_REL_ERROR_BOUND,
     RG_TINY_RATIO,
+    _singular_values,
     classify_batch,
     sigma_batch,
     sigma_rg_batch,
@@ -468,3 +469,32 @@ def test_sigma_for_state_error_bound_covers_subnormal_values():
             assert error <= est.error_bound, (scale, t)
             worst = max(worst, error)
     assert worst > 0.0  # the states do round
+
+
+@pytest.mark.parametrize("diagonal, triple", [
+    ([-1e-300, -1e-300, 0.0], [1e-300, 1e-300, 0.0]),
+    ([-2e-300, 1e-300, 0.0], [2e-300, 1e-300, 0.0]),
+    ([0.0, 5e-324, 0.0], [5e-324, 0.0, 0.0]),
+    ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+])
+def test_singular_values_of_a_tiny_k_are_exact(diagonal, triple):
+    assert _singular_values(np.diag(diagonal)).tolist() == triple
+
+
+def test_singular_values_in_the_normal_range_are_lapacks():
+    rng = np.random.default_rng(8)
+    for scale in (1.0, 1e-100, 2.0**-459):
+        k = scale * rng.standard_normal((3, 3))
+        k[0, 0] = scale  # so max|K| >= scale >= SVD_RESCALE_BELOW
+        assert (_singular_values(k) == np.linalg.svd(k, compute_uv=False)).all()
+
+
+@pytest.mark.parametrize("rho_03, rho_12", [(-2.5e-301, -2.5e-301), (-7.5e-301, -2.5e-301)])
+def test_sigma_for_state_of_a_nearly_uncorrelated_state_is_exact(rho_03, rho_12):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 3] = rho[3, 0] = rho_03
+    rho[1, 2] = rho[2, 1] = rho_12
+    k = correlation_matrix(rho)  # diag(2(rho_03 + rho_12), 2(rho_12 - rho_03), 0)
+    assert np.count_nonzero(k - np.diag(np.diag(k))) == 0
+    triple = sorted(np.abs(np.diag(k)), reverse=True)
+    assert sigma_for_state(rho, "quadrature").value == float(sigma_rg_batch(*triple))
