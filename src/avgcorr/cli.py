@@ -138,37 +138,55 @@ def render_csv(curve: DecayCurve) -> str:
 
 
 # The layout of json.dumps(..., indent=2) for a row and a block; %r of a
-# float is float.__repr__, as in json, t comes already written, and the
-# labels are plain identifiers that need no escaping.
+# float is float.__repr__, as in json, a row's numbers come already
+# written, and the labels are plain identifiers that need no escaping.
 _JSON_ROW = (
     "        {\n"
     '          "t": %s,\n'
-    '          "p": %r,\n'
-    '          "alpha": %r,\n'
-    '          "beta": %r,\n'
-    '          "gamma_sv": %r,\n'
-    '          "sigma": %r,\n'
+    '          "p": %s,\n'
+    '          "alpha": %s,\n'
+    '          "beta": %s,\n'
+    '          "gamma_sv": %s,\n'
+    '          "sigma": %s,\n'
     '          "classification": "%s"\n'
     "        }"
 )
-_JSON_BLOCK = '    {\n      "gamma": %r,\n      "rows": [\n%s\n      ]\n    }'
+_JSON_BLOCK = '    {\n      "gamma": %r,\n      "rows": %s\n    }'
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """json.dumps's indented layout of a list of items already laid out,
+    the closing bracket at `indent`; an empty list is `[]`."""
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
 
 
 def render_json(curve: DecayCurve) -> str:
     """The curve as `json.dumps({"metadata": ..., "blocks": ...}, indent=2)`
-    would write it, with the rows laid out from the columns directly."""
+    would write it, with the rows laid out from the columns directly.
+
+    Damped rows repeat their numbers (s is both beta and one of alpha and
+    gamma_sv; under phase damping a row is (p, 1.0, s, s, Sigma)), so the
+    row cells are written once per distinct value: `repr` runs on each
+    distinct bit pattern and the texts are gathered back into the grid.
+    The key is the bits, not the value, since 0.0 and -0.0 are equal but
+    written differently.
+    """
     columns = (curve.gammas, curve.t, curve.p, curve.sv, curve.sigma)
     if not all(np.isfinite(col).all() for col in columns):
         raise ValueError("JSON cannot hold the non-finite values in this decay curve")
+    cells = np.concatenate((curve.p[..., None], curve.sv, curve.sigma[..., None]), axis=-1,
+                           dtype=float)
+    bits, where = np.unique(cells.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    texts = texts[where].reshape(cells.shape)
     t_col = list(map(repr, curve.t.tolist()))
     blocks = [
-        _JSON_BLOCK % (gamma, ",\n".join(map(_JSON_ROW.__mod__, zip(
-            t_col, curve.p[bi].tolist(), *curve.sv[bi].T.tolist(),
-            curve.sigma[bi].tolist(), curve.labels[bi].tolist()))))
+        _JSON_BLOCK % (gamma, _json_list(list(map(_JSON_ROW.__mod__, zip(
+            t_col, *texts[bi].T.tolist(), curve.labels[bi].tolist()))), "      "))
         for bi, gamma in enumerate(curve.gammas.tolist())
     ]
     head = json.dumps({"metadata": curve.metadata}, indent=2)[:-2]  # drop "\n}"
-    return f'{head},\n  "blocks": [\n' + ",\n".join(blocks) + "\n  ]\n}\n"
+    return f'{head},\n  "blocks": ' + _json_list(blocks, "  ") + "\n}\n"
 
 
 def write_output(curve: DecayCurve, fmt: str = "csv", path: str | None = None) -> None:

@@ -193,6 +193,19 @@ def test_render_csv_matches_per_value_formatter_on_adversarial_columns(rates, st
         assert np.isin(values, cells).all()
 
 
+@pytest.mark.parametrize("rates, steps", [(1, 2), (2, 37), (3, 10**4)])
+def test_render_json_matches_json_dumps_on_adversarial_columns(rates, steps):
+    """render_json writes each distinct row number once; it must key them
+    on their bits, since 0.0 and -0.0 are equal but written differently."""
+    values = adversarial_values()
+    curve = curve_from_values(values, rates, steps, seed=rates)
+    assert render_json(curve) == old_render_json(curve), (rates, steps)
+    if steps > values.size // 5:
+        row_cells = np.concatenate([curve.p.ravel(), curve.sv.ravel(), curve.sigma.ravel()])
+        zeros = row_cells[row_cells == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
 def test_exact_ties_round_half_to_even():
     ties = exact_ties()
     assert {123456789012.5, 12345678901.25, 1234567890.125} <= set(ties.tolist())
@@ -223,13 +236,29 @@ def test_render_csv_row_of_any_finite_values_matches_format_sig12(values):
     assert render_csv(curve) == f"{CSV_HEADER}\n{row}\n"
 
 
+@given(finite.map(lambda x: (x,) * 7) | st.tuples(*[finite] * 7))
+def test_render_json_row_of_any_finite_values_matches_json_dumps(values):
+    curve = one_point_curve(*values)
+    assert render_json(curve) == old_render_json(curve)
+
+
+def empty_curve(rates, steps):
+    sigma = np.zeros((rates, steps))
+    return DecayCurve(gammas=np.ones(rates), t=np.ones(steps), p=sigma,
+                      sv=np.zeros((rates, steps, 3)), sigma=sigma,
+                      labels=classify_batch(sigma), metadata={})
+
+
 @pytest.mark.parametrize("rates, steps", [(0, 3), (2, 0)])
 def test_render_csv_of_an_empty_grid_is_the_header(rates, steps):
-    sigma = np.zeros((rates, steps))
-    curve = DecayCurve(gammas=np.ones(rates), t=np.ones(steps), p=sigma,
-                       sv=np.zeros((rates, steps, 3)), sigma=sigma,
-                       labels=classify_batch(sigma), metadata={})
+    curve = empty_curve(rates, steps)
     assert render_csv(curve) == old_render_csv(curve, format_sig12) == CSV_HEADER + "\n"
+
+
+@pytest.mark.parametrize("rates, steps", [(0, 3), (2, 0)])
+def test_render_json_of_an_empty_grid_is_the_json_dumps_layout(rates, steps):
+    curve = empty_curve(rates, steps)
+    assert render_json(curve) == old_render_json(curve)
 
 
 def test_render_csv_sends_few_cells_to_format_sig12(monkeypatch):
@@ -249,6 +278,28 @@ def test_render_csv_sends_few_cells_to_format_sig12(monkeypatch):
         cells = curve.gammas.size + curve.t.size + 5 * curve.p.size
         # the zeros at t = 0 always reach it, so the counter is known to be wired
         assert 0 < len(calls) < 0.01 * cells, (len(calls), cells)
+
+
+def test_render_json_writes_each_distinct_row_number_once(monkeypatch):
+    """A fall-back of the JSON writer to one repr per cell must fail here,
+    not only show in the benchmark."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(cli, "repr", counted, raising=False)
+    sweep = SweepSpec(PHASE_DAMPING, 0.6, (0.5, 1.0, 2.0), t_max=8.0, steps=400,
+                      method="closed_form")
+    curve = decay_curve(sweep)
+    assert render_json(curve) == old_render_json(curve)
+    rates, steps = curve.p.shape
+    cells = np.concatenate((curve.p[..., None], curve.sv, curve.sigma[..., None]), axis=-1)
+    distinct = np.unique(cells.view(np.int64)).size
+    # phase damping makes every row (p, 1.0, s, s, Sigma)
+    assert distinct <= 3 * rates * steps
+    assert 0 < len(calls) <= distinct + steps + rates, (len(calls), distinct)
 
 
 @pytest.mark.parametrize("column, bad", [
