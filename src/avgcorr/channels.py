@@ -33,9 +33,9 @@ def p_of_t(gamma, t):
     """
     gamma = np.asarray(gamma, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(gamma < 0.0):
+    if np.count_nonzero(gamma < 0.0):
         raise ValueError(f"decoherence rate must be >= 0, got {gamma[gamma < 0.0].flat[0]}")
-    if np.any(t < 0.0):
+    if np.count_nonzero(t < 0.0):
         raise ValueError(f"time must be >= 0, got {t[t < 0.0].flat[0]}")
     # expm1 keeps full precision for small gamma*t; a product that overflows
     # to inf is a rate-time far past saturation, and p = 1 there exactly

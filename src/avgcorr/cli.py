@@ -29,6 +29,8 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -137,27 +139,42 @@ def render_csv(curve: DecayCurve) -> str:
     return CSV_HEADER + "\n" + rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
-# The layout of json.dumps(..., indent=2) for a row and a block; %r of a
-# float is float.__repr__, as in json, a row's numbers come already
-# written, and the labels are plain identifiers that need no escaping.
-_JSON_ROW = (
-    "        {\n"
-    '          "t": %s,\n'
-    '          "p": %s,\n'
-    '          "alpha": %s,\n'
-    '          "beta": %s,\n'
-    '          "gamma_sv": %s,\n'
-    '          "sigma": %s,\n'
-    '          "classification": "%s"\n'
-    "        }"
+# The layout of json.dumps(..., indent=2) for a row, as the texts around
+# its seven values, and for a block up to its rows; %r of a float is
+# float.__repr__, as in json, a row's numbers come already written, and the
+# labels are plain identifiers that need no escaping.
+_JSON_ROW_PARTS = (
+    '        {\n          "t": ',
+    ',\n          "p": ',
+    ',\n          "alpha": ',
+    ',\n          "beta": ',
+    ',\n          "gamma_sv": ',
+    ',\n          "sigma": ',
+    ',\n          "classification": "',
+    '"\n        }',
 )
-_JSON_BLOCK = '    {\n      "gamma": %r,\n      "rows": %s\n    }'
+_JSON_BLOCK = '    {\n      "gamma": %r,\n      "rows": '
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """json.dumps's indented layout of a list of items already laid out,
-    the closing bracket at `indent`; an empty list is `[]`."""
-    return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+def _json_openers(n: int, head: str = "") -> list[str]:
+    """The text before each of the n items of a list in json.dumps's
+    indented layout, each followed by `head`."""
+    return ["[\n" + head, *[",\n" + head] * (n - 1)]
+
+
+def _json_closer(n: int, indent: str) -> str:
+    """The text after the last of the n items of a list in json.dumps's
+    indented layout, the closing bracket at `indent`; an empty list is `[]`."""
+    return "\n" + indent + "]" if n else "[]"
+
+
+def _json_rows(heads: list[str], columns) -> Iterator[str]:
+    """The texts of the rows whose seven values, already written, are the
+    `columns`, in order, each row after its entry of `heads`."""
+    parts = [heads]
+    for column, text in zip(columns, _JSON_ROW_PARTS[1:], strict=True):
+        parts += (column, repeat(text))
+    return chain.from_iterable(zip(*parts))
 
 
 def render_json(curve: DecayCurve) -> str:
@@ -169,7 +186,8 @@ def render_json(curve: DecayCurve) -> str:
     row cells are written once per distinct value: `repr` runs on each
     distinct bit pattern and the texts are gathered back into the grid.
     The key is the bits, not the value, since 0.0 and -0.0 are equal but
-    written differently.
+    written differently. The document is a single join of those texts and
+    the layout around them, so no row or block is copied before it.
     """
     columns = (curve.gammas, curve.t, curve.p, curve.sv, curve.sigma)
     if not all(np.isfinite(col).all() for col in columns):
@@ -180,19 +198,26 @@ def render_json(curve: DecayCurve) -> str:
     texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     texts = texts[where].reshape(cells.shape)
     t_col = list(map(repr, curve.t.tolist()))
-    blocks = [
-        _JSON_BLOCK % (gamma, _json_list(list(map(_JSON_ROW.__mod__, zip(
-            t_col, *texts[bi].T.tolist(), curve.labels[bi].tolist()))), "      "))
-        for bi, gamma in enumerate(curve.gammas.tolist())
-    ]
+    row_heads = _json_openers(len(t_col), _JSON_ROW_PARTS[0])
+    gammas = curve.gammas.tolist()
     head = json.dumps({"metadata": curve.metadata}, indent=2)[:-2]  # drop "\n}"
-    return f'{head},\n  "blocks": ' + _json_list(blocks, "  ") + "\n}\n"
+    pieces = [head, ',\n  "blocks": ']
+    for opener, gamma, block, labels in zip(_json_openers(len(gammas)), gammas, texts,
+                                            curve.labels.tolist()):
+        pieces += (opener, _JSON_BLOCK % gamma)
+        pieces += _json_rows(row_heads, (t_col, *block.T.tolist(), labels))
+        pieces.append(_json_closer(len(t_col), "      ") + "\n    }")
+    pieces.append(_json_closer(len(gammas), "  ") + "\n}\n")
+    return "".join(pieces)
 
 
 def write_output(curve: DecayCurve, fmt: str = "csv", path: str | None = None) -> None:
-    """Emit a decay curve as CSV or JSON to `path`, or stdout when None."""
-    text = render_csv(curve) if fmt == "csv" else render_json(curve)
-    _emit(text, path)
+    """Emit a decay curve as CSV or JSON to `path`, or stdout when None; any
+    other `fmt` raises ValueError before anything is written."""
+    renderers = {"csv": render_csv, "json": render_json}
+    if fmt not in renderers:
+        raise ValueError(f"unknown output format {fmt!r}; expected 'csv' or 'json'")
+    _emit(renderers[fmt](curve), path)
 
 
 def _emit(text: str, path: str | None) -> None:

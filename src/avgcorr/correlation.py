@@ -43,6 +43,11 @@ CLASSICAL_COMPATIBLE = "classical_compatible"
 INDETERMINATE = "indeterminate"
 NONCLASSICAL = "nonclassical"
 
+# the labels in the order of the thresholds a value passes, read-only
+# because `classify_batch` returns a view of it for a 0-d value
+_LABELS = np.array([CLASSICAL_COMPATIBLE, INDETERMINATE, NONCLASSICAL])
+_LABELS.flags.writeable = False
+
 IMAG_RESIDUAL_HARD_LIMIT = 1e-9
 
 # Method tag of the exact estimator, which every request but Monte Carlo runs.
@@ -130,9 +135,10 @@ def sigma_rg_batch(alpha, beta, gamma_sv) -> np.ndarray:
         2 R_G = z R_F - (x-z)(y-z) R_D / 3 + sqrt(xy/z).
 
     The middle value sits in the z slot, so -(x-z)(y-z) >= 0 and no two
-    terms cancel. R_F and R_D share one duplication loop over the stacked
-    (x, y, z) and finish with Carlson's fifth-order series. Where b is at
-    most RG_TINY_RATIO, and so wherever alpha = 0, Sigma is alpha/4.
+    terms cancel. R_F and R_D share one duplication loop over x, y and z,
+    kept as three values of the batch's shape, and finish with Carlson's
+    fifth-order series. Where b is at most RG_TINY_RATIO, and so wherever
+    alpha = 0, Sigma is alpha/4.
     """
     alpha = np.asarray(alpha, dtype=float)
     scale = np.maximum(alpha, 5e-324)  # alpha = 0 has beta = gamma_sv = 0
@@ -141,20 +147,19 @@ def sigma_rg_batch(alpha, beta, gamma_sv) -> np.ndarray:
     tiny = b <= RG_TINY_RATIO
     b = np.where(tiny, 1.0, b)  # any valid triple; its value is discarded
     g2 = g * g  # may underflow; sqrt(xy/z) reads the same y = g2 as R_F and R_D
-    v = np.array([np.ones_like(b), g2, b * b])  # x >= z >= y, kept so
+    x, y, z = np.ones_like(b), g2, b * b  # x >= z >= y, kept so
     fac, rd_sum = 1.0, 0.0
     for _ in range(RG_MAX_STEPS):
-        if (v[0] <= (1.0 + RG_SPREAD) * v[1]).all():
+        # counts NaN as not converged, so a NaN triple reaches the cap
+        if not np.count_nonzero(~(x <= (1.0 + RG_SPREAD) * y)):
             break
-        s = np.sqrt(v)
-        lam = s[0] * (s[1] + s[2]) + s[1] * s[2]
-        rd_sum += fac / (s[2] * (v[2] + lam))
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        rd_sum += fac / (sz * (z + lam))
         fac *= 0.25
-        v += lam
-        v *= 0.25
+        x, y, z = (x + lam) * 0.25, (y + lam) * 0.25, (z + lam) * 0.25
     else:
         raise RuntimeError(f"R_G duplication did not converge in {RG_MAX_STEPS} steps")
-    x, y, z = v
     mean = (x + y + z) / 3.0
     dx, dy = 1.0 - x / mean, 1.0 - y / mean
     dz = -(dx + dy)
@@ -295,7 +300,7 @@ def sigma_batch(
         return values, bounds
     if method not in ESTIMATORS:
         raise ValueError(f"unknown method {method!r}")
-    values = sigma_rg_batch(*np.moveaxis(sv, -1, 0))
+    values = sigma_rg_batch(sv[..., 0], sv[..., 1], sv[..., 2])
     return values, np.maximum(RG_REL_ERROR_BOUND * values, RG_ABS_ERROR_FLOOR)
 
 
@@ -330,17 +335,20 @@ def sigma_for_state(
 
 
 def classify_batch(values) -> np.ndarray:
-    """Nonclassicality labels of an array of average-correlation values.
+    """Nonclassicality labels of an array of average-correlation values, as
+    an array of its shape (dtype <U20).
 
     <= 1/4 is compatible with classical states; > 1/(2 sqrt 2) occurs only
-    for nonclassical states; in between is indeterminate.
+    for nonclassical states; in between, and for NaN, is indeterminate.
+    Each label is read from _LABELS at the count of thresholds the value
+    passes: not <= 1/4 (NaN passes) and > 1/(2 sqrt 2) (NaN does not).
     """
     values = np.asarray(values, dtype=float)
-    return np.where(values <= CLASSICAL_MAX, CLASSICAL_COMPATIBLE,
-                    np.where(values > NONCLASSICAL_MIN, NONCLASSICAL, INDETERMINATE))
+    rank = np.add(~(values <= CLASSICAL_MAX), values > NONCLASSICAL_MIN, dtype=np.intp)
+    return _LABELS[rank, ...]  # the Ellipsis keeps a 0-d result an array
 
 
 def classify(sigma: SigmaEstimate | float) -> str:
     """Nonclassicality label of one value or estimate, by `classify_batch`."""
     value = sigma.value if isinstance(sigma, SigmaEstimate) else float(sigma)
-    return str(classify_batch(value))
+    return classify_batch(value).item()

@@ -109,17 +109,21 @@ def damped_sigma(
     """
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
-    if (bad := ~((c >= 0.0) & (c <= 1.0))).any():  # NaN fails
+    if np.count_nonzero(bad := ~((c >= 0.0) & (c <= 1.0))):  # NaN fails
         raise ValueError(f"Schmidt coefficient must lie in [0, 1], got {c[bad].flat[0]}")
-    if (bad := ~((p >= 0.0) & (p <= 1.0))).any():
+    if np.count_nonzero(bad := ~((p >= 0.0) & (p <= 1.0))):
         raise ValueError(f"p must lie in [0, 1], got {p[bad].flat[0]}")
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}")
-    kappa = 2.0 * p - 1.0 if kind == AMPLITUDE_DAMPING else np.full(p.shape, -1.0)
-    s, kappa = np.broadcast_arrays(2.0 * c * np.sqrt(1.0 - c * c) * (1.0 - p), kappa)
+    # s has the broadcast shape of c and p; kappa broadcasts into it
+    s = 2.0 * c * np.sqrt(1.0 - c * c) * (1.0 - p)
+    kappa = 2.0 * p - 1.0 if kind == AMPLITUDE_DAMPING else -1.0
     third = np.abs(kappa)
-    sv = np.stack((np.maximum(s, third), s, np.minimum(s, third)), axis=-1)  # descending
-    k = np.zeros(s.shape + (3, 3))
+    sv = np.empty(np.shape(s) + (3,))  # descending
+    np.maximum(s, third, out=sv[..., 0])
+    sv[..., 1] = s
+    np.minimum(s, third, out=sv[..., 2])
+    k = np.zeros(sv.shape[:-1] + (3, 3))
     k[..., 0, 0] = k[..., 1, 1] = -s
     k[..., 2, 2] = kappa
     sigma, _ = sigma_batch(method, k, sv, n_samples, seeds)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgcorr import NONCLASSICAL_MIN, classify
+from avgcorr import NONCLASSICAL_MIN, classify, figure_dataset
 from avgcorr import cli, correlation
 from avgcorr.cli import CSV_HEADER, build_parser, format_sig12, run
 from oracles import SingularTriple, sigma_quadrature
@@ -250,6 +250,17 @@ def test_sweep_deterministic_bytes(tmp_path):
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["xml", "CSV", ""])
+def test_write_output_rejects_an_unknown_format(fmt, tmp_path, capsys):
+    curve = figure_dataset(1)
+    with pytest.raises(ValueError, match=f"unknown output format '{fmt}'"):
+        cli.write_output(curve, fmt)
+    with pytest.raises(ValueError):
+        cli.write_output(curve, fmt, str(tmp_path / "out"))
+    assert capsys.readouterr() == ("", "")
+    assert not (tmp_path / "out").exists()
 
 
 def test_out_to_missing_directory_exits_1(capsys):

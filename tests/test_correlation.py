@@ -356,6 +356,16 @@ def test_classify_batch_matches_classify():
     assert classify_batch(values).tolist() == [classify(v) for v in values]
 
 
+def test_nan_is_indeterminate_and_labels_keep_their_dtype():
+    assert classify(np.nan) == INDETERMINATE
+    assert classify_batch([np.nan]).tolist() == [INDETERMINATE]
+    labels = [classify_batch(0.3), classify_batch([np.nan]), classify_batch(np.zeros((2, 3)))]
+    assert [type(x) for x in labels] == [np.ndarray] * 3
+    assert [x.shape for x in labels] == [(), (1,), (2, 3)]
+    assert {x.dtype for x in labels} == {np.dtype("<U20")}
+    assert type(classify(0.3)) is str
+
+
 def test_t_matrix_blocks():
     rng = np.random.default_rng(1996)
     for _ in range(20):
@@ -432,6 +442,30 @@ def test_rg_guards_and_landmarks():
     assert sigma_rg_batch([], [], []).shape == (0,)
     with pytest.raises(RuntimeError):
         sigma_rg_batch([np.nan], [np.nan], [np.nan])
+
+
+# ratios of a sorted triple: zero, a degenerate pair, R_G's tiny-ratio
+# guard and anything in between
+RATIOS = st.one_of(st.sampled_from([0.0, 1.0, RG_TINY_RATIO]),
+                   st.floats(0.0, RG_TINY_RATIO), st.floats(0.0, 1.0))
+
+
+@given(st.floats(0.0, 1e300), RATIOS, RATIOS)
+def test_rg_of_a_0d_triple_is_its_batch_of_one_bit_for_bit(alpha, beta_ratio, gamma_ratio):
+    beta = alpha * beta_ratio
+    gamma_sv = beta * gamma_ratio
+    batch = sigma_rg_batch([alpha], [beta], [gamma_sv])
+    for one in (sigma_rg_batch(np.asarray(alpha), np.asarray(beta), np.asarray(gamma_sv)),
+                sigma_rg_batch(alpha, beta, gamma_sv)):
+        assert np.shape(one) == () and batch.shape == (1,)
+        assert np.asarray(one).tobytes() == batch.tobytes(), (alpha, beta, gamma_sv)
+
+
+@pytest.mark.parametrize("triple", [(np.nan, np.nan, np.nan), (1.0, 0.5, np.nan),
+                                    (1.0, np.nan, np.nan)])
+def test_rg_of_a_0d_nan_triple_raises(triple):
+    with pytest.raises(RuntimeError, match="did not converge"):
+        sigma_rg_batch(*map(np.asarray, triple))
 
 
 def test_sigma_batch_exact_methods_are_one_estimator():
