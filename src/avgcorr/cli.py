@@ -13,14 +13,23 @@ The handlers only map flags to library calls. The library owns the model's
 rules: `damped_sigma` and `p_of_t` check c, p, gamma and t, `SweepSpec`
 checks a sweep and supplies the figures' shape for every flag left out, and
 a ValueError they raise becomes a usage error. The handlers check only what
-the flags alone decide: which flags go together, `--samples` and `--trials`,
-and that `--gamma`, `--t` and `classify --value` are finite.
+the flags alone decide: which flags go together, `--samples`, `--seed` and
+`--trials`, and that `--gamma`, `--t` and `classify --value` are finite.
 
 `run()` builds its argument parser on its first call and reuses it for
 every later call in the process, since building the argparse tree costs
 several times what parsing and computing one `sigma` query do, and parsing
 leaves the parser unchanged. `build_parser()` returns a fresh parser on
 every call.
+
+When the first token names a subcommand, `run()` hands the tokens after it
+straight to that subcommand's parser, so they are parsed once, not first by
+the top-level parser and again by the subcommand's; tokens that parser
+leaves over are the top-level parser's "unrecognized arguments" error, as
+`parse_args` reports them. Any other argv (none, `-h`, an unknown or
+abbreviated command, a leading `--`) goes through the top-level parser and
+ends in help or a usage error. Either way the handler gets the top-level
+parser, so its usage errors read `usage: avgcorr ...`.
 """
 
 from __future__ import annotations
@@ -231,12 +240,14 @@ def _emit(text: str, path: str | None) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the four subcommands; each subcommand's handler is
-    in the parsed namespace as `func`."""
+    in the parsed namespace as `func`. Its `subcommands` attribute maps each
+    subcommand name to that subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="avgcorr",
         description="Average correlation of two-qubit states under local damping.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # filled in by add_parser below
 
     def add_state_flags(sp, c_required: bool):
         sp.add_argument("--c", type=float, required=c_required,
@@ -312,14 +323,19 @@ def _resolve_p(args, parser) -> float:
     return p_of_t(args.gamma, args.t)
 
 
-def _check_samples(args, parser) -> None:
-    if args.method == "mc" and args.samples < 1:
+def _check_monte_carlo_flags(args, parser) -> None:
+    """Only Monte Carlo reads --samples and --seed; the exact methods ignore them."""
+    if args.method != "mc":
+        return
+    if args.samples < 1:
         parser.error(f"--samples must be >= 1 with --method mc, got {args.samples}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0 with --method mc, got {args.seed}")
 
 
 def cmd_sigma(args, parser) -> int:
     """Damp the state the flags describe, estimate Sigma, print it and its label."""
-    _check_samples(args, parser)
+    _check_monte_carlo_flags(args, parser)
     try:
         _, sigma = damped_sigma(CHANNEL_KIND_BY_FLAG[args.channel], args.c,
                                 _resolve_p(args, parser), METHOD_NAMES[args.method],
@@ -362,7 +378,7 @@ def cmd_sweep(args, parser) -> int:
             given["gammas"] = tuple(float(tok) for tok in args.gammas.split(",") if tok.strip())
         except ValueError:
             parser.error(f"could not parse --gammas {args.gammas!r}")
-    _check_samples(args, parser)
+    _check_monte_carlo_flags(args, parser)
     try:
         spec = SweepSpec(kind, **given)
     except ValueError as exc:
@@ -377,6 +393,8 @@ def cmd_verify(args, parser) -> int:
         parser.error(f"--trials must be >= 1, got {args.trials}")
     if args.samples < 2:
         parser.error(f"--samples must be >= 2, got {args.samples}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     state_seqs, mc_seqs = zip(*(child.spawn(2) for child in
                                 np.random.SeedSequence(args.seed).spawn(args.trials)))
     rhos = [random_density(np.random.default_rng(seq)) for seq in state_seqs]
@@ -409,12 +427,23 @@ _parser: argparse.ArgumentParser | None = None
 
 
 def run(argv: list[str] | None = None) -> int:
+    """Run the command `argv` names (default `sys.argv[1:]`); returns its
+    exit code."""
     global _parser
     if _parser is None:
         _parser = build_parser()
     parser = _parser
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        subparser = parser.subcommands.get(argv[0]) if argv else None
+        if subparser is None:  # help or a usage error
+            args = parser.parse_args(argv)
+        else:
+            args, extras = subparser.parse_known_args(argv[1:])
+            if extras:  # as parser.parse_args words it
+                parser.error("unrecognized arguments: " + " ".join(extras))
+            args.command = argv[0]
         return args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)

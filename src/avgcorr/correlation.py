@@ -263,7 +263,7 @@ ESTIMATORS = ("closed_form", "quadrature", "monte_carlo")
 
 def sigma_batch(
     method: str,
-    k: np.ndarray,
+    k: np.ndarray | None,
     sv: np.ndarray | None,
     n_samples: int = 1_000_000,
     seeds=(),
@@ -280,8 +280,9 @@ def sigma_batch(
     run in the calling thread. Each value depends only on its matrix and seed, so the results
     are the same bytes whatever the worker count, and a worker's exception
     is raised here. "closed_form" and "quadrature" both run
-    `sigma_rg_batch`, whose error bound is RG_REL_ERROR_BOUND relative and
-    at least RG_ABS_ERROR_FLOOR.
+    `sigma_rg_batch` on `sv`, whose error bound is RG_REL_ERROR_BOUND
+    relative and at least RG_ABS_ERROR_FLOOR; they do not read `k`, which
+    may then be None.
     """
     if method == "monte_carlo":
         n_samples = _sample_count(n_samples)

@@ -8,10 +8,11 @@ triple, Sigma, and its nonclassicality label per point, as columns over the
 For the pure Schmidt state c|01> - sqrt(1-c^2)|10>, both channels keep the
 correlation matrix diagonal: K = diag(-s, -s, kappa) with
 s = 2c sqrt(1-c^2)(1-p), kappa = -1 under phase damping and 2p - 1 under
-amplitude damping (see `channels`). `damped_sigma` builds that K in closed
-form over any array of damping probabilities; its descending singular triple
-is (max(s, |kappa|), s, min(s, |kappa|)), so neither an SVD nor a sort is
-needed, and each estimator runs once over the whole grid. The CLI's
+amplitude damping (see `channels`). Its descending singular triple is
+(max(s, |kappa|), s, min(s, |kappa|)), so `damped_sigma` writes the triple
+in closed form over any array of damping probabilities, with neither an SVD
+nor a sort, and each estimator runs once over the whole grid; it writes K
+itself out only for Monte Carlo, the one estimator that reads it. The CLI's
 one-state `sigma` and `classify` run it on a single p.
 """
 
@@ -123,9 +124,11 @@ def damped_sigma(
     np.maximum(s, third, out=sv[..., 0])
     sv[..., 1] = s
     np.minimum(s, third, out=sv[..., 2])
-    k = np.zeros(sv.shape[:-1] + (3, 3))
-    k[..., 0, 0] = k[..., 1, 1] = -s
-    k[..., 2, 2] = kappa
+    k = None  # only Monte Carlo reads K
+    if method == "monte_carlo":
+        k = np.zeros(sv.shape[:-1] + (3, 3))
+        k[..., 0, 0] = k[..., 1, 1] = -s
+        k[..., 2, 2] = kappa
     sigma, _ = sigma_batch(method, k, sv, n_samples, seeds)
     return sv, sigma
 

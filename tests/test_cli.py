@@ -362,6 +362,34 @@ def test_monte_carlo_samples_below_one_is_a_usage_error(argv, samples, capsys):
     assert run([*argv, "--method", "quadrature", "--samples", samples]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma", "--c", "0.5", "--p", "0.2", "--method", "mc"],
+        ["sweep", "--channel", "phase", "--steps", "3", "--method", "mc"],
+        ["verify", "--trials", "1"],
+    ],
+)
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    assert run([*argv, "--samples", "100", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        captured.err.splitlines()[-1]
+    ]
+    assert "--seed must be >= 0" in captured.err.splitlines()[-1]
+
+
+def test_exact_methods_ignore_a_negative_seed(capsys):
+    for argv in (["sigma", "--c", "0.5", "--p", "0.2"],
+                 ["sweep", "--channel", "phase", "--steps", "3"]):
+        assert run([*argv, "--method", "closed", "--seed", "-1"]) == 0, argv
+        captured = capsys.readouterr()
+        assert run([*argv, "--method", "closed"]) == 0, argv
+        assert capsys.readouterr() == captured, argv
+
+
 # The argv fuzz builds a well-formed call of each subcommand and then
 # replaces or inserts up to two odd tokens, so a third of the cases reach
 # the numerics whole and the rest probe one or two bad inputs at a time.
@@ -475,3 +503,99 @@ def test_run_builds_its_parser_once(monkeypatch, capsys):
     capsys.readouterr()
     assert len(builds) == 1
     assert build_parser() is not build_parser()
+
+
+def full_parse_outcome(argv, parser=None):
+    """`run(argv)` as the top-level parser alone would run it: it parses the
+    whole argv and hands the tail to the subcommand's parser. The oracle of
+    the direct dispatch in `run()`."""
+    parser = parser or build_parser()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+            rc = args.func(args, parser)
+        except SystemExit as exc:
+            rc = int(exc.code or 0)
+        except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+            print("error:", " ".join(str(exc).split()), file=sys.stderr)
+            rc = 1
+    return rc, out.getvalue(), err.getvalue()
+
+
+# Inputs where a parse of the whole argv and a parse of the tokens after the
+# command could differ: help, abbreviations of --help and of the commands,
+# `--` on either side of the command, leftover tokens, `=` forms, negative
+# numbers and repeated flags.
+EDGE_ARGV = [
+    [], ["-h"], ["--help"], ["--he"], ["--h"], ["-hx"], ["-x"], ["sig"], ["Sigma"],
+    ["bogus-command", "--c", "0.5"], ["-h", "sigma"], ["--", "sigma", "--c", "0.5"],
+    ["--", "--", "sigma"], ["sigma", "-h"], ["sweep", "--help"], ["verify", "-h"],
+    ["classify", "--he"], ["sigma", "--h"], ["sigma", "-hx"],
+    ["sigma", "--c", "0.5", "junk"], ["sigma", "--c", "0.5", "--p", "0.2", "x", "--y", "-z"],
+    ["verify", "--trials", "0", "extra"], ["sigma", "sweep"],
+    ["sigma", "--", "--c", "0.5"], ["sigma", "--c", "0.5", "--"],
+    ["sigma", "--c", "0.5", "--", "0.2"], ["sigma", "--c=0.5"],
+    ["sigma", "--c=0.5", "--p=0.2", "--method=closed"], ["sigma", "--c", "-0.5"],
+    ["sigma", "--c", "0.5", "--c", "0.6"], ["sigma", "--ch", "amplitude", "--c", "0.6"],
+    ["sigma", "--s", "5", "--c", "0.6"], ["classify", "--va", "0.3"],
+    ["sweep", "--figure", "1", "--format", "json", "--out"],
+    ["sweep", "--figure", "2", "--seed", "7", "--format", "json"],
+    ["verify", "--samples", "1000", "--trials", "2", "--seed", "3"],
+    ["classify", "--value", "0.3", "--value", "0.2"],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGV)
+def test_direct_dispatch_matches_a_full_parse_on_edge_cases(argv):
+    assert outcome(argv) == full_parse_outcome(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_argv())
+def test_direct_dispatch_matches_a_full_parse_on_fuzzed_argv(argv):
+    assert outcome(argv) == full_parse_outcome(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_argv() | st.sampled_from(EDGE_ARGV))
+def test_direct_dispatch_hands_the_handler_the_full_parse_namespace(argv):
+    # a parse that succeeds on the whole argv must give the handler the
+    # same namespace; the handlers here only record it
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("cmd_sigma", "cmd_sweep", "cmd_verify", "cmd_classify"):
+            patch.setattr(cli, name, lambda args, parser: seen.append(vars(args)) or 0)
+        patch.setattr(cli, "_parser", None)
+        parser = build_parser()
+        want_rc = full_parse_outcome(argv, parser)[0]
+        got_rc = outcome(argv)[0]
+    assert got_rc == want_rc, argv
+    if want_rc == 0 and seen:
+        assert len(seen) == 2 and seen[0] == seen[1], argv
+
+
+def test_run_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["avgcorr", "classify", "--value", "0.3"])
+    assert run() == 0
+    assert capsys.readouterr() == ("indeterminate\n", "")
+    monkeypatch.setattr(sys, "argv", ["avgcorr", "sigma", "--c", "1.5", "--p", "0"])
+    assert run(None) == 2
+    assert "Schmidt coefficient" in capsys.readouterr().err
+
+
+def test_run_parses_a_command_s_tokens_once(monkeypatch, capsys):
+    parser = build_parser()
+    parses = []
+    for name, each in [("avgcorr", parser), *parser.subcommands.items()]:
+        def counted(*args, _parse=each.parse_known_args, _name=name, **kwargs):
+            parses.append(_name)
+            return _parse(*args, **kwargs)
+        monkeypatch.setattr(each, "parse_known_args", counted)
+    monkeypatch.setattr(cli, "_parser", parser)
+    assert run(["sigma", "--c", "0.5", "--p", "0.2"]) == 0
+    assert run(["classify", "--value", "0.3", "junk"]) == 2
+    assert parses == ["sigma", "classify"]
+    assert run(["sig"]) == 2
+    assert parses[2:] == ["avgcorr"]
+    capsys.readouterr()

@@ -1,6 +1,6 @@
-"""`damped_sigma` builds the damped correlation matrix K = diag(-s, -s, kappa)
-in closed form and reads the descending singular triple off it with no SVD,
-no sort and no runtime cross-check. The Pauli-transfer product R T R^T of
+"""`damped_sigma` writes the damped correlation matrix K = diag(-s, -s, kappa)
+in closed form (for Monte Carlo, the one estimator that reads it) and its
+descending singular triple with no SVD, no sort and no runtime cross-check. The Pauli-transfer product R T R^T of
 `tests/transfer.py` is the oracle it is held to here."""
 
 import sys
@@ -29,7 +29,7 @@ PS = np.concatenate((
 ))
 
 
-def damped_k(kind, c, p, monkeypatch):
+def damped_k(kind, c, p, monkeypatch, method="monte_carlo"):
     """The K that `damped_sigma` hands to the estimator dispatch, with its sv."""
     seen = []
 
@@ -39,8 +39,18 @@ def damped_k(kind, c, p, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(avgcorr.sweep, "sigma_batch", record)
-        sv, _ = damped_sigma(kind, c, p)
+        sv, _ = damped_sigma(kind, c, p, method)
     return seen[0], sv
+
+
+@pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
+@pytest.mark.parametrize("method", ["closed_form", "quadrature"])
+def test_exact_methods_get_no_k_and_the_same_triple(kind, method, monkeypatch):
+    for c in CS:
+        k, sv = damped_k(kind, c, PS, monkeypatch, method)
+        assert k is None, c
+        _, want = damped_k(kind, c, PS, monkeypatch)
+        assert sv.tobytes() == want.tobytes(), c
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
