@@ -11,7 +11,8 @@ the pure state c|01> - sqrt(1-c^2)|10>, whose correlation matrix is
 diag(-s0, -s0, -1) with s0 = 2c sqrt(1-c^2), either channel scales the two
 transverse entries by 1-p and keeps K diagonal; the third entry stays -1
 under phase damping and becomes 2p - 1 under amplitude damping, which moves
-weight toward |00>. `sweep.damped_sigma` builds that K directly. The Kraus
+weight toward |00>. `sweep.damped_sigma` works from s and kappa directly
+and writes K out only for Monte Carlo. The Kraus
 and Pauli-transfer forms of the channels are test oracles (`tests/kraus.py`,
 `tests/transfer.py`).
 """

@@ -19,8 +19,13 @@ alpha >= beta >= gamma_sv >= 0,
 `sigma_rg_batch` evaluates it with Carlson's duplication algorithm for R_F
 and R_D (B. C. Carlson, Numer. Algorithms 10 (1995) 13-26,
 arXiv:math/9409227). A seeded Monte Carlo average over the two spheres is
-the independent cross-check. `sigma_batch` is the one dispatch between the
-two, for the sweep, the CLI and `sigma_for_state` alike.
+the independent cross-check. `sigma_batch` is the dispatch between the
+two, for `sigma_for_state`, `verify` and Monte Carlo on the damping path.
+
+The damped pure states have K = diag(-s, -s, kappa), two of whose singular
+values are equal, and there R_G is elementary: `sigma_damped` evaluates
+that case with atan2 and log1p, and the damping path's exact methods run it
+instead of the duplication loop.
 """
 
 from __future__ import annotations
@@ -179,6 +184,35 @@ def sigma_rg_batch(alpha, beta, gamma_sv) -> np.ndarray:
                     0.25 * alpha * (b * b * rf + gap * rd / 3.0 + np.sqrt(g2) / b))
 
 
+def sigma_damped(s, kappa) -> np.ndarray:
+    """Sigma of each K = diag(-s, -s, kappa) (s >= 0; arrays that broadcast),
+    the damped pure Schmidt state's correlation matrix, elementwise.
+
+    Two of the singular values are equal, so with t = |kappa| (DLMF 19.20(i))
+
+        Sigma = R_G(t^2, s^2, s^2) / 2 = (s^2 R_C(t^2, s^2) + t) / 4,
+
+    and R_C is elementary (DLMF 19.2(iv)): with r = sqrt|(s-t)(s+t)|,
+    r R_C = atan2(r, t) for s > t and artanh(r/t) = ln((t+r)/s) for s < t,
+    written as log1p(r (t+s+r) / (s (t+s))), whose terms are all positive;
+    at r = 0 the limit is R_C = 1/t. s and t are first scaled by the power
+    of two that puts the larger in [1/2, 1), exactly, so nothing below
+    underflows where it matters. In those units the guards r >= 2^-600 and
+    s >= 2^-500 change no value: r is 0 or above 2^-28, and where s < 2^-500
+    the R_C term lies below half an ulp of t. Each value depends only on
+    its own (s, kappa).
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.abs(kappa)
+    _, e = np.frexp(np.maximum(s, t))
+    s, t = np.ldexp(s, -e), np.ldexp(t, -e)
+    r = np.maximum(np.sqrt(np.abs((s - t) * (s + t))), 2.0**-600)
+    s_low = np.maximum(s, 2.0**-500)
+    ratio = np.where(s > t, np.arctan2(r, t),
+                     np.log1p(r * (t + s_low + r) / (s_low * (t + s_low)))) / r
+    return np.ldexp(s * (s * ratio) + t, e - 2)
+
+
 def _sample_count(n_samples) -> int:
     """`n_samples` as an int; ValueError unless it is an integer >= 1."""
     try:
@@ -282,7 +316,8 @@ def sigma_batch(
     is raised here. "closed_form" and "quadrature" both run
     `sigma_rg_batch` on `sv`, whose error bound is RG_REL_ERROR_BOUND
     relative and at least RG_ABS_ERROR_FLOOR; they do not read `k`, which
-    may then be None.
+    may then be None. The damping path runs only "monte_carlo" through
+    here: its exact methods run `sigma_damped`.
     """
     if method == "monte_carlo":
         n_samples = _sample_count(n_samples)

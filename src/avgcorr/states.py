@@ -40,7 +40,8 @@ def make_pure_state(c: float) -> np.ndarray:
     c = float(c)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"Schmidt coefficient must lie in [0, 1], got {c}")
-    amp = np.array([0.0, c, -np.sqrt(1.0 - c * c), 0.0], dtype=complex)
+    # the factored 1 - c^2 does not cancel near c = 1
+    amp = np.array([0.0, c, -np.sqrt((1.0 - c) * (1.0 + c)), 0.0], dtype=complex)
     return np.outer(amp, amp.conj())
 
 

@@ -11,9 +11,12 @@ s = 2c sqrt(1-c^2)(1-p), kappa = -1 under phase damping and 2p - 1 under
 amplitude damping (see `channels`). Its descending singular triple is
 (max(s, |kappa|), s, min(s, |kappa|)), so `damped_sigma` writes the triple
 in closed form over any array of damping probabilities, with neither an SVD
-nor a sort, and each estimator runs once over the whole grid; it writes K
-itself out only for Monte Carlo, the one estimator that reads it. The CLI's
-one-state `sigma` and `classify` run it on a single p.
+nor a sort. Two singular values are equal, so the exact methods take Sigma
+from `correlation.sigma_damped`, elementwise in elementary functions: each
+value depends only on its own (c, p), and a sweep row is bit for bit the
+one-point value at its p. `damped_sigma` writes K itself out only for Monte
+Carlo, the one estimator that reads it. The CLI's one-state `sigma` and
+`classify` run it on a single p.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .correlation import (
     RNG_IDENTITY,
     classify_batch,
     sigma_batch,
+    sigma_damped,
 )
 
 # the channel each canned figure shows
@@ -41,7 +45,7 @@ FIGURE_KINDS = {1: PHASE_DAMPING, 2: AMPLITUDE_DAMPING}
 class SweepSpec:
     """Parameters of one decay-curve computation; those left out take the
     figures' shape: c = 1/sqrt(2) (so Sigma starts at its maximum 1/2),
-    rates {0.5, 1.0, 2.0} and 201 points on t in [0, 8], with exact (R_G)
+    rates {0.5, 1.0, 2.0} and 201 points on t in [0, 8], with exact
     Sigma. Every value is checked here, so a bad one raises ValueError at
     construction."""
 
@@ -105,8 +109,10 @@ def damped_sigma(
     broadcasts against p. Returns (sv, sigma) of shapes S + (3,) and S, S
     the broadcast shape of c and p.
 
-    `seeds` holds one Monte Carlo seed per point of S, in C order. A c or p
-    outside [0, 1] (NaN included) or an unknown kind raises ValueError.
+    "closed_form" and "quadrature" both run `sigma_damped` on s and kappa;
+    "monte_carlo" runs `sigma_batch` on K, with `seeds` holding one seed
+    per point of S, in C order. A c or p outside [0, 1] (NaN included), an
+    unknown kind or an unknown method raises ValueError.
     """
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -116,20 +122,24 @@ def damped_sigma(
         raise ValueError(f"p must lie in [0, 1], got {p[bad].flat[0]}")
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}")
-    # s has the broadcast shape of c and p; kappa broadcasts into it
-    s = 2.0 * c * np.sqrt(1.0 - c * c) * (1.0 - p)
+    # s has the broadcast shape of c and p; kappa broadcasts into it. The
+    # factored 1 - c^2 does not cancel near c = 1.
+    s = 2.0 * c * np.sqrt((1.0 - c) * (1.0 + c)) * (1.0 - p)
     kappa = 2.0 * p - 1.0 if kind == AMPLITUDE_DAMPING else -1.0
     third = np.abs(kappa)
     sv = np.empty(np.shape(s) + (3,))  # descending
     np.maximum(s, third, out=sv[..., 0])
     sv[..., 1] = s
     np.minimum(s, third, out=sv[..., 2])
-    k = None  # only Monte Carlo reads K
-    if method == "monte_carlo":
+    if method == "monte_carlo":  # the one estimator that reads K
         k = np.zeros(sv.shape[:-1] + (3, 3))
         k[..., 0, 0] = k[..., 1, 1] = -s
         k[..., 2, 2] = kappa
-    sigma, _ = sigma_batch(method, k, sv, n_samples, seeds)
+        sigma, _ = sigma_batch(method, k, sv, n_samples, seeds)
+    elif method in ESTIMATORS:
+        sigma = sigma_damped(s, kappa)
+    else:
+        raise ValueError(f"unknown method {method!r}")
     return sv, sigma
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avgcorr.sweep
 from avgcorr import NONCLASSICAL_MIN, classify, figure_dataset
 from avgcorr import cli, correlation
 from avgcorr.cli import CSV_HEADER, build_parser, format_sig12, run
@@ -312,23 +313,35 @@ def test_non_finite_input_is_a_usage_error(argv, capsys):
 
 
 def test_numeric_failure_reports_one_line_and_exits_1(monkeypatch, capsys):
-    # no duplication step allowed makes the R_G estimator fail to converge
+    # the damped closed form cannot fail by itself, so a failure is injected
+    # into it for the commands that run it; its message spans two lines
+    def fail(s, kappa):
+        raise RuntimeError("closed form failed\n  (injected)")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(avgcorr.sweep, "sigma_damped", fail)
+        assert run(["sweep", "--channel", "phase", "--gammas", "1.0",
+                    "--steps", "3", "--t-max", "1.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: closed form failed (injected)")
+        assert captured.err.count("\n") == 1
+        # the one-state commands report a usage error only for a ValueError;
+        # the estimator's RuntimeError stays a numeric failure
+        for argv in (["sigma", "--c", "0.6", "--p", "0.2"],
+                     ["classify", "--c", "0.6", "--channel", "amplitude", "--p", "0.2"]):
+            assert run(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: closed form failed (injected)")
+            assert captured.err.count("\n") == 1, argv
+    # no duplication step allowed makes R_G, which verify runs, fail to converge
     monkeypatch.setattr(correlation, "RG_MAX_STEPS", 0)
-    assert run(["sweep", "--channel", "phase", "--gammas", "1.0",
-                "--steps", "3", "--t-max", "1.0"]) == 1
+    assert run(["verify", "--samples", "100", "--trials", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: R_G duplication did not converge in 0 steps")
     assert captured.err.count("\n") == 1
-    # the one-state commands report a usage error only for a ValueError;
-    # the estimator's RuntimeError stays a numeric failure
-    for argv in (["sigma", "--c", "0.6", "--p", "0.2"],
-                 ["classify", "--c", "0.6", "--channel", "amplitude", "--p", "0.2"]):
-        assert run(argv) == 1, argv
-        captured = capsys.readouterr()
-        assert captured.out == "", argv
-        assert captured.err.startswith("error: R_G duplication did not converge in 0 steps")
-        assert captured.err.count("\n") == 1, argv
 
 
 def test_grid_too_large_to_allocate_exits_1(capsys):
@@ -572,7 +585,9 @@ def test_direct_dispatch_hands_the_handler_the_full_parse_namespace(argv):
         got_rc = outcome(argv)[0]
     assert got_rc == want_rc, argv
     if want_rc == 0 and seen:
-        assert len(seen) == 2 and seen[0] == seen[1], argv
+        assert len(seen) == 2, argv
+        # compared as text, since a parsed nan is unequal to itself
+        assert repr(sorted(seen[0].items())) == repr(sorted(seen[1].items())), argv
 
 
 def test_run_without_argv_reads_sys_argv(monkeypatch, capsys):

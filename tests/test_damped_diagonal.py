@@ -1,7 +1,8 @@
 """`damped_sigma` writes the damped correlation matrix K = diag(-s, -s, kappa)
 in closed form (for Monte Carlo, the one estimator that reads it) and its
 descending singular triple with no SVD, no sort and no runtime cross-check. The Pauli-transfer product R T R^T of
-`tests/transfer.py` is the oracle it is held to here."""
+`tests/transfer.py` is the oracle it is held to here, and Monte Carlo on that
+K the oracle of the closed-form Sigma the exact methods run."""
 
 import sys
 
@@ -16,6 +17,7 @@ from avgcorr import (
     figure_dataset,
     make_pure_state,
     p_of_t,
+    sigma_monte_carlo,
     t_matrix,
 )
 from avgcorr.cli import run
@@ -29,8 +31,9 @@ PS = np.concatenate((
 ))
 
 
-def damped_k(kind, c, p, monkeypatch, method="monte_carlo"):
-    """The K that `damped_sigma` hands to the estimator dispatch, with its sv."""
+def damped_k(kind, c, p, monkeypatch):
+    """The K that `damped_sigma` hands to the estimator dispatch for Monte
+    Carlo, the one estimator that reads it, with its sv."""
     seen = []
 
     def record(method, k, sv, *args):
@@ -39,18 +42,49 @@ def damped_k(kind, c, p, monkeypatch, method="monte_carlo"):
 
     with monkeypatch.context() as patch:
         patch.setattr(avgcorr.sweep, "sigma_batch", record)
-        sv, _ = damped_sigma(kind, c, p, method)
+        sv, _ = damped_sigma(kind, c, p, "monte_carlo")
     return seen[0], sv
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
 @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
 def test_exact_methods_get_no_k_and_the_same_triple(kind, method, monkeypatch):
+    # the exact methods run the closed form on s and kappa: they call no
+    # estimator dispatch and allocate no (..., 3, 3) K, and their triple is
+    # Monte Carlo's bit for bit
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact method called sigma_batch")
+
+    built = []
+    zeros = np.zeros
+
+    def record_zeros(shape, *args, **kwargs):
+        if np.shape(shape) and tuple(shape)[-2:] == (3, 3):
+            built.append(shape)
+        return zeros(shape, *args, **kwargs)
+
     for c in CS:
-        k, sv = damped_k(kind, c, PS, monkeypatch, method)
-        assert k is None, c
-        _, want = damped_k(kind, c, PS, monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "zeros", record_zeros)
+            patch.setattr(avgcorr.sweep, "sigma_batch", forbidden)
+            sv, _ = damped_sigma(kind, c, PS, method)
+            assert built == [], c
+            k, want = damped_k(kind, c, PS, monkeypatch)
+            assert built == [k.shape], c  # the spy sees Monte Carlo's K
+            built.clear()
         assert sv.tobytes() == want.tobytes(), c
+
+
+@pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
+def test_closed_form_agrees_with_monte_carlo_on_the_damped_k(kind, monkeypatch):
+    # the damped family's independent oracle: the double-sphere average of
+    # the K that damped_sigma builds for Monte Carlo, within 4 standard errors
+    for i, (c, p) in enumerate([(0.6, 0.0), (1 / np.sqrt(2), 0.3), (0.3, 0.5),
+                                (0.95, 2.0 / 3.0), (0.8, 0.9), (0.0, 0.4)]):
+        k, _ = damped_k(kind, c, p, monkeypatch)
+        _, exact = damped_sigma(kind, c, p, "closed_form")
+        estimate = sigma_monte_carlo(k, 200_000, 9100 + i)
+        assert abs(estimate.value - exact) <= 4.0 * estimate.error_bound, (c, p)
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
