@@ -44,7 +44,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .channels import p_of_t
-from .correlation import classify, correlation_matrix, sigma_batch, sigma_for_state
+from .correlation import classify, correlation_matrix, sigma_for_state, sigma_monte_carlo_batch
 from .states import random_density
 from .sweep import FIGURE_KINDS, DecayCurve, SweepSpec, damped_sigma, decay_curve
 
@@ -401,7 +401,7 @@ def cmd_verify(args, parser) -> int:
     quads = [sigma_for_state(rho, method="quadrature").value for rho in rhos]
     # every trial's Monte Carlo estimate from one call, so they can run concurrently
     ks = np.array([correlation_matrix(rho) for rho in rhos])
-    mcs, stderrs = sigma_batch("monte_carlo", ks, None, args.samples, mc_seqs)
+    mcs, stderrs = sigma_monte_carlo_batch(ks, args.samples, mc_seqs)
     lines = []
     all_ok = True
     for trial, (quad, mc, stderr) in enumerate(zip(quads, mcs.tolist(), stderrs.tolist())):

@@ -18,9 +18,10 @@ alpha >= beta >= gamma_sv >= 0,
 
 `sigma_rg_batch` evaluates it with Carlson's duplication algorithm for R_F
 and R_D (B. C. Carlson, Numer. Algorithms 10 (1995) 13-26,
-arXiv:math/9409227). A seeded Monte Carlo average over the two spheres is
-the independent cross-check. `sigma_batch` is the dispatch between the
-two, for `sigma_for_state`, `verify` and Monte Carlo on the damping path.
+arXiv:math/9409227). A seeded Monte Carlo average over the two spheres,
+`sigma_monte_carlo`, is the independent cross-check; `sigma_monte_carlo_batch`
+runs a batch of them for `verify` and Monte Carlo on the damping path.
+`sigma_for_state` picks one of the two for a single state.
 
 The damped pure states have K = diag(-s, -s, kappa), two of whose singular
 values are equal, and there R_G is elementary: `sigma_damped` evaluates
@@ -82,7 +83,7 @@ RNG_IDENTITY = "numpy.random.Generator(PCG64)"
 # MC_BLOCK rows, whose temporaries stay in cache.
 MC_CHUNK = 1_000_000
 MC_BLOCK = 2**14
-# `sigma_batch` runs Monte Carlo estimates concurrently only from MC_BLOCK
+# `sigma_monte_carlo_batch` runs estimates concurrently only from MC_BLOCK
 # samples on: below that an estimate is mostly interpreter time, which holds
 # the GIL, and a pool made it slower. It runs at most MC_MAX_WORKERS at once,
 # whatever the CPU count, since each holds 32 bytes per sample of its chunk
@@ -295,49 +296,36 @@ def _cpu_count() -> int:
 ESTIMATORS = ("closed_form", "quadrature", "monte_carlo")
 
 
-def sigma_batch(
-    method: str,
-    k: np.ndarray | None,
-    sv: np.ndarray | None,
-    n_samples: int = 1_000_000,
-    seeds=(),
+def sigma_monte_carlo_batch(
+    k: np.ndarray,
+    n_samples: int,
+    seeds,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sigma of every correlation matrix in `k` (shape (..., 3, 3)) whose
-    descending singular values are `sv` (shape (..., 3)); returns (values,
-    error bounds) with shape k.shape[:-2].
+    """Monte Carlo Sigma of every correlation matrix in `k` (shape (..., 3,
+    3)), each sampled with its own entry of `seeds` (one per matrix, in C
+    order); returns (values, standard errors) with shape k.shape[:-2].
 
-    "monte_carlo" samples each matrix with its own entry of `seeds` (one per
-    matrix, in C order); it does not read `sv`, which may be None. From
-    MC_BLOCK samples on, the estimates run on a thread pool made for this
-    call only, with one worker per CPU this process may use, at most one per
-    matrix and at most MC_MAX_WORKERS; fewer samples, one matrix or one CPU
-    run in the calling thread. Each value depends only on its matrix and seed, so the results
-    are the same bytes whatever the worker count, and a worker's exception
-    is raised here. "closed_form" and "quadrature" both run
-    `sigma_rg_batch` on `sv`, whose error bound is RG_REL_ERROR_BOUND
-    relative and at least RG_ABS_ERROR_FLOOR; they do not read `k`, which
-    may then be None. The damping path runs only "monte_carlo" through
-    here: its exact methods run `sigma_damped`.
+    From MC_BLOCK samples on, the estimates run on a thread pool made for
+    this call only, with one worker per CPU this process may use, at most
+    one per matrix and at most MC_MAX_WORKERS; fewer samples, one matrix or
+    one CPU run in the calling thread. Each value depends only on its matrix
+    and seed, so the results are the same bytes whatever the worker count,
+    and a worker's exception is raised here.
     """
-    if method == "monte_carlo":
-        n_samples = _sample_count(n_samples)
-        jobs = list(zip(k.reshape(-1, 3, 3), seeds, strict=True))
-        workers = min(len(jobs), _cpu_count(), MC_MAX_WORKERS) if n_samples >= MC_BLOCK else 1
-        if workers <= 1:
-            estimates = [sigma_monte_carlo(ki, n_samples, seed) for ki, seed in jobs]
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # ~6 ms to import
+    n_samples = _sample_count(n_samples)
+    jobs = list(zip(k.reshape(-1, 3, 3), seeds, strict=True))
+    workers = min(len(jobs), _cpu_count(), MC_MAX_WORKERS) if n_samples >= MC_BLOCK else 1
+    if workers <= 1:
+        estimates = [sigma_monte_carlo(ki, n_samples, seed) for ki, seed in jobs]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # ~6 ms to import
 
-            with ThreadPoolExecutor(workers) as pool:
-                estimates = list(pool.map(
-                    lambda job: sigma_monte_carlo(job[0], n_samples, job[1]), jobs))
-        values = np.array([e.value for e in estimates]).reshape(k.shape[:-2])
-        bounds = np.array([e.error_bound for e in estimates]).reshape(k.shape[:-2])
-        return values, bounds
-    if method not in ESTIMATORS:
-        raise ValueError(f"unknown method {method!r}")
-    values = sigma_rg_batch(sv[..., 0], sv[..., 1], sv[..., 2])
-    return values, np.maximum(RG_REL_ERROR_BOUND * values, RG_ABS_ERROR_FLOOR)
+        with ThreadPoolExecutor(workers) as pool:
+            estimates = list(pool.map(
+                lambda job: sigma_monte_carlo(job[0], n_samples, job[1]), jobs))
+    values = np.array([e.value for e in estimates]).reshape(k.shape[:-2])
+    bounds = np.array([e.error_bound for e in estimates]).reshape(k.shape[:-2])
+    return values, bounds
 
 
 def _singular_values(k: np.ndarray) -> np.ndarray:
@@ -357,17 +345,23 @@ def sigma_for_state(
     n_samples: int = 1_000_000,
     seed: int | np.random.SeedSequence = 42,
 ) -> SigmaEstimate:
-    """Full pipeline rho -> K -> singular values -> Sigma by `sigma_batch`.
+    """Full pipeline rho -> K -> Sigma. "monte_carlo" runs `sigma_monte_carlo`
+    on K, with no SVD; "closed_form" and "quadrature" both run
+    `sigma_rg_batch` on K's singular values, tagged ESTIMATOR, whose error
+    bound is RG_REL_ERROR_BOUND relative and at least RG_ABS_ERROR_FLOOR.
 
-    A rho that fails `validate_density` raises ValueError. The method tag is
-    "monte_carlo" for a Monte Carlo request and ESTIMATOR for the others.
+    A rho that fails `validate_density`, or an unknown method, raises
+    ValueError.
     """
     if failures := validate_density(rho).failures:
         raise ValueError(f"not a density matrix: {'; '.join(failures)}")
     k = correlation_matrix(rho)
-    values, bounds = sigma_batch(method, k, _singular_values(k), n_samples, (seed,))
-    tag = method if method == "monte_carlo" else ESTIMATOR
-    return SigmaEstimate(float(values), tag, float(bounds))
+    if method == "monte_carlo":
+        return sigma_monte_carlo(k, n_samples, seed)
+    if method not in ESTIMATORS:
+        raise ValueError(f"unknown method {method!r}")
+    value = float(sigma_rg_batch(*_singular_values(k)))
+    return SigmaEstimate(value, ESTIMATOR, max(RG_REL_ERROR_BOUND * value, RG_ABS_ERROR_FLOOR))
 
 
 def classify_batch(values) -> np.ndarray:

@@ -22,6 +22,7 @@ Carlo, the one estimator that reads it. The CLI's one-state `sigma` and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ from .correlation import (
     RG_REL_ERROR_BOUND,
     RNG_IDENTITY,
     classify_batch,
-    sigma_batch,
     sigma_damped,
+    sigma_monte_carlo_batch,
 )
 
 # the channel each canned figure shows
@@ -72,8 +73,11 @@ class SweepSpec:
             raise ValueError(f"decoherence rates must be >= 0, got {self.gammas}")
         if self.t_max <= 0.0:
             raise ValueError(f"t_max must be > 0, got {self.t_max}")
-        if self.steps < 2:
-            raise ValueError(f"need at least 2 time steps, got {self.steps}")
+        try:
+            if operator.index(self.steps) < 2:
+                raise ValueError(f"need at least 2 time steps, got {self.steps}")
+        except TypeError:
+            raise ValueError(f"steps must be an integer, got {self.steps!r}") from None
         if self.method not in ESTIMATORS:
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -110,9 +114,9 @@ def damped_sigma(
     the broadcast shape of c and p.
 
     "closed_form" and "quadrature" both run `sigma_damped` on s and kappa;
-    "monte_carlo" runs `sigma_batch` on K, with `seeds` holding one seed
-    per point of S, in C order. A c or p outside [0, 1] (NaN included), an
-    unknown kind or an unknown method raises ValueError.
+    "monte_carlo" runs `sigma_monte_carlo_batch` on K, with `seeds` holding
+    one seed per point of S, in C order. A c or p outside [0, 1] (NaN
+    included), an unknown kind or an unknown method raises ValueError.
     """
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -135,7 +139,7 @@ def damped_sigma(
         k = np.zeros(sv.shape[:-1] + (3, 3))
         k[..., 0, 0] = k[..., 1, 1] = -s
         k[..., 2, 2] = kappa
-        sigma, _ = sigma_batch(method, k, sv, n_samples, seeds)
+        sigma, _ = sigma_monte_carlo_batch(k, n_samples, seeds)
     elif method in ESTIMATORS:
         sigma = sigma_damped(s, kappa)
     else:

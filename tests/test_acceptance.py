@@ -19,7 +19,7 @@ from avgcorr import (
     validate_density,
 )
 from avgcorr.cli import run
-from avgcorr.correlation import ESTIMATOR, sigma_batch
+from avgcorr.correlation import ESTIMATOR, sigma_rg_batch
 
 from kraus import amplitude_damping, apply_both, phase_damping
 from oracles import sigma_closed_pure
@@ -204,7 +204,8 @@ def exact_sigma(triples):
     triples = np.asarray(triples, dtype=float)
     k = np.zeros(triples.shape[:-1] + (3, 3))
     k[..., [0, 1, 2], [0, 1, 2]] = triples
-    return sigma_batch("quadrature", k, np.linalg.svd(k, compute_uv=False))[0]
+    sv = np.linalg.svd(k, compute_uv=False)
+    return sigma_rg_batch(sv[..., 0], sv[..., 1], sv[..., 2])
 
 
 def test_criterion_8_property_suite():

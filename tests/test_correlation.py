@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import avgcorr.correlation as correlation
 from avgcorr import (
     CLASSICAL_COMPATIBLE,
     INDETERMINATE,
@@ -23,7 +24,6 @@ from avgcorr.correlation import (
     RG_TINY_RATIO,
     _singular_values,
     classify_batch,
-    sigma_batch,
     sigma_rg_batch,
 )
 from avgcorr.states import IDENTITY_2, PAULIS, tensor2
@@ -217,6 +217,22 @@ def test_sigma_for_state_landmarks():
     assert abs(mc.value - 0.25) <= 4 * mc.error_bound
     with pytest.raises(ValueError):
         sigma_for_state(make_pure_state(0.5), "bogus")
+
+
+def test_sigma_for_state_monte_carlo_runs_no_svd(monkeypatch):
+    # Monte Carlo reads K itself: the request is `sigma_monte_carlo` on K,
+    # bit for bit, and never reaches the singular values
+    rho = random_density(np.random.default_rng(361))
+    want = sigma_monte_carlo(correlation_matrix(rho), 5000, 29)
+
+    def forbidden(k):
+        raise AssertionError("a Monte Carlo request ran an SVD")
+
+    monkeypatch.setattr(correlation, "_singular_values", forbidden)
+    got = sigma_for_state(rho, "monte_carlo", 5000, 29)
+    assert got.method == want.method == "monte_carlo"
+    assert np.array([got.value, got.error_bound]).tobytes() == \
+        np.array([want.value, want.error_bound]).tobytes()
 
 
 def test_sigma_for_state_exact_methods_agree():
@@ -468,16 +484,19 @@ def test_rg_of_a_0d_nan_triple_raises(triple):
         sigma_rg_batch(*map(np.asarray, triple))
 
 
-def test_sigma_batch_exact_methods_are_one_estimator():
-    triples = simplex_triples(40, 65)
-    k = np.zeros((len(triples), 3, 3))
-    k[:, [0, 1, 2], [0, 1, 2]] = triples
-    for method in ("closed_form", "quadrature"):
-        values, bounds = sigma_batch(method, k, triples)
-        assert values.tolist() == sigma_rg_batch(*triples.T).tolist()
-        normal = values >= 2.0**-1022
-        assert bounds[normal].tolist() == (RG_REL_ERROR_BOUND * values[normal]).tolist()
-        assert np.all(bounds[~normal] == RG_ABS_ERROR_FLOOR)
+def test_sigma_for_state_exact_methods_are_one_estimator():
+    # Bell-diagonal states with K = -diag(triple / 2): both exact names run
+    # R_G on K's singular values, with a relative bound in the normal range
+    # and the floor below it (Sigma = 0 here, subnormal Sigma in the next test)
+    products = [tensor2(p, p) for p in PAULIS]
+    for triple in seeded_triples(40, 65) / 2:
+        rho = (tensor2(IDENTITY_2, IDENTITY_2)
+               - np.einsum("i,ikl->kl", triple, products)) / 4
+        want = float(sigma_rg_batch(*_singular_values(correlation_matrix(rho))))
+        bound = RG_REL_ERROR_BOUND * want if want >= 2.0**-1022 else RG_ABS_ERROR_FLOOR
+        for method in ("closed_form", "quadrature"):
+            est = sigma_for_state(rho, method)
+            assert (est.value, est.method, est.error_bound) == (want, ESTIMATOR, bound), triple
 
 
 def test_sigma_for_state_error_bound_covers_subnormal_values():
@@ -500,6 +519,7 @@ def test_sigma_for_state_error_bound_covers_subnormal_values():
                 exact = mpmath.elliprg(*(mpmath.mpf(s) ** 2 for s in sv.tolist())) / 2
                 error = float(abs(mpmath.mpf(est.value) - exact))
             assert 0.0 < est.value < 2.0**-1022
+            assert est.error_bound == RG_ABS_ERROR_FLOOR
             assert error <= est.error_bound, (scale, t)
             worst = max(worst, error)
     assert worst > 0.0  # the states do round

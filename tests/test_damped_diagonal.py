@@ -32,16 +32,16 @@ PS = np.concatenate((
 
 
 def damped_k(kind, c, p, monkeypatch):
-    """The K that `damped_sigma` hands to the estimator dispatch for Monte
-    Carlo, the one estimator that reads it, with its sv."""
+    """The K that `damped_sigma` hands to the Monte Carlo batch runner, the
+    one estimator that reads it, with its sv."""
     seen = []
 
-    def record(method, k, sv, *args):
+    def record(k, n_samples, seeds):
         seen.append(k)
-        return np.zeros(sv.shape[:-1]), np.zeros(sv.shape[:-1])
+        return np.zeros(k.shape[:-2]), np.zeros(k.shape[:-2])
 
     with monkeypatch.context() as patch:
-        patch.setattr(avgcorr.sweep, "sigma_batch", record)
+        patch.setattr(avgcorr.sweep, "sigma_monte_carlo_batch", record)
         sv, _ = damped_sigma(kind, c, p, "monte_carlo")
     return seen[0], sv
 
@@ -50,10 +50,10 @@ def damped_k(kind, c, p, monkeypatch):
 @pytest.mark.parametrize("method", ["closed_form", "quadrature"])
 def test_exact_methods_get_no_k_and_the_same_triple(kind, method, monkeypatch):
     # the exact methods run the closed form on s and kappa: they call no
-    # estimator dispatch and allocate no (..., 3, 3) K, and their triple is
+    # Monte Carlo runner and allocate no (..., 3, 3) K, and their triple is
     # Monte Carlo's bit for bit
     def forbidden(*args, **kwargs):
-        raise AssertionError("an exact method called sigma_batch")
+        raise AssertionError("an exact method called sigma_monte_carlo_batch")
 
     built = []
     zeros = np.zeros
@@ -66,7 +66,7 @@ def test_exact_methods_get_no_k_and_the_same_triple(kind, method, monkeypatch):
     for c in CS:
         with monkeypatch.context() as patch:
             patch.setattr(np, "zeros", record_zeros)
-            patch.setattr(avgcorr.sweep, "sigma_batch", forbidden)
+            patch.setattr(avgcorr.sweep, "sigma_monte_carlo_batch", forbidden)
             sv, _ = damped_sigma(kind, c, PS, method)
             assert built == [], c
             k, want = damped_k(kind, c, PS, monkeypatch)
@@ -177,6 +177,4 @@ def test_c_broadcasts_against_p(kind):
     for i, c in enumerate(CS):
         want_sv, want_sigma = damped_sigma(kind, c, PS)
         assert np.array_equal(sv[i], want_sv), c
-        # R_G's duplication runs until the slowest triple of its batch has
-        # converged, so a value may move in its last bit with the batch
-        np.testing.assert_allclose(sigma[i], want_sigma, rtol=1e-15, atol=0.0)
+        assert sigma[i].tobytes() == want_sigma.tobytes(), c

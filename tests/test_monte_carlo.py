@@ -19,8 +19,8 @@ from avgcorr.correlation import (
     MC_BLOCK,
     MC_CHUNK,
     MC_MAX_WORKERS,
-    sigma_batch,
     sigma_monte_carlo,
+    sigma_monte_carlo_batch,
 )
 from oracles import sigma_monte_carlo_one_shot
 
@@ -94,12 +94,12 @@ def test_monte_carlo_takes_numpy_integer_sample_counts():
 def batch_inputs(n_matrices=6):
     ks = RNG.standard_normal((n_matrices, 3, 3)).reshape(2, -1, 3, 3)
     seeds = [np.random.SeedSequence(11, spawn_key=(i,)) for i in range(n_matrices)]
-    return ks, np.linalg.svd(ks, compute_uv=False), seeds
+    return ks, seeds
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 64])
 def test_concurrent_batch_matches_one_estimate_at_a_time(cpus, monkeypatch):
-    ks, sv, seeds = batch_inputs()
+    ks, seeds = batch_inputs()
     threads = []
 
     def traced(k, n, seed):
@@ -108,7 +108,7 @@ def test_concurrent_batch_matches_one_estimate_at_a_time(cpus, monkeypatch):
 
     monkeypatch.setattr(correlation, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(correlation, "sigma_monte_carlo", traced)
-    values, bounds = sigma_batch("monte_carlo", ks, sv, MC_BLOCK + 1, seeds)
+    values, bounds = sigma_monte_carlo_batch(ks, MC_BLOCK + 1, seeds)
     expect = [sigma_monte_carlo(k, MC_BLOCK + 1, seed)
               for k, seed in zip(ks.reshape(-1, 3, 3), seeds)]
     assert values.shape == bounds.shape == (2, 3)
@@ -130,9 +130,9 @@ def test_pool_is_capped_and_only_for_estimates_of_a_block_or_more(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(correlation, "_cpu_count", lambda: 64)
-    ks, _, seeds = batch_inputs()
+    ks, seeds = batch_inputs()
     for n in (MC_BLOCK - 1, MC_BLOCK):
-        values, bounds = sigma_batch("monte_carlo", ks, None, n, seeds)
+        values, bounds = sigma_monte_carlo_batch(ks, n, seeds)
         assert values.shape == bounds.shape == (2, 3)
         assert values.ravel().tolist() == [sigma_monte_carlo(k, n, seed).value
                                            for k, seed in zip(ks.reshape(-1, 3, 3), seeds)]
@@ -141,14 +141,14 @@ def test_pool_is_capped_and_only_for_estimates_of_a_block_or_more(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_batch_raises_the_workers_error(cpus, monkeypatch):
-    ks, sv, seeds = batch_inputs()
+    ks, seeds = batch_inputs()
     monkeypatch.setattr(correlation, "_cpu_count", lambda: cpus)
     with pytest.raises(ValueError, match="at least one sample"):
-        sigma_batch("monte_carlo", ks, sv, 0, seeds)
+        sigma_monte_carlo_batch(ks, 0, seeds)
     bad = ks.copy()
     bad[1, 2, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        sigma_batch("monte_carlo", bad, sv, MC_BLOCK, seeds)
+        sigma_monte_carlo_batch(bad, MC_BLOCK, seeds)
     error = ValueError("worker failed")
 
     def failing(k, n, seed):
@@ -156,7 +156,7 @@ def test_batch_raises_the_workers_error(cpus, monkeypatch):
 
     monkeypatch.setattr(correlation, "sigma_monte_carlo", failing)
     with pytest.raises(ValueError) as raised:
-        sigma_batch("monte_carlo", ks, sv, MC_BLOCK, seeds)
+        sigma_monte_carlo_batch(ks, MC_BLOCK, seeds)
     assert raised.value is error
 
 

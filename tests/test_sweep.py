@@ -46,6 +46,7 @@ def figure2():
         dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=1),
         dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=5,
              method="bogus"),
+        dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=3.5),
     ],
 )
 def test_sweep_spec_validation(kwargs):
