@@ -30,16 +30,25 @@ def p_of_t(gamma, t):
     """Damping probability after time t at decoherence rate gamma, for
     scalars (a float) or arrays that broadcast together (an array).
 
-    p(t) = 1 - exp(-gamma * t), so p(0) = 0 and p -> 1 as t -> inf.
+    p(t) = 1 - exp(-gamma * t), so p(0) = 0 and p -> 1 as t -> inf. A
+    negative or NaN gamma or t, or an infinite one times zero, raises
+    ValueError.
     """
     gamma = np.asarray(gamma, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.count_nonzero(gamma < 0.0):
-        raise ValueError(f"decoherence rate must be >= 0, got {gamma[gamma < 0.0].flat[0]}")
-    if np.count_nonzero(t < 0.0):
-        raise ValueError(f"time must be >= 0, got {t[t < 0.0].flat[0]}")
+    # counts the values that pass, so NaN fails; the mask is built only then
+    if np.count_nonzero(gamma >= 0.0) < gamma.size:
+        raise ValueError(f"decoherence rate must be >= 0, got {gamma[~(gamma >= 0.0)].flat[0]}")
+    if np.count_nonzero(t >= 0.0) < t.size:
+        raise ValueError(f"time must be >= 0, got {t[~(t >= 0.0)].flat[0]}")
     # expm1 keeps full precision for small gamma*t; a product that overflows
     # to inf is a rate-time far past saturation, and p = 1 there exactly
-    with np.errstate(over="ignore"):
-        p = -np.expm1(-gamma * t)
+    try:
+        with np.errstate(over="ignore", invalid="raise"):
+            p = -np.expm1(-gamma * t)
+    except FloatingPointError:  # inf * 0, the one invalid product once NaN is out
+        gamma, t = np.broadcast_arrays(gamma, t)
+        at = np.flatnonzero(np.isinf(gamma) & (t == 0.0) | (gamma == 0.0) & np.isinf(t))[0]
+        raise ValueError(f"gamma * t is undefined at gamma = {gamma.flat[at]}, "
+                         f"t = {t.flat[at]}") from None
     return float(p) if p.ndim == 0 else p

@@ -31,7 +31,6 @@ instead of the duplication loop.
 
 from __future__ import annotations
 
-import mmap
 import operator
 import os
 from dataclasses import dataclass
@@ -79,16 +78,12 @@ RG_MAX_STEPS = 40
 # Generator identity recorded in output metadata; the PCG64 stream is
 # stable across numpy versions, so a seed pins results exactly.
 RNG_IDENTITY = "numpy.random.Generator(PCG64)"
-# Samples per draw of the first axes a; the second axes b come in blocks of
-# MC_BLOCK rows, whose temporaries stay in cache.
-MC_CHUNK = 1_000_000
+# Rows per Monte Carlo block: each block draws its first axes a, then its
+# second axes b, and its temporaries stay in cache. `sigma_monte_carlo_batch`
+# runs estimates concurrently only from MC_BLOCK samples on: below that an
+# estimate is mostly interpreter time, which holds the GIL, and a pool made
+# it slower.
 MC_BLOCK = 2**14
-# `sigma_monte_carlo_batch` runs estimates concurrently only from MC_BLOCK
-# samples on: below that an estimate is mostly interpreter time, which holds
-# the GIL, and a pool made it slower. It runs at most MC_MAX_WORKERS at once,
-# whatever the CPU count, since each holds 32 bytes per sample of its chunk
-# (32 MB at MC_CHUNK): two hold less than the 88 MB one unblocked estimate did.
-MC_MAX_WORKERS = 2
 # LAPACK's dgesdd rescales a matrix whose largest entry lies below
 # sqrt(safe minimum) / eps = 2^-459 by a factor that is not a power of two,
 # which can cost the singular values an ulp.
@@ -238,11 +233,11 @@ def sigma_monte_carlo(
     finite 3x3 matrix, or an n_samples that is not an integer >= 1, raises
     ValueError before any draw.
 
-    Per MC_CHUNK samples the first axes a are drawn whole, then the second
-    axes b in blocks of MC_BLOCK rows, which reads the generator's stream in
-    the same order as one draw of b. Each block's values are written over
-    |a|^2, so an estimate holds about 32 bytes per sample of its chunk, and
-    the sums run over the whole chunk in numpy's pairwise order.
+    Each block of MC_BLOCK rows draws its a, then its b, from one
+    generator, so an estimate holds one block's arrays, about 1.5 MB, and an
+    estimate of at most MC_BLOCK samples is one block. The block's sum and
+    sum of squares, each in numpy's pairwise order, are added to running
+    totals.
     """
     k = np.asarray(k, dtype=float)
     if k.shape != (3, 3):
@@ -253,29 +248,17 @@ def sigma_monte_carlo(
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    for lo in range(0, n_samples, MC_CHUNK):
-        m = min(MC_CHUNK, n_samples - lo)
-        if m >= MC_BLOCK:
-            # a and |a|^2 in an anonymous mapping, unmapped when its last
-            # array goes: malloc keeps freed buffers of this size in the
-            # arena of the worker thread that freed them, so the resident
-            # size would grow
-            buf = np.frombuffer(mmap.mmap(-1, 32 * m), float)
-            a = rng.standard_normal(out=buf[:3 * m].reshape(m, 3))
-            vals = np.einsum("ij,ij->i", a, a, out=buf[3 * m:])
-        else:  # two arrays, each below the size malloc maps on its own
-            a = rng.standard_normal((m, 3))
-            vals = np.einsum("ij,ij->i", a, a)
-        for blk in range(0, m, MC_BLOCK):
-            rows = slice(blk, blk + MC_BLOCK)
-            b = rng.standard_normal((min(MC_BLOCK, m - blk), 3))
-            # |a^T K b| / (|a| |b|): the directions without normalised copies
-            norms = np.einsum("ij,ij->i", b, b)
-            norms *= vals[rows]
-            np.sqrt(norms, out=norms)
-            np.divide(np.abs(np.einsum("ij,ij->i", a[rows] @ k, b)), norms, out=vals[rows])
+    for lo in range(0, n_samples, MC_BLOCK):
+        m = min(MC_BLOCK, n_samples - lo)
+        a = rng.standard_normal((m, 3))
+        b = rng.standard_normal((m, 3))
+        # |a^T K b| / (|a| |b|): the directions without normalised copies
+        norms = np.einsum("ij,ij->i", b, b)
+        norms *= np.einsum("ij,ij->i", a, a)
+        np.sqrt(norms, out=norms)
+        vals = np.divide(np.abs(np.einsum("ij,ij->i", a @ k, b)), norms, out=norms)
         total += float(vals.sum())
-        total_sq += float(np.square(vals, out=a.reshape(-1)[:m]).sum())
+        total_sq += float(np.square(vals, out=vals).sum())
     mean = total / n_samples
     if n_samples > 1:
         var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
@@ -306,15 +289,15 @@ def sigma_monte_carlo_batch(
     order); returns (values, standard errors) with shape k.shape[:-2].
 
     From MC_BLOCK samples on, the estimates run on a thread pool made for
-    this call only, with one worker per CPU this process may use, at most
-    one per matrix and at most MC_MAX_WORKERS; fewer samples, one matrix or
-    one CPU run in the calling thread. Each value depends only on its matrix
-    and seed, so the results are the same bytes whatever the worker count,
-    and a worker's exception is raised here.
+    this call only, with one worker per CPU this process may use and at most
+    one per matrix; fewer samples, one matrix or one CPU run in the calling
+    thread. Each value depends only on its matrix and seed, so the results
+    are the same bytes whatever the worker count, and a worker's exception
+    is raised here.
     """
     n_samples = _sample_count(n_samples)
     jobs = list(zip(k.reshape(-1, 3, 3), seeds, strict=True))
-    workers = min(len(jobs), _cpu_count(), MC_MAX_WORKERS) if n_samples >= MC_BLOCK else 1
+    workers = min(len(jobs), _cpu_count()) if n_samples >= MC_BLOCK else 1
     if workers <= 1:
         estimates = [sigma_monte_carlo(ki, n_samples, seed) for ki, seed in jobs]
     else:

@@ -48,7 +48,9 @@ class SweepSpec:
     figures' shape: c = 1/sqrt(2) (so Sigma starts at its maximum 1/2),
     rates {0.5, 1.0, 2.0} and 201 points on t in [0, 8], with exact
     Sigma. Every value is checked here, so a bad one raises ValueError at
-    construction."""
+    construction. c, t_max and the rates are then stored as Python floats
+    (the rates as a tuple) and steps as an int, so numpy values given here
+    reach the JSON metadata as plain numbers."""
 
     channel_kind: str
     c: float = 1.0 / math.sqrt(2.0)
@@ -67,7 +69,7 @@ class SweepSpec:
             )
         if not 0.0 <= self.c <= 1.0:
             raise ValueError(f"Schmidt coefficient must lie in [0, 1], got {self.c}")
-        if not self.gammas:
+        if len(self.gammas) == 0:
             raise ValueError("need at least one decoherence rate")
         if any(g < 0.0 for g in self.gammas):
             raise ValueError(f"decoherence rates must be >= 0, got {self.gammas}")
@@ -80,6 +82,10 @@ class SweepSpec:
             raise ValueError(f"steps must be an integer, got {self.steps!r}") from None
         if self.method not in ESTIMATORS:
             raise ValueError(f"unknown method {self.method!r}")
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "gammas", tuple(map(float, self.gammas)))
+        object.__setattr__(self, "t_max", float(self.t_max))
+        object.__setattr__(self, "steps", operator.index(self.steps))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,7 @@
 """The periodic quadrature and the degenerate-pair closed form of Sigma: the
 oracles the tests hold the runtime estimator, Carlson's R_G, to. Also the
-one-shot Monte Carlo loop that the blocked `sigma_monte_carlo` must match
-bit for bit.
+plain per-block Monte Carlo loop that `sigma_monte_carlo` must match bit
+for bit.
 
 Sigma depends on K only through its singular values alpha >= beta >=
 gamma_sv and reduces to the single integral
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from avgcorr.correlation import MC_CHUNK, SigmaEstimate
+from avgcorr.correlation import MC_BLOCK, SigmaEstimate
 
 DEGENERATE_PAIR_TOL = 1e-9
 
@@ -205,16 +205,16 @@ def sigma_closed_pure(alpha: float, beta: float) -> SigmaEstimate:
 
 
 def sigma_monte_carlo_one_shot(k: np.ndarray, n_samples: int, seed) -> SigmaEstimate:
-    """The Monte Carlo estimate with each MC_CHUNK of a and b drawn and
-    reduced in one go, which the blocked `sigma_monte_carlo` must match bit
-    for bit."""
+    """The Monte Carlo estimate as its stream is defined: per MC_BLOCK rows,
+    draw a, then b, reduce the block to its sum and sum of squares, and add
+    both to running totals. `sigma_monte_carlo` must match it bit for bit."""
     k = np.asarray(k, dtype=float)
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     left = n_samples
     while left > 0:
-        m = min(MC_CHUNK, left)
+        m = min(MC_BLOCK, left)
         a = rng.standard_normal((m, 3))
         b = rng.standard_normal((m, 3))
         vals = np.abs(np.einsum("ij,ij->i", a @ k, b))

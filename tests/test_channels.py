@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -150,10 +152,26 @@ def test_p_of_t_values():
 
 
 @pytest.mark.parametrize("gamma,t", [(-1.0, 1.0), (1.0, -1.0), (-0.5, -0.5),
-                                     ([0.5, -1.0], 1.0), (1.0, [0.0, -0.5])])
+                                     ([0.5, -1.0], 1.0), (1.0, [0.0, -0.5]),
+                                     (np.nan, 1.0), (1.0, np.nan), (np.inf, 0.0),
+                                     (0.0, np.inf), ([1.0, np.inf], [[2.0], [0.0]])])
 def test_p_of_t_domain_errors(gamma, t):
-    with pytest.raises(ValueError):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ValueError, not a warning and then NaN
+        with pytest.raises(ValueError):
+            p_of_t(gamma, t)
+
+
+@pytest.mark.parametrize("gamma, t, message", [
+    (np.nan, 1.0, "decoherence rate must be >= 0, got nan"),
+    ([0.5, 1.0], [[0.0], [np.nan]], "time must be >= 0, got nan"),
+    (np.inf, 0.0, "gamma * t is undefined at gamma = inf, t = 0.0"),
+    ([1.0, 0.0], [[1.0], [np.inf]], "gamma * t is undefined at gamma = 0.0, t = inf"),
+])
+def test_p_of_t_names_the_value_it_rejects(gamma, t, message):
+    with pytest.raises(ValueError) as raised:
         p_of_t(gamma, t)
+    assert str(raised.value) == message
 
 
 @given(

@@ -149,11 +149,12 @@ def test_usage_errors_exit_2(argv, capsys):
         (["sweep", "--channel", "amplitude", "--gammas", "1,-0.25"], "-0.25"),
         (["sweep", "--channel", "phase", "--t-max", "-3.5"], "-3.5"),
         (["sweep", "--channel", "phase", "--steps", "-7"], "-7"),
+        (["verify", "--samples", "1"], "--samples must be >= 2, got 1"),
     ],
 )
 def test_range_errors_name_the_bad_value(argv, bad, capsys):
-    # the library checks these ranges; the CLI reports its ValueError as a
-    # usage error
+    # the library checks these ranges, and the CLI reports its ValueError as
+    # a usage error; verify's --samples is the CLI's own check
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -151,6 +151,13 @@ def test_damped_sigma_rejects_an_unknown_kind(kind):
         damped_sigma(kind, 0.6, [0.0, 0.5])
 
 
+# the CLI's short names are not the library's
+@pytest.mark.parametrize("method", ["bogus", "closed", "mc"])
+def test_damped_sigma_rejects_an_unknown_method(method):
+    with pytest.raises(ValueError, match=f"^unknown method '{method}'$"):
+        damped_sigma(PHASE_DAMPING, 0.6, [0.0, 0.5], method)
+
+
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
 @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
 def test_damped_sigma_of_no_points_is_empty(kind, method):

@@ -1,5 +1,7 @@
-"""The Monte Carlo oracle: the blocked estimate against the one-shot loop,
-the concurrent batch against one estimate at a time, and its input checks.
+"""The Monte Carlo oracle: the blocked estimate against the plain per-block
+loop and against values pinned before the block became the unit of the
+stream, the concurrent batch against one estimate at a time, and its input
+checks.
 
 Every value here must be the same bytes on one CPU and on many; CI also
 runs this file pinned to one CPU.
@@ -15,13 +17,7 @@ from hypothesis import strategies as st
 
 import avgcorr.correlation as correlation
 from avgcorr.cli import run
-from avgcorr.correlation import (
-    MC_BLOCK,
-    MC_CHUNK,
-    MC_MAX_WORKERS,
-    sigma_monte_carlo,
-    sigma_monte_carlo_batch,
-)
+from avgcorr.correlation import MC_BLOCK, sigma_monte_carlo, sigma_monte_carlo_batch
 from oracles import sigma_monte_carlo_one_shot
 
 RNG = np.random.default_rng(2024)
@@ -45,9 +41,28 @@ def test_blocked_estimate_matches_one_shot_loop(kind, n):
 
 
 @pytest.mark.parametrize("kind", ["random", "diagonal"])
-def test_blocked_estimate_matches_one_shot_loop_past_a_chunk(kind):
-    k, n = MATRICES[kind], MC_CHUNK + 1
+def test_blocked_estimate_matches_one_shot_loop_past_a_million(kind):
+    k, n = MATRICES[kind], 10**6 + 1
     assert as_pair(sigma_monte_carlo(k, n, 5)) == as_pair(sigma_monte_carlo_one_shot(k, n, 5))
+
+
+# (n, seed, value, standard error) of sigma_monte_carlo(PINNED_K, n, seed), as
+# the stream gave them when each estimate drew all its a before any b: one
+# block reads the generator the same way, so these bytes must not move
+PINNED_K = np.array([[0.3, -0.2, 0.1], [0.05, -0.6, 0.25], [-0.15, 0.4, 0.7]])
+PINNED = [
+    (1, 3, "0x1.457d732251c0ep-2", "0x0.0p+0"),
+    (2, 3, "0x1.1f1f07d50aa9ep-3", "0x1.0717adcc1ce08p-10"),
+    (1000, 17, "0x1.4086e63fe740cp-2", "0x1.968fd290c3301p-8"),
+    (MC_BLOCK - 1, 42, "0x1.3e1414b6214f2p-2", "0x1.9499ea973e27ap-10"),
+    (MC_BLOCK, 2024, "0x1.42613c2344516p-2", "0x1.98a327e7c6b86p-10"),
+]
+
+
+@pytest.mark.parametrize("n, seed, value, stderr", PINNED)
+def test_estimates_of_at_most_a_block_keep_their_bytes(n, seed, value, stderr):
+    pair = as_pair(sigma_monte_carlo(PINNED_K, n, seed))
+    assert pair == (float.fromhex(value), float.fromhex(stderr))
 
 
 finite = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
@@ -117,7 +132,7 @@ def test_concurrent_batch_matches_one_estimate_at_a_time(cpus, monkeypatch):
     # one CPU runs every estimate in the calling thread, more run none there
     on_caller = threads.count(threading.get_ident())
     assert on_caller == (len(seeds) if cpus == 1 else 0)
-    assert len(set(threads)) <= MC_MAX_WORKERS
+    assert len(set(threads)) <= min(len(seeds), cpus)
 
 
 def test_pool_is_capped_and_only_for_estimates_of_a_block_or_more(monkeypatch):
@@ -129,14 +144,16 @@ def test_pool_is_capped_and_only_for_estimates_of_a_block_or_more(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    monkeypatch.setattr(correlation, "_cpu_count", lambda: 64)
     ks, seeds = batch_inputs()
-    for n in (MC_BLOCK - 1, MC_BLOCK):
-        values, bounds = sigma_monte_carlo_batch(ks, n, seeds)
-        assert values.shape == bounds.shape == (2, 3)
-        assert values.ravel().tolist() == [sigma_monte_carlo(k, n, seed).value
-                                           for k, seed in zip(ks.reshape(-1, 3, 3), seeds)]
-    assert sizes == [MC_MAX_WORKERS]  # none below MC_BLOCK samples
+    for cpus in (4, 64):
+        monkeypatch.setattr(correlation, "_cpu_count", lambda: cpus)
+        for n in (MC_BLOCK - 1, MC_BLOCK):
+            values, bounds = sigma_monte_carlo_batch(ks, n, seeds)
+            assert values.shape == bounds.shape == (2, 3)
+            assert values.ravel().tolist() == [sigma_monte_carlo(k, n, seed).value
+                                               for k, seed in zip(ks.reshape(-1, 3, 3), seeds)]
+    # min(estimates, CPUs) workers, and no pool below MC_BLOCK samples
+    assert sizes == [4, 6]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

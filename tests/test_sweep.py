@@ -15,6 +15,7 @@ from avgcorr import (
     sigma_for_state,
     sigma_monte_carlo,
 )
+from avgcorr.cli import write_output
 from avgcorr.correlation import ESTIMATOR, RG_REL_ERROR_BOUND
 from kraus import apply_both, make_channel
 from oracles import singular_values
@@ -52,6 +53,22 @@ def figure2():
 def test_sweep_spec_validation(kwargs):
     with pytest.raises(ValueError):
         SweepSpec(**kwargs)
+
+
+def test_numpy_typed_spec_writes_the_json_of_its_plain_twin(capsys):
+    typed = SweepSpec(PHASE_DAMPING, c=np.float32(0.6),
+                      gammas=np.array([0.5, 1.0], dtype=np.float32),
+                      t_max=np.float32(3.5), steps=np.int64(3))
+    plain = SweepSpec(PHASE_DAMPING, c=float(np.float32(0.6)), gammas=(0.5, 1.0),
+                      t_max=3.5, steps=3)
+    assert typed == plain
+    assert [type(v) for v in (typed.c, typed.gammas, typed.t_max, typed.steps)] == [
+        float, tuple, float, int]
+    texts = []
+    for spec in (typed, plain):
+        write_output(decay_curve(spec), fmt="json")
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
 
 
 def test_phase_decay_shape():
