@@ -19,7 +19,7 @@ def main():
     args = parser.parse_args()
 
     grid = np.linspace(0.0, 1.0, args.points)
-    _, values = damped_sigma(PHASE_DAMPING, grid, 0.0, "closed_form")  # undamped
+    _, values = damped_sigma(PHASE_DAMPING, grid, 0.0, "exact")  # undamped
     print(f"{'c':>8}  {'sigma':>14}  label")
     for c, v in zip(grid[:: max(args.points // 20, 1)],
                     values[:: max(args.points // 20, 1)]):

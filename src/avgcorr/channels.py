@@ -45,7 +45,7 @@ def p_of_t(gamma, t):
     # to inf is a rate-time far past saturation, and p = 1 there exactly
     try:
         with np.errstate(over="ignore", invalid="raise"):
-            p = -np.expm1(-gamma * t)
+            p = -np.expm1(-gamma * t) + 0.0  # + 0.0: a rate of -0.0 gives p = 0.0
     except FloatingPointError:  # inf * 0, the one invalid product once NaN is out
         gamma, t = np.broadcast_arrays(gamma, t)
         at = np.flatnonzero(np.isinf(gamma) & (t == 0.0) | (gamma == 0.0) & np.isinf(t))[0]

@@ -3,16 +3,18 @@
 Subcommands:
     sigma     average correlation of one damped pure state
     sweep     decay curves over a time grid, emitted as CSV or JSON
-    verify    R_G vs Monte Carlo cross-check on random states
+    verify    exact R_G vs Monte Carlo cross-check on random states
     classify  nonclassicality label for a Sigma value or a state
 
 Exit codes: 0 success, 1 I/O or numeric failure (a grid too large to
 allocate included), 2 usage error.
 
-The handlers only map flags to library calls. The library owns the model's
-rules: `damped_sigma` and `p_of_t` check c, p, gamma and t, `SweepSpec`
-checks a sweep and supplies the figures' shape for every flag left out, and
-a ValueError they raise becomes a usage error. The handlers check only what
+The handlers only map flags to library calls; `--method closed` and
+`--method quadrature` both name the library's "exact" method, and `mc` its
+"monte_carlo" (METHOD_NAMES). The library owns the model's rules:
+`damped_sigma` and `p_of_t` check c, p, gamma and t, `SweepSpec` checks a
+sweep and supplies the figures' shape for every flag left out, and a
+ValueError they raise becomes a usage error. The handlers check only what
 the flags alone decide: which flags go together, `--samples`, `--seed` and
 `--trials`, and that `--gamma`, `--t` and `classify --value` are finite.
 
@@ -50,7 +52,7 @@ from .sweep import FIGURE_KINDS, DecayCurve, SweepSpec, damped_sigma, decay_curv
 
 CSV_HEADER = "gamma,t,p,alpha,beta,gamma_sv,sigma,classification"
 
-METHOD_NAMES = {"closed": "closed_form", "quadrature": "quadrature", "mc": "monte_carlo"}
+METHOD_NAMES = {"closed": "exact", "quadrature": "exact", "mc": "monte_carlo"}
 CHANNEL_KIND_BY_FLAG = {"phase": "phase_damping", "amplitude": "amplitude_damping"}
 
 
@@ -260,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decoherence rate (use together with --t)")
         sp.add_argument("--t", type=float, default=None,
                         help="elapsed time (use together with --gamma)")
-        sp.add_argument("--method", choices=("closed", "quadrature", "mc"),
-                        default="quadrature", help="Sigma estimator")
+        sp.add_argument("--method", choices=tuple(METHOD_NAMES), default="quadrature",
+                        help="Sigma estimator (closed and quadrature: exact)")
         sp.add_argument("--samples", type=int, default=1_000_000,
                         help="Monte Carlo sample count")
         sp.add_argument("--seed", type=int, default=42, help="random seed")
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--t-max", type=float, default=None, help="grid end (default 8)")
     p_sweep.add_argument("--steps", type=int, default=None,
                          help="grid point count (default 201)")
-    p_sweep.add_argument("--method", choices=("closed", "quadrature", "mc"), default=None)
+    p_sweep.add_argument("--method", choices=tuple(METHOD_NAMES), default=None)
     p_sweep.add_argument("--samples", type=int, default=1_000_000)
     p_sweep.add_argument("--seed", type=int, default=42)
     p_sweep.add_argument("--out", default=None)
@@ -398,7 +400,7 @@ def cmd_verify(args, parser) -> int:
     state_seqs, mc_seqs = zip(*(child.spawn(2) for child in
                                 np.random.SeedSequence(args.seed).spawn(args.trials)))
     rhos = [random_density(np.random.default_rng(seq)) for seq in state_seqs]
-    quads = [sigma_for_state(rho, method="quadrature").value for rho in rhos]
+    quads = [sigma_for_state(rho).value for rho in rhos]  # exact R_G, printed as quadrature=
     # every trial's Monte Carlo estimate from one call, so they can run concurrently
     ks = np.array([correlation_matrix(rho) for rho in rhos])
     mcs, stderrs = sigma_monte_carlo_batch(ks, args.samples, mc_seqs)

@@ -21,12 +21,12 @@ and R_D (B. C. Carlson, Numer. Algorithms 10 (1995) 13-26,
 arXiv:math/9409227). A seeded Monte Carlo average over the two spheres,
 `sigma_monte_carlo`, is the independent cross-check; `sigma_monte_carlo_batch`
 runs a batch of them for `verify` and Monte Carlo on the damping path.
-`sigma_for_state` picks one of the two for a single state.
+`sigma_for_state` picks one of the two METHODS for a single state.
 
 The damped pure states have K = diag(-s, -s, kappa), two of whose singular
-values are equal, and there R_G is elementary: `sigma_damped` evaluates
-that case with atan2 and log1p, and the damping path's exact methods run it
-instead of the duplication loop.
+values are equal, and there R_G reduces to the elementary R_C:
+`sigma_damped` evaluates that case with atan2 and log1p, and the damping
+path's exact method runs it instead of the duplication loop.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ _LABELS.flags.writeable = False
 
 IMAG_RESIDUAL_HARD_LIMIT = 1e-9
 
-# Method tag of the exact estimator, which every request but Monte Carlo runs.
+METHODS = ("exact", "monte_carlo")  # the exact formula, or the Monte Carlo average
+# Method tag of the exact estimator of a general state, R_G by duplication.
 ESTIMATOR = "carlson_rg"
 # Relative error bound of `sigma_rg_batch` for results above the subnormal
 # range; the tests hold it to a 40-digit mpmath.elliprg across the
@@ -276,9 +277,6 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-ESTIMATORS = ("closed_form", "quadrature", "monte_carlo")
-
-
 def sigma_monte_carlo_batch(
     k: np.ndarray,
     n_samples: int,
@@ -293,10 +291,12 @@ def sigma_monte_carlo_batch(
     one per matrix; fewer samples, one matrix or one CPU run in the calling
     thread. Each value depends only on its matrix and seed, so the results
     are the same bytes whatever the worker count, and a worker's exception
-    is raised here.
+    is raised here. Seeds that do not number one per matrix raise ValueError.
     """
     n_samples = _sample_count(n_samples)
-    jobs = list(zip(k.reshape(-1, 3, 3), seeds, strict=True))
+    if len(seeds := list(seeds)) != k.size // 9:
+        raise ValueError(f"need one seed per matrix, got {len(seeds)} for {k.size // 9}")
+    jobs = list(zip(k.reshape(-1, 3, 3), seeds))
     workers = min(len(jobs), _cpu_count()) if n_samples >= MC_BLOCK else 1
     if workers <= 1:
         estimates = [sigma_monte_carlo(ki, n_samples, seed) for ki, seed in jobs]
@@ -324,16 +324,15 @@ def _singular_values(k: np.ndarray) -> np.ndarray:
 
 def sigma_for_state(
     rho: np.ndarray,
-    method: str = "quadrature",
+    method: str = "exact",
     n_samples: int = 1_000_000,
     seed: int | np.random.SeedSequence = 42,
 ) -> SigmaEstimate:
     """Full pipeline rho -> K -> Sigma. "monte_carlo" runs `sigma_monte_carlo`
-    on K, with no SVD; "closed_form" and "quadrature" both run
-    `sigma_rg_batch` on K's singular values, tagged ESTIMATOR, whose error
-    bound is RG_REL_ERROR_BOUND relative and at least RG_ABS_ERROR_FLOOR.
+    on K, with no SVD; "exact" runs `sigma_rg_batch` on K's singular values,
+    tagged ESTIMATOR, error bound max(RG_REL_ERROR_BOUND * value, RG_ABS_ERROR_FLOOR).
 
-    A rho that fails `validate_density`, or an unknown method, raises
+    A rho that fails `validate_density`, or a method not in METHODS, raises
     ValueError.
     """
     if failures := validate_density(rho).failures:
@@ -341,7 +340,7 @@ def sigma_for_state(
     k = correlation_matrix(rho)
     if method == "monte_carlo":
         return sigma_monte_carlo(k, n_samples, seed)
-    if method not in ESTIMATORS:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     value = float(sigma_rg_batch(*_singular_values(k)))
     return SigmaEstimate(value, ESTIMATOR, max(RG_REL_ERROR_BOUND * value, RG_ABS_ERROR_FLOOR))

@@ -11,7 +11,7 @@ s = 2c sqrt(1-c^2)(1-p), kappa = -1 under phase damping and 2p - 1 under
 amplitude damping (see `channels`). Its descending singular triple is
 (max(s, |kappa|), s, min(s, |kappa|)), so `damped_sigma` writes the triple
 in closed form over any array of damping probabilities, with neither an SVD
-nor a sort. Two singular values are equal, so the exact methods take Sigma
+nor a sort. Two singular values are equal, so the exact method takes Sigma
 from `correlation.sigma_damped`, elementwise in elementary functions: each
 value depends only on its own (c, p), and a sweep row is bit for bit the
 one-point value at its p. `damped_sigma` writes K itself out only for Monte
@@ -29,8 +29,7 @@ import numpy as np
 
 from .channels import AMPLITUDE_DAMPING, CHANNEL_KINDS, PHASE_DAMPING, p_of_t
 from .correlation import (
-    ESTIMATOR,
-    ESTIMATORS,
+    METHODS,
     RG_REL_ERROR_BOUND,
     RNG_IDENTITY,
     classify_batch,
@@ -46,18 +45,18 @@ FIGURE_KINDS = {1: PHASE_DAMPING, 2: AMPLITUDE_DAMPING}
 class SweepSpec:
     """Parameters of one decay-curve computation; those left out take the
     figures' shape: c = 1/sqrt(2) (so Sigma starts at its maximum 1/2),
-    rates {0.5, 1.0, 2.0} and 201 points on t in [0, 8], with exact
-    Sigma. Every value is checked here, so a bad one raises ValueError at
+    rates {0.5, 1.0, 2.0} and 201 points on t in [0, 8], with the "exact"
+    method. Every value is checked here, so a bad one raises ValueError at
     construction. c, t_max and the rates are then stored as Python floats
-    (the rates as a tuple) and steps as an int, so numpy values given here
-    reach the JSON metadata as plain numbers."""
+    (the rates as a tuple, a rate of -0.0 as 0.0) and steps as an int, so
+    numpy values given here reach the JSON metadata as plain numbers."""
 
     channel_kind: str
     c: float = 1.0 / math.sqrt(2.0)
     gammas: tuple[float, ...] = (0.5, 1.0, 2.0)
     t_max: float = 8.0
     steps: int = 201
-    method: str = "quadrature"
+    method: str = "exact"
 
     def __post_init__(self):
         if self.channel_kind not in CHANNEL_KINDS:
@@ -80,10 +79,10 @@ class SweepSpec:
                 raise ValueError(f"need at least 2 time steps, got {self.steps}")
         except TypeError:
             raise ValueError(f"steps must be an integer, got {self.steps!r}") from None
-        if self.method not in ESTIMATORS:
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "gammas", tuple(map(float, self.gammas)))
+        object.__setattr__(self, "gammas", tuple(float(g) + 0.0 for g in self.gammas))
         object.__setattr__(self, "t_max", float(self.t_max))
         object.__setattr__(self, "steps", operator.index(self.steps))
 
@@ -110,7 +109,7 @@ def damped_sigma(
     kind: str,
     c: float,
     p,
-    method: str = "quadrature",
+    method: str = "exact",
     n_samples: int = 1_000_000,
     seeds=(),
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -119,10 +118,10 @@ def damped_sigma(
     broadcasts against p. Returns (sv, sigma) of shapes S + (3,) and S, S
     the broadcast shape of c and p.
 
-    "closed_form" and "quadrature" both run `sigma_damped` on s and kappa;
-    "monte_carlo" runs `sigma_monte_carlo_batch` on K, with `seeds` holding
-    one seed per point of S, in C order. A c or p outside [0, 1] (NaN
-    included), an unknown kind or an unknown method raises ValueError.
+    "exact" runs `sigma_damped` on s and kappa; "monte_carlo" runs
+    `sigma_monte_carlo_batch` on K, with `seeds` holding one seed per point
+    of S, in C order. A c or p outside [0, 1] (NaN included), an unknown
+    kind or a method not in METHODS raises ValueError.
     """
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -146,7 +145,7 @@ def damped_sigma(
         k[..., 0, 0] = k[..., 1, 1] = -s
         k[..., 2, 2] = kappa
         sigma, _ = sigma_monte_carlo_batch(k, n_samples, seeds)
-    elif method in ESTIMATORS:
+    elif method in METHODS:
         sigma = sigma_damped(s, kappa)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -165,7 +164,7 @@ def decay_curve(
     # one seed per grid point, drawn only by Monte Carlo
     seeds = (np.random.SeedSequence(seed, spawn_key=key) for key in np.ndindex(p.shape))
     sv, sigma = damped_sigma(spec.channel_kind, spec.c, p, spec.method, n_samples, seeds)
-    exact = spec.method != "monte_carlo"
+    exact = spec.method == "exact"
     metadata = {
         "channel": spec.channel_kind,
         "c": spec.c,
@@ -175,7 +174,7 @@ def decay_curve(
         "method": spec.method,
         "seed": seed,
         "samples": None if exact else n_samples,
-        "estimator": ESTIMATOR if exact else spec.method,
+        "estimator": "carlson_rc" if exact else spec.method,
         "rel_error_bound": RG_REL_ERROR_BOUND if exact else None,
         "rng": RNG_IDENTITY,
     }

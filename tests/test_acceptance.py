@@ -56,19 +56,15 @@ def figure2():
 
 def test_criterion_1_landmark_values():
     for c, expected in ((INV_SQRT2, 0.5), (1.0, 0.25)):
-        rho = make_pure_state(c)
-        closed = sigma_for_state(rho, "closed_form")
-        quad = sigma_for_state(rho, "quadrature")
-        assert closed.method == quad.method == ESTIMATOR
-        assert abs(closed.value - expected) <= 1e-9
-        assert abs(quad.value - expected) <= 1e-9
-    _report(1, "Sigma(c=1/sqrt2)=1/2 and Sigma(c=1)=1/4 by the exact R_G estimator, "
-               "requested as closed form and as quadrature")
+        est = sigma_for_state(make_pure_state(c), "exact")
+        assert est.method == ESTIMATOR
+        assert abs(est.value - expected) <= 1e-9
+    _report(1, "Sigma(c=1/sqrt2)=1/2 and Sigma(c=1)=1/4 by the exact R_G estimator")
 
 
 def test_criterion_2_maximizer_location():
     grid = np.linspace(0.0, 1.0, 2001)
-    values = [sigma_for_state(make_pure_state(c), "closed_form").value for c in grid]
+    values = [sigma_for_state(make_pure_state(c), "exact").value for c in grid]
     best = grid[int(np.argmax(values))]
     step = grid[1] - grid[0]
     assert abs(best - INV_SQRT2) <= step + 1e-12

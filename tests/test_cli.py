@@ -222,19 +222,38 @@ def test_sweep_custom_flags(tmp_path):
 
 
 def test_sweep_json_round_trip(tmp_path):
-    path = tmp_path / "fig2.json"
-    assert run(["sweep", "--figure", "2", "--format", "json",
-                "--out", str(path)]) == 0
-    payload = json.loads(path.read_text())
-    for key in ("seed", "method", "estimator", "rel_error_bound", "rng"):
-        assert key in payload["metadata"]
-    assert payload["metadata"]["estimator"] == "carlson_rg"
-    assert [b["gamma"] for b in payload["blocks"]] == [0.5, 1.0, 2.0]
-    rng = np.random.default_rng(77)
-    rows = [row for block in payload["blocks"] for row in block["rows"]]
-    for row in rng.choice(rows, size=5, replace=False):
-        triple = SingularTriple(row["alpha"], row["beta"], row["gamma_sv"])
-        assert abs(sigma_quadrature(triple).value - row["sigma"]) < 1e-9
+    # a rate of -0.0 is the rate 0.0, so no -0.0 reaches the rates or p
+    cases = [(["--figure", "2"], [0.5, 1.0, 2.0]),
+             (["--channel", "phase", "--gammas=-0.0", "--steps", "2"], [0.0])]
+    for argv, gammas in cases:
+        path = tmp_path / "sweep.json"
+        assert run(["sweep", *argv, "--format", "json", "--out", str(path)]) == 0
+        text = path.read_text()
+        assert "-0.0" not in text, argv
+        payload = json.loads(text)
+        for key in ("seed", "method", "estimator", "rel_error_bound", "rng"):
+            assert key in payload["metadata"]
+        assert payload["metadata"]["method"] == "exact"
+        assert payload["metadata"]["estimator"] == "carlson_rc"
+        assert payload["metadata"]["gammas"] == [b["gamma"] for b in payload["blocks"]] == gammas
+        rng = np.random.default_rng(77)
+        rows = [row for block in payload["blocks"] for row in block["rows"]]
+        for row in rng.choice(rows, size=min(5, len(rows)), replace=False):
+            triple = SingularTriple(row["alpha"], row["beta"], row["gamma_sv"])
+            assert abs(sigma_quadrature(triple).value - row["sigma"]) < 1e-9
+
+
+def test_closed_and_quadrature_spell_one_method(capsys):
+    # both spellings run the library's "exact" method: the same bytes, the
+    # JSON metadata included
+    for argv in (["sigma", "--c", "0.6", "--channel", "amplitude", "--p", "0.3"],
+                 ["sweep", "--channel", "amplitude", "--steps", "5"],
+                 ["sweep", "--channel", "phase", "--steps", "5", "--format", "json"]):
+        outputs = []
+        for method in ("closed", "quadrature"):
+            assert run([*argv, "--method", method]) == 0, argv
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1], argv
 
 
 def test_sweep_stdout(capsys):

@@ -210,13 +210,17 @@ def test_permutation_invariance():
 
 
 def test_sigma_for_state_landmarks():
-    assert abs(sigma_for_state(make_pure_state(INV_SQRT2), "quadrature").value - 0.5) < 1e-9
-    for method in ("closed_form", "quadrature"):
-        assert abs(sigma_for_state(make_pure_state(1.0), method).value - 0.25) < 1e-9
+    assert abs(sigma_for_state(make_pure_state(INV_SQRT2), "exact").value - 0.5) < 1e-9
+    assert abs(sigma_for_state(make_pure_state(1.0), "exact").value - 0.25) < 1e-9
     mc = sigma_for_state(make_pure_state(1.0), "monte_carlo", n_samples=10**5, seed=3)
     assert abs(mc.value - 0.25) <= 4 * mc.error_bound
-    with pytest.raises(ValueError):
-        sigma_for_state(make_pure_state(0.5), "bogus")
+
+
+# the methods are "exact" and "monte_carlo"; "quadrature" is only a CLI spelling
+@pytest.mark.parametrize("method", ["bogus", "closed_form", "quadrature"])
+def test_sigma_for_state_rejects_an_unknown_method(method):
+    with pytest.raises(ValueError, match=f"^unknown method '{method}'$"):
+        sigma_for_state(make_pure_state(0.5), method)
 
 
 def test_sigma_for_state_monte_carlo_runs_no_svd(monkeypatch):
@@ -237,15 +241,14 @@ def test_sigma_for_state_monte_carlo_runs_no_svd(monkeypatch):
 
 def test_sigma_for_state_exact_methods_agree():
     # amplitude damping at p = 0.2 leaves distinct smaller singular values and
-    # the undamped c = 0.4 state a degenerate pair; both exact requests run
-    # R_G on either, and the tag says so
+    # the undamped c = 0.4 state a degenerate pair; the default request is the
+    # "exact" one, which runs R_G on either, and the tag says so
     for rho in (apply_both(make_pure_state(INV_SQRT2), amplitude_damping(0.2)),
                 make_pure_state(0.4)):
-        closed = sigma_for_state(rho, "closed_form")
-        quad = sigma_for_state(rho, "quadrature")
-        assert closed.method == quad.method == ESTIMATOR
-        assert closed.value == quad.value
-        assert closed.error_bound == quad.error_bound == RG_REL_ERROR_BOUND * quad.value
+        exact = sigma_for_state(rho, "exact")
+        assert exact == sigma_for_state(rho)
+        assert exact.method == ESTIMATOR
+        assert exact.error_bound == RG_REL_ERROR_BOUND * exact.value
 
 
 def _non_hermitian():
@@ -261,7 +264,7 @@ def _non_hermitian():
     (np.diag([np.nan, 1.0, 0.0, 0.0]), "trace deviation nan"),
 ])
 def test_sigma_for_state_rejects_a_non_density_matrix(rho, failure):
-    for method in ("quadrature", "monte_carlo"):
+    for method in ("exact", "monte_carlo"):
         with pytest.raises(ValueError, match="^not a density matrix: ") as info:
             sigma_for_state(rho, method, n_samples=10)
         assert failure in str(info.value)
@@ -270,7 +273,7 @@ def test_sigma_for_state_rejects_a_non_density_matrix(rho, failure):
 
 def test_sigma_for_state_amplitude_damped_crosses_threshold():
     rho = apply_both(make_pure_state(INV_SQRT2), amplitude_damping(0.5))
-    quad = sigma_for_state(rho, "quadrature")
+    quad = sigma_for_state(rho, "exact")
     assert quad.value < 0.25
     mc = sigma_for_state(rho, "monte_carlo", n_samples=10**6, seed=17)
     assert abs(quad.value - mc.value) <= 4 * mc.error_bound
@@ -282,8 +285,8 @@ def test_schmidt_sign_invariance():
     for c in (0.3, INV_SQRT2, 0.95):
         amp = np.array([0.0, c, +np.sqrt(1 - c * c), 0.0], dtype=complex)
         flipped = np.outer(amp, amp.conj())
-        ref = sigma_for_state(make_pure_state(c), "quadrature").value
-        assert abs(sigma_for_state(flipped, "quadrature").value - ref) < 1e-12
+        ref = sigma_for_state(make_pure_state(c), "exact").value
+        assert abs(sigma_for_state(flipped, "exact").value - ref) < 1e-12
 
 
 def test_quadrature_matches_monte_carlo_on_random_states():
@@ -311,7 +314,7 @@ def test_classify_boundaries():
 
 
 def test_classify_accepts_estimates():
-    est = sigma_for_state(make_pure_state(INV_SQRT2), "quadrature")
+    est = sigma_for_state(make_pure_state(INV_SQRT2), "exact")
     assert classify(est) == NONCLASSICAL
 
 
@@ -485,7 +488,7 @@ def test_rg_of_a_0d_nan_triple_raises(triple):
 
 
 def test_sigma_for_state_exact_methods_are_one_estimator():
-    # Bell-diagonal states with K = -diag(triple / 2): both exact names run
+    # Bell-diagonal states with K = -diag(triple / 2): the exact method runs
     # R_G on K's singular values, with a relative bound in the normal range
     # and the floor below it (Sigma = 0 here, subnormal Sigma in the next test)
     products = [tensor2(p, p) for p in PAULIS]
@@ -494,9 +497,8 @@ def test_sigma_for_state_exact_methods_are_one_estimator():
                - np.einsum("i,ikl->kl", triple, products)) / 4
         want = float(sigma_rg_batch(*_singular_values(correlation_matrix(rho))))
         bound = RG_REL_ERROR_BOUND * want if want >= 2.0**-1022 else RG_ABS_ERROR_FLOOR
-        for method in ("closed_form", "quadrature"):
-            est = sigma_for_state(rho, method)
-            assert (est.value, est.method, est.error_bound) == (want, ESTIMATOR, bound), triple
+        est = sigma_for_state(rho, "exact")
+        assert (est.value, est.method, est.error_bound) == (want, ESTIMATOR, bound), triple
 
 
 def test_sigma_for_state_error_bound_covers_subnormal_values():
@@ -551,4 +553,4 @@ def test_sigma_for_state_of_a_nearly_uncorrelated_state_is_exact(rho_03, rho_12)
     k = correlation_matrix(rho)  # diag(2(rho_03 + rho_12), 2(rho_12 - rho_03), 0)
     assert np.count_nonzero(k - np.diag(np.diag(k))) == 0
     triple = sorted(np.abs(np.diag(k)), reverse=True)
-    assert sigma_for_state(rho, "quadrature").value == float(sigma_rg_batch(*triple))
+    assert sigma_for_state(rho, "exact").value == float(sigma_rg_batch(*triple))

@@ -2,7 +2,7 @@
 in closed form (for Monte Carlo, the one estimator that reads it) and its
 descending singular triple with no SVD, no sort and no runtime cross-check. The Pauli-transfer product R T R^T of
 `tests/transfer.py` is the oracle it is held to here, and Monte Carlo on that
-K the oracle of the closed-form Sigma the exact methods run."""
+K the oracle of the closed-form Sigma the exact method runs."""
 
 import sys
 
@@ -47,13 +47,12 @@ def damped_k(kind, c, p, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
-@pytest.mark.parametrize("method", ["closed_form", "quadrature"])
-def test_exact_methods_get_no_k_and_the_same_triple(kind, method, monkeypatch):
-    # the exact methods run the closed form on s and kappa: they call no
-    # Monte Carlo runner and allocate no (..., 3, 3) K, and their triple is
+def test_exact_method_gets_no_k_and_the_same_triple(kind, monkeypatch):
+    # the exact method runs the closed form on s and kappa: it calls no
+    # Monte Carlo runner and allocates no (..., 3, 3) K, and its triple is
     # Monte Carlo's bit for bit
     def forbidden(*args, **kwargs):
-        raise AssertionError("an exact method called sigma_monte_carlo_batch")
+        raise AssertionError("the exact method called sigma_monte_carlo_batch")
 
     built = []
     zeros = np.zeros
@@ -67,7 +66,7 @@ def test_exact_methods_get_no_k_and_the_same_triple(kind, method, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(np, "zeros", record_zeros)
             patch.setattr(avgcorr.sweep, "sigma_monte_carlo_batch", forbidden)
-            sv, _ = damped_sigma(kind, c, PS, method)
+            sv, _ = damped_sigma(kind, c, PS, "exact")
             assert built == [], c
             k, want = damped_k(kind, c, PS, monkeypatch)
             assert built == [k.shape], c  # the spy sees Monte Carlo's K
@@ -82,7 +81,7 @@ def test_closed_form_agrees_with_monte_carlo_on_the_damped_k(kind, monkeypatch):
     for i, (c, p) in enumerate([(0.6, 0.0), (1 / np.sqrt(2), 0.3), (0.3, 0.5),
                                 (0.95, 2.0 / 3.0), (0.8, 0.9), (0.0, 0.4)]):
         k, _ = damped_k(kind, c, p, monkeypatch)
-        _, exact = damped_sigma(kind, c, p, "closed_form")
+        _, exact = damped_sigma(kind, c, p, "exact")
         estimate = sigma_monte_carlo(k, 200_000, 9100 + i)
         assert abs(estimate.value - exact) <= 4.0 * estimate.error_bound, (c, p)
 
@@ -151,22 +150,23 @@ def test_damped_sigma_rejects_an_unknown_kind(kind):
         damped_sigma(kind, 0.6, [0.0, 0.5])
 
 
-# the CLI's short names are not the library's
-@pytest.mark.parametrize("method", ["bogus", "closed", "mc"])
+# the methods are "exact" and "monte_carlo"; "closed", "quadrature" and "mc" are
+# only CLI spellings
+@pytest.mark.parametrize("method", ["bogus", "closed", "mc", "closed_form", "quadrature"])
 def test_damped_sigma_rejects_an_unknown_method(method):
     with pytest.raises(ValueError, match=f"^unknown method '{method}'$"):
         damped_sigma(PHASE_DAMPING, 0.6, [0.0, 0.5], method)
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
-@pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+@pytest.mark.parametrize("method", ["exact", "monte_carlo"])
 def test_damped_sigma_of_no_points_is_empty(kind, method):
     sv, sigma = damped_sigma(kind, 0.6, [], method)
     assert sv.shape == (0, 3) and sigma.shape == (0,)
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
-@pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+@pytest.mark.parametrize("method", ["exact", "monte_carlo"])
 def test_damped_sigma_of_one_point_has_0d_shapes(kind, method):
     for c, p in [(0.6, 0.3), (np.float64(0.6), np.asarray(0.3)), (np.asarray(0.6), 1.0)]:
         sv, sigma = damped_sigma(kind, c, p, method, n_samples=100, seeds=[5])

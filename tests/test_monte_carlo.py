@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avgcorr.correlation as correlation
+from avgcorr import PHASE_DAMPING, damped_sigma
 from avgcorr.cli import run
 from avgcorr.correlation import MC_BLOCK, sigma_monte_carlo, sigma_monte_carlo_batch
 from oracles import sigma_monte_carlo_one_shot
@@ -175,6 +176,15 @@ def test_batch_raises_the_workers_error(cpus, monkeypatch):
     with pytest.raises(ValueError) as raised:
         sigma_monte_carlo_batch(ks, MC_BLOCK, seeds)
     assert raised.value is error
+
+
+def test_batch_names_a_seed_count_mismatch():
+    ks = np.broadcast_to(np.eye(3), (2, 3, 3))
+    with pytest.raises(ValueError, match="^need one seed per matrix, got 3 for 2$"):
+        sigma_monte_carlo_batch(ks, 10, [1, 2, 3])
+    # damped_sigma's default seeds=() leave a Monte Carlo point without one
+    with pytest.raises(ValueError, match="^need one seed per matrix, got 0 for 1$"):
+        damped_sigma(PHASE_DAMPING, 0.6, 0.3, "monte_carlo")
 
 
 @pytest.mark.parametrize("argv", [

@@ -106,16 +106,12 @@ def random_specs(count, seed):
             gammas=tuple(float(g) for g in rng.uniform(0.0, 3.0, rng.integers(1, 4))),
             t_max=float(rng.uniform(0.1, 10.0)),
             steps=int(rng.integers(2, 61)),
-            method=("closed_form", "quadrature")[(i // 2) % 2],
         )
 
 
 def test_columnar_renderers_match_per_row_renderers():
     specs = list(random_specs(24, seed=4242))
-    assert {(s.channel_kind, s.method) for s in specs} == {
-        (kind, method) for kind in (PHASE_DAMPING, AMPLITUDE_DAMPING)
-        for method in ("closed_form", "quadrature")
-    }
+    assert {s.channel_kind for s in specs} == {PHASE_DAMPING, AMPLITUDE_DAMPING}
     assert {0.0, 1.0} <= {s.c for s in specs}
     for spec in specs:
         curve = decay_curve(spec)
@@ -290,8 +286,7 @@ def test_render_json_writes_each_distinct_row_number_once(monkeypatch):
         return repr(x)
 
     monkeypatch.setattr(cli, "repr", counted, raising=False)
-    sweep = SweepSpec(PHASE_DAMPING, 0.6, (0.5, 1.0, 2.0), t_max=8.0, steps=400,
-                      method="closed_form")
+    sweep = SweepSpec(PHASE_DAMPING, 0.6, (0.5, 1.0, 2.0), t_max=8.0, steps=400)
     curve = decay_curve(sweep)
     assert render_json(curve) == old_render_json(curve)
     rates, steps = curve.p.shape

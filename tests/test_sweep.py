@@ -16,7 +16,7 @@ from avgcorr import (
     sigma_monte_carlo,
 )
 from avgcorr.cli import write_output
-from avgcorr.correlation import ESTIMATOR, RG_REL_ERROR_BOUND
+from avgcorr.correlation import RG_REL_ERROR_BOUND
 from kraus import apply_both, make_channel
 from oracles import singular_values
 from rows import blocks
@@ -47,6 +47,10 @@ def figure2():
         dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=1),
         dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=5,
              method="bogus"),
+        dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=5,
+             method="closed_form"),
+        dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=5,
+             method="quadrature"),
         dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=3.5),
     ],
 )
@@ -180,23 +184,12 @@ def test_monte_carlo_sweep_method():
     assert curve.metadata["samples"] == 10**5
 
 
-def test_closed_form_sweep_is_the_quadrature_sweep():
-    # both exact methods run R_G, on degenerate pairs (phase damping) and on
-    # distinct smaller singular values (amplitude damping) alike
-    for kind in (PHASE_DAMPING, AMPLITUDE_DAMPING):
-        closed = decay_curve(SweepSpec(kind, INV_SQRT2, (1.0,), t_max=4.0,
-                                       steps=9, method="closed_form"))
-        quad = decay_curve(SweepSpec(kind, INV_SQRT2, (1.0,), t_max=4.0, steps=9))
-        assert closed.sigma.tobytes() == quad.sigma.tobytes()
-        assert closed.metadata["estimator"] == quad.metadata["estimator"] == ESTIMATOR
-
-
 def test_metadata_records_reproducibility_inputs(figure1):
     md = figure1.metadata
-    assert md["method"] == "quadrature"
+    assert md["method"] == "exact"
     assert md["seed"] == 42
     assert md["samples"] is None
-    assert md["estimator"] == ESTIMATOR
+    assert md["estimator"] == "carlson_rc"
     assert md["rel_error_bound"] == RG_REL_ERROR_BOUND
     assert "PCG64" in md["rng"]
     assert md["gammas"] == [0.5, 1.0, 2.0]
@@ -206,7 +199,7 @@ def test_metadata_records_reproducibility_inputs(figure1):
 def test_figure_dataset_is_the_default_spec(figure, kind):
     spec = SweepSpec(kind)
     assert (spec.c, spec.gammas, spec.t_max, spec.steps, spec.method) == (
-        INV_SQRT2, (0.5, 1.0, 2.0), 8.0, 201, "quadrature")
+        INV_SQRT2, (0.5, 1.0, 2.0), 8.0, 201, "exact")
     canned, plain = figure_dataset(figure, seed=5), decay_curve(spec, seed=5)
     assert canned.metadata == plain.metadata
     for name in ("gammas", "t", "p", "sv", "sigma", "labels"):
@@ -251,7 +244,7 @@ def per_point_rows(spec, n_samples, seed):
 
 def test_batched_sweep_matches_per_point_kraus_pipeline():
     rng = np.random.default_rng(20240316)
-    methods = ("quadrature", "closed_form", "monte_carlo")
+    methods = ("exact", "monte_carlo")
     for i in range(24):
         gammas = tuple(float(g) for g in rng.uniform(0.0, 3.0, rng.integers(1, 4)))
         if i % 4 == 0:
@@ -262,7 +255,7 @@ def test_batched_sweep_matches_per_point_kraus_pipeline():
             gammas=gammas,
             t_max=float(rng.uniform(0.1, 10.0)),
             steps=int(rng.integers(2, 13)),
-            method=methods[(i // 2) % 3],
+            method=methods[(i // 2) % 2],
         )
         seed = int(rng.integers(0, 2**31))
         curve = decay_curve(spec, n_samples=10**4, seed=seed)
