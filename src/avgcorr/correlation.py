@@ -19,8 +19,11 @@ alpha >= beta >= gamma_sv >= 0,
 `sigma_rg_batch` evaluates it with Carlson's duplication algorithm for R_F
 and R_D (B. C. Carlson, Numer. Algorithms 10 (1995) 13-26,
 arXiv:math/9409227). A seeded Monte Carlo average over the two spheres,
-`sigma_monte_carlo`, is the independent cross-check; `sigma_monte_carlo_batch`
-runs a batch of them for `verify` and Monte Carlo on the damping path.
+`sigma_monte_carlo`, is the independent cross-check: it draws its axes as
+Marsaglia points (Ann. Math. Statist. 43 (1972) 645-646), exactly uniform
+from two uniforms in the unit disk, and never uses the identity above.
+`sigma_monte_carlo_batch` runs a batch of them for `verify` and Monte Carlo
+on the damping path.
 `sigma_for_state` picks one of the two METHODS for a single state.
 
 The damped pure states have K = diag(-s, -s, kappa), two of whose singular
@@ -31,6 +34,7 @@ path's exact method runs it instead of the duplication loop.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -79,11 +83,12 @@ RG_MAX_STEPS = 40
 # Generator identity recorded in output metadata; the PCG64 stream is
 # stable across numpy versions, so a seed pins results exactly.
 RNG_IDENTITY = "numpy.random.Generator(PCG64)"
-# Rows per Monte Carlo block: each block draws its first axes a, then its
-# second axes b, and its temporaries stay in cache. `sigma_monte_carlo_batch`
-# runs estimates concurrently only from MC_BLOCK samples on: below that an
-# estimate is mostly interpreter time, which holds the GIL, and a pool made
-# it slower.
+# Candidate points per Monte Carlo draw, at most, about 6400 samples: a
+# draw's buffer and temporaries stay near 1 MB. On verify_mc (2 CPUs)
+# 3 * 2^12 gave 10% fewer points/s, and 6 * 2^12 5% more peak RSS.
+# `sigma_monte_carlo_batch` runs estimates concurrently only from MC_BLOCK
+# samples on: below that an estimate is mostly interpreter time, which holds
+# the GIL, and a pool made it slower.
 MC_BLOCK = 2**14
 # LAPACK's dgesdd rescales a matrix whose largest entry lies below
 # sqrt(safe minimum) / eps = 2^-459 by a factor that is not a power of two,
@@ -228,45 +233,73 @@ def sigma_monte_carlo(
 ) -> SigmaEstimate:
     """Direct double-sphere average of |a^T K b| over uniform axes.
 
-    Directions come from normalized standard-normal triples, which is
-    exactly rotation invariant. Results are deterministic for a fixed seed;
-    the error bound is the standard error of the mean. A K that is not a
-    finite 3x3 matrix, or an n_samples that is not an integer >= 1, raises
+    Each axis is a Marsaglia point (G. Marsaglia, Ann. Math. Statist. 43
+    (1972) 645-646): (u, v) uniform on [-1, 1)^2, kept where q = u^2 + v^2
+    < 1, gives the uniform unit vector (2u sqrt(1-q), 2v sqrt(1-q), 1-2q),
+    with no normalisation. Results are deterministic for a fixed seed; the
+    error bound is the standard error of the mean. A K that is not a finite
+    3x3 matrix, or an n_samples that is not an integer >= 1, raises
     ValueError before any draw.
 
-    Each block of MC_BLOCK rows draws its a, then its b, from one
-    generator, so an estimate holds one block's arrays, about 1.5 MB, and an
-    estimate of at most MC_BLOCK samples is one block. The block's sum and
-    sum of squares, each in numpy's pairwise order, are added to running
-    totals.
+    Each draw takes m = min(MC_BLOCK, 3 * samples still needed + 16)
+    candidates from one generator, the m values of u, then the m of v, into
+    one buffer the estimate allocates once. Of the p pairs its kept points
+    make (at most the samples still needed), the first p points are the a
+    and the next p the b, in draw order; an odd or surplus point is dropped.
+    A draw's sum and sum of squares, each in numpy's pairwise order, are
+    added to running totals. K is first scaled by the power of two that puts
+    its largest entry in [1/2, 1), and the mean and standard error scaled
+    back, so no square under- or overflows at any finite scale.
     """
     k = np.asarray(k, dtype=float)
     if k.shape != (3, 3):
         raise ValueError(f"K must be a 3x3 matrix, got shape {k.shape}")
-    if not np.isfinite(k).all():
+    peak = float(np.abs(k).max())
+    if not math.isfinite(peak):
         raise ValueError("K has non-finite entries")
     n_samples = _sample_count(n_samples)
+    e = math.frexp(peak)[1]
+    # the draw keeps u/2 and v/2, which makes each axis 1/8 of itself,
+    # (u/2 t, v/2 t, 1/8 - q/4) with t = sqrt(1/4 - q/4): the form then
+    # reads 64K, here in units of 2^e, and every value is bit for bit that
+    # of the formula above
+    k64 = np.ldexp(k, 6 - e)
     rng = np.random.default_rng(seed)
+    buf = np.empty(4 * min(MC_BLOCK, 3 * n_samples + 16))
     total = 0.0
     total_sq = 0.0
-    for lo in range(0, n_samples, MC_BLOCK):
-        m = min(MC_BLOCK, n_samples - lo)
-        a = rng.standard_normal((m, 3))
-        b = rng.standard_normal((m, 3))
-        # |a^T K b| / (|a| |b|): the directions without normalised copies
-        norms = np.einsum("ij,ij->i", b, b)
-        norms *= np.einsum("ij,ij->i", a, a)
-        np.sqrt(norms, out=norms)
-        vals = np.divide(np.abs(np.einsum("ij,ij->i", a @ k, b)), norms, out=norms)
-        total += float(vals.sum())
-        total_sq += float(np.square(vals, out=vals).sum())
+    left = n_samples
+    while left:
+        m = min(MC_BLOCK, 3 * left + 16)
+        draw = buf[:4 * m].reshape(4, m)  # rows u/2, v/2 and their squares
+        half = rng.random(out=buf[:2 * m])
+        np.subtract(half, 0.5, out=half)
+        np.square(draw[:2], out=draw[2:])
+        q4 = np.add(draw[2], draw[3], out=draw[2])
+        kept = draw[:3].compress(q4 < 0.25, 1)
+        pairs = min(kept.shape[1] // 2, left)
+        axes = kept[:, :2 * pairs]
+        axes[:2] *= np.sqrt(np.subtract(0.25, axes[2]))
+        np.subtract(0.125, axes[2], out=axes[2])
+        w = k64 @ axes[:, pairs:]
+        w *= axes[:, :pairs]
+        vals = np.add.reduce(w, 0)
+        np.abs(vals, out=w[0])
+        np.square(vals, out=w[1])
+        part, part_sq = np.add.reduce(w[:2], 1).tolist()  # each row pairwise
+        total += part
+        total_sq += part_sq
+        left -= pairs
     mean = total / n_samples
     if n_samples > 1:
         var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
-        stderr = float(np.sqrt(var / n_samples))
+        stderr = math.sqrt(var / n_samples)
     else:
         stderr = 0.0
-    return SigmaEstimate(mean, "monte_carlo", stderr)
+    # 2^(e-1) is a double for every finite peak; 2x is exact, so each value
+    # rounds once, as ldexp would, and a Sigma past the float range is inf
+    unit = math.ldexp(0.5, e)
+    return SigmaEstimate(2.0 * mean * unit, "monte_carlo", 2.0 * stderr * unit)
 
 
 def _cpu_count() -> int:

@@ -48,8 +48,8 @@ class SweepSpec:
     rates {0.5, 1.0, 2.0} and 201 points on t in [0, 8], with the "exact"
     method. Every value is checked here, so a bad one raises ValueError at
     construction. c, t_max and the rates are then stored as Python floats
-    (the rates as a tuple, a rate of -0.0 as 0.0) and steps as an int, so
-    numpy values given here reach the JSON metadata as plain numbers."""
+    (the rates as a tuple, a c or rate of -0.0 as 0.0) and steps as an int,
+    so numpy values given here reach the JSON metadata as plain numbers."""
 
     channel_kind: str
     c: float = 1.0 / math.sqrt(2.0)
@@ -81,7 +81,7 @@ class SweepSpec:
             raise ValueError(f"steps must be an integer, got {self.steps!r}") from None
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", float(self.c) + 0.0)
         object.__setattr__(self, "gammas", tuple(float(g) + 0.0 for g in self.gammas))
         object.__setattr__(self, "t_max", float(self.t_max))
         object.__setattr__(self, "steps", operator.index(self.steps))

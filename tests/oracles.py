@@ -21,6 +21,7 @@ to the closed form implemented in `sigma_closed_pure`.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,30 +205,46 @@ def sigma_closed_pure(alpha: float, beta: float) -> SigmaEstimate:
     return SigmaEstimate(float(value), "closed_form", 0.0)
 
 
+def marsaglia_points(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Unit vectors, as the columns of a (3, kept) array, from m Marsaglia
+    candidates: m values of u, then m of v, uniform on [-1, 1); each (u, v)
+    with q = u^2 + v^2 < 1 gives (2u sqrt(1-q), 2v sqrt(1-q), 1-2q), in
+    draw order."""
+    u, v = 2.0 * rng.random((2, m)) - 1.0
+    q = u * u + v * v
+    keep = q < 1.0
+    u, v, q = u[keep], v[keep], q[keep]
+    r = 2.0 * np.sqrt(1.0 - q)
+    return np.stack([u * r, v * r, 1.0 - 2.0 * q])
+
+
 def sigma_monte_carlo_one_shot(k: np.ndarray, n_samples: int, seed) -> SigmaEstimate:
-    """The Monte Carlo estimate as its stream is defined: per MC_BLOCK rows,
-    draw a, then b, reduce the block to its sum and sum of squares, and add
-    both to running totals. `sigma_monte_carlo` must match it bit for bit."""
+    """The Monte Carlo estimate as its stream is defined: K scaled by the
+    power of two that puts its largest entry in [1/2, 1); per draw of
+    min(MC_BLOCK, 3 * samples left + 16) candidates, the first p kept points
+    are a and the next p are b, p the pairs it makes but at most the samples
+    left; each draw's sum and sum of squares go to running totals, and the
+    mean and standard error are scaled back. `sigma_monte_carlo` must match
+    it bit for bit."""
     k = np.asarray(k, dtype=float)
+    e = math.frexp(float(np.max(np.abs(k))))[1]
+    k = np.ldexp(k, -e)
     rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
     left = n_samples
     while left > 0:
-        m = min(MC_BLOCK, left)
-        a = rng.standard_normal((m, 3))
-        b = rng.standard_normal((m, 3))
-        vals = np.abs(np.einsum("ij,ij->i", a @ k, b))
-        norms = np.einsum("ij,ij->i", a, a)
-        norms *= np.einsum("ij,ij->i", b, b)
-        vals /= np.sqrt(norms, out=norms)
+        points = marsaglia_points(rng, min(MC_BLOCK, 3 * left + 16))
+        p = min(points.shape[1] // 2, left)
+        a, b = points[:, :p], points[:, p:2 * p]
+        vals = np.abs((a * (k @ b)).sum(axis=0))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
-        left -= m
+        left -= p
     mean = total / n_samples
     if n_samples > 1:
         var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
-        stderr = float(np.sqrt(var / n_samples))
+        stderr = math.sqrt(var / n_samples)
     else:
         stderr = 0.0
-    return SigmaEstimate(mean, "monte_carlo", stderr)
+    return SigmaEstimate(math.ldexp(mean, e), "monte_carlo", math.ldexp(stderr, e))

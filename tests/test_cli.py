@@ -222,9 +222,11 @@ def test_sweep_custom_flags(tmp_path):
 
 
 def test_sweep_json_round_trip(tmp_path):
-    # a rate of -0.0 is the rate 0.0, so no -0.0 reaches the rates or p
+    # a rate or c of -0.0 is 0.0, so no -0.0 reaches the rates, p, c or the
+    # singular values
     cases = [(["--figure", "2"], [0.5, 1.0, 2.0]),
-             (["--channel", "phase", "--gammas=-0.0", "--steps", "2"], [0.0])]
+             (["--channel", "phase", "--gammas=-0.0", "--steps", "2"], [0.0]),
+             (["--channel", "phase", "--c=-0.0", "--gammas", "1", "--steps", "2"], [1.0])]
     for argv, gammas in cases:
         path = tmp_path / "sweep.json"
         assert run(["sweep", *argv, "--format", "json", "--out", str(path)]) == 0

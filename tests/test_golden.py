@@ -4,7 +4,9 @@
 --figure 1|2`, and `tests/data/sweep_*.json` those of two small JSON
 sweeps; any change to how the sweep computes or renders a row must keep
 them. `tests/data/verify_small.txt` holds the stdout of a small `avgcorr
-verify` run, `quadrature=` token included.
+verify` run, `quadrature=` token included, and `tests/data/sweep_mc_small.csv`
+that of a small Monte Carlo sweep, one estimate of 100 samples per row: the
+two pin the Monte Carlo stream, its draw sizing included.
 """
 
 from pathlib import Path
@@ -26,6 +28,9 @@ JSON_SWEEPS = {
     ],
 }
 
+MC_SWEEP = ["--channel", "amplitude", "--method", "mc", "--samples", "100", "--c", "0.6",
+            "--gammas", "1", "--steps", "20"]
+
 
 @pytest.mark.parametrize("figure", [1, 2])
 def test_figure_csv_matches_golden_bytes(figure, tmp_path):
@@ -46,3 +51,10 @@ def test_verify_stdout_matches_golden_bytes(capsys):
     assert run(["verify", "--samples", "20000", "--trials", "3", "--seed", "42"]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (DATA / "verify_small.txt").read_bytes()
+
+
+def test_monte_carlo_sweep_csv_matches_golden_bytes(tmp_path):
+    out = tmp_path / "sweep_mc_small.csv"
+    argv = ["sweep", *MC_SWEEP, "--out", str(out)]
+    assert run(argv) == 0
+    assert out.read_bytes() == (DATA / "sweep_mc_small.csv").read_bytes()

@@ -1,13 +1,15 @@
-"""The Monte Carlo oracle: the blocked estimate against the plain per-block
-loop and against values pinned before the block became the unit of the
-stream, the concurrent batch against one estimate at a time, and its input
-checks.
+"""The Monte Carlo oracle: the estimate against the plain statement of its
+stream in `oracles.py` and against pinned values, the Marsaglia points in
+distribution, landmark and random-state values within their standard
+errors, the estimate's exact scaling with K, the concurrent batch against
+one estimate at a time, and its input checks.
 
 Every value here must be the same bytes on one CPU and on many; CI also
 runs this file pinned to one CPU.
 """
 
 import concurrent.futures
+import math
 import threading
 
 import numpy as np
@@ -16,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avgcorr.correlation as correlation
-from avgcorr import PHASE_DAMPING, damped_sigma
+from avgcorr import (PHASE_DAMPING, correlation_matrix, damped_sigma, random_density,
+                     sigma_for_state)
 from avgcorr.cli import run
 from avgcorr.correlation import MC_BLOCK, sigma_monte_carlo, sigma_monte_carlo_batch
-from oracles import sigma_monte_carlo_one_shot
+from oracles import marsaglia_points, sigma_monte_carlo_one_shot
 
 RNG = np.random.default_rng(2024)
 MATRICES = {
@@ -47,23 +50,103 @@ def test_blocked_estimate_matches_one_shot_loop_past_a_million(kind):
     assert as_pair(sigma_monte_carlo(k, n, 5)) == as_pair(sigma_monte_carlo_one_shot(k, n, 5))
 
 
-# (n, seed, value, standard error) of sigma_monte_carlo(PINNED_K, n, seed), as
-# the stream gave them when each estimate drew all its a before any b: one
-# block reads the generator the same way, so these bytes must not move
+# (n, seed, value, standard error) of sigma_monte_carlo(PINNED_K, n, seed) on
+# the Marsaglia stream: these bytes must not move
 PINNED_K = np.array([[0.3, -0.2, 0.1], [0.05, -0.6, 0.25], [-0.15, 0.4, 0.7]])
 PINNED = [
-    (1, 3, "0x1.457d732251c0ep-2", "0x0.0p+0"),
-    (2, 3, "0x1.1f1f07d50aa9ep-3", "0x1.0717adcc1ce08p-10"),
-    (1000, 17, "0x1.4086e63fe740cp-2", "0x1.968fd290c3301p-8"),
-    (MC_BLOCK - 1, 42, "0x1.3e1414b6214f2p-2", "0x1.9499ea973e27ap-10"),
-    (MC_BLOCK, 2024, "0x1.42613c2344516p-2", "0x1.98a327e7c6b86p-10"),
+    (1, 3, "0x1.c794db533518ep-2", "0x0.0p+0"),
+    (2, 3, "0x1.3004d39574163p-2", "0x1.2e50f724e53dcp-2"),
+    (1000, 17, "0x1.465fccddf2fc3p-2", "0x1.a18fb6d1b62a1p-8"),
+    (MC_BLOCK - 1, 42, "0x1.41d39b4e311d6p-2", "0x1.985e164699928p-10"),
+    (MC_BLOCK, 2024, "0x1.417cfac43efa4p-2", "0x1.95b7d2eaefa3dp-10"),
 ]
 
 
-@pytest.mark.parametrize("n, seed, value, stderr", PINNED)
-def test_estimates_of_at_most_a_block_keep_their_bytes(n, seed, value, stderr):
+@pytest.mark.parametrize("n, seed, value, stderr",
+                         [pytest.param(*row, id=f"{row[0]}-{row[1]}") for row in PINNED])
+def test_estimates_keep_their_pinned_bytes(n, seed, value, stderr):
     pair = as_pair(sigma_monte_carlo(PINNED_K, n, seed))
     assert pair == (float.fromhex(value), float.fromhex(stderr))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", [-1000, -560, 0, 500, 1000])
+def test_estimate_scales_with_k_by_powers_of_two(j):
+    # K is scaled into [1/2, 1) before any square, so a power of two moves
+    # the value and its standard error exactly, and nothing under- or overflows
+    base = sigma_monte_carlo(PINNED_K, 1000, 3)
+    scaled = sigma_monte_carlo(2.0**j * PINNED_K, 1000, 3)
+    assert as_pair(scaled) == (2.0**j * base.value, 2.0**j * base.error_bound)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-170, 1e170, 1e-300, 1e300])
+def test_standard_error_survives_any_finite_scale(scale):
+    base = sigma_monte_carlo(PINNED_K, 1000, 3)
+    est = sigma_monte_carlo(scale * PINNED_K, 1000, 3)
+    assert est.error_bound > 0.0
+    assert est.value == pytest.approx(scale * base.value, rel=1e-12)
+    assert est.error_bound == pytest.approx(scale * base.error_bound, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_k_is_exactly_zero():
+    est = sigma_monte_carlo(np.zeros((3, 3)), 1000, 3)
+    assert as_pair(est) == (0.0, 0.0)
+    assert math.copysign(1.0, est.value) == math.copysign(1.0, est.error_bound) == 1.0
+
+
+# Marsaglia points at a fixed seed, in distribution. The bounds hold for any
+# exactly uniform sampler, normalised normal triples included; each check
+# fails by chance with a probability below 1e-5.
+POINTS = marsaglia_points(np.random.default_rng(8), 400_000)
+
+
+def test_marsaglia_points_are_unit_vectors():
+    # |a|^2 = 4q(1-q) + (1-2q)^2 = 1, up to the rounding of a few operations
+    assert np.max(np.abs(np.einsum("ij,ij->j", POINTS, POINTS) - 1.0)) <= 8 * 2.0**-52
+
+
+def test_marsaglia_points_have_mean_zero_and_second_moment_a_third():
+    n = POINTS.shape[1]
+    # each coordinate has variance 1/3; x^2 has 1/5 - 1/9 = 4/45, xy has 1/15
+    assert np.all(np.abs(POINTS.mean(axis=1)) < 4.5 * np.sqrt(1 / 3 / n))
+    second = POINTS @ POINTS.T / n
+    spread = np.sqrt(np.where(np.eye(3, dtype=bool), 4 / 45, 1 / 15) / n)
+    assert np.all(np.abs(second - np.eye(3) / 3) < 4.5 * spread)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_marsaglia_coordinates_are_uniform_on_minus_one_one(axis):
+    # Archimedes: each coordinate of a uniform point on the sphere is uniform
+    # on [-1, 1]; z = 1 - 2q is the one the method draws directly. 63.7 is
+    # the 1e-6 upper quantile of chi-squared with 19 degrees of freedom.
+    counts = np.histogram(POINTS[axis], bins=20, range=(-1.0, 1.0))[0]
+    expected = POINTS.shape[1] / 20
+    assert np.sum((counts - expected) ** 2 / expected) < 63.7
+
+
+U, V = np.array([0.3, -0.4, 1.2]), np.array([-0.5, 0.1, 0.2])
+
+
+@pytest.mark.parametrize("k, sigma", [
+    (np.eye(3), 0.5),  # E|cos| over the sphere
+    (np.diag([1.0, 0.0, 0.0]), 0.25),  # E|a_1| E|b_1|
+    (np.outer(U, V), np.linalg.norm(U) * np.linalg.norm(V) / 4),  # E|a.u| E|v.b|
+], ids=["identity", "one_axis", "rank_one"])
+def test_landmarks_within_four_standard_errors(k, sigma):
+    est = sigma_monte_carlo(k, 200_000, 31)
+    assert abs(est.value - sigma) < 4.0 * est.error_bound
+
+
+def test_random_states_within_four_standard_errors():
+    z = []
+    for child in np.random.SeedSequence(2718).spawn(16):
+        state_seq, mc_seq = child.spawn(2)
+        rho = random_density(np.random.default_rng(state_seq))
+        est = sigma_monte_carlo(correlation_matrix(rho), 100_000, mc_seq)
+        z.append((est.value - sigma_for_state(rho).value) / est.error_bound)
+    assert np.max(np.abs(z)) < 4.0, z
 
 
 finite = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
