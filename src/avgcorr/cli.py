@@ -18,6 +18,14 @@ ValueError they raise becomes a usage error. The handlers check only what
 the flags alone decide: which flags go together, `--samples`, `--seed` and
 `--trials`, and that `--gamma`, `--t` and `classify --value` are finite.
 
+`--seed` seeds one Monte Carlo batch per command: a sweep's points, or
+`verify`'s trials, are all averaged over the same directions, so their
+errors are correlated while each estimate stays unbiased with its own
+standard error, and a sweep row is the value `sigma` gives its point alone.
+`verify` draws trial i's state from spawn key (i, 0) of `--seed` and its
+Monte Carlo directions from key (trials,), so the two never share a
+stream.
+
 `run()` builds its argument parser on its first call and reuses it for
 every later call in the process, since building the argparse tree costs
 several times what parsing and computing one `sigma` query do, and parsing
@@ -341,7 +349,7 @@ def cmd_sigma(args, parser) -> int:
     try:
         _, sigma = damped_sigma(CHANNEL_KIND_BY_FLAG[args.channel], args.c,
                                 _resolve_p(args, parser), METHOD_NAMES[args.method],
-                                args.samples, [args.seed])
+                                args.samples, args.seed)
     except ValueError as exc:
         parser.error(str(exc))
     value = float(sigma)
@@ -397,13 +405,15 @@ def cmd_verify(args, parser) -> int:
         parser.error(f"--samples must be >= 2, got {args.samples}")
     if args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
-    state_seqs, mc_seqs = zip(*(child.spawn(2) for child in
-                                np.random.SeedSequence(args.seed).spawn(args.trials)))
+    # trial i's state draws from spawn key (i, 0); the run's one Monte Carlo
+    # seed has key (trials,), so its chunk keys (trials, j) meet no state's
+    state_seqs = [np.random.SeedSequence(args.seed, spawn_key=(i, 0)) for i in range(args.trials)]
     rhos = [random_density(np.random.default_rng(seq)) for seq in state_seqs]
     quads = [sigma_for_state(rho).value for rho in rhos]  # exact R_G, printed as quadrature=
-    # every trial's Monte Carlo estimate from one call, so they can run concurrently
+    # every trial's Monte Carlo estimate from one call, on the same directions
     ks = np.array([correlation_matrix(rho) for rho in rhos])
-    mcs, stderrs = sigma_monte_carlo_batch(ks, args.samples, mc_seqs)
+    mc_seed = np.random.SeedSequence(args.seed, spawn_key=(args.trials,))
+    mcs, stderrs = sigma_monte_carlo_batch(ks, args.samples, mc_seed)
     lines = []
     all_ok = True
     for trial, (quad, mc, stderr) in enumerate(zip(quads, mcs.tolist(), stderrs.tolist())):

@@ -19,11 +19,15 @@ alpha >= beta >= gamma_sv >= 0,
 `sigma_rg_batch` evaluates it with Carlson's duplication algorithm for R_F
 and R_D (B. C. Carlson, Numer. Algorithms 10 (1995) 13-26,
 arXiv:math/9409227). A seeded Monte Carlo average over the two spheres,
-`sigma_monte_carlo`, is the independent cross-check: it draws its axes as
-Marsaglia points (Ann. Math. Statist. 43 (1972) 645-646), exactly uniform
-from two uniforms in the unit disk, and never uses the identity above.
-`sigma_monte_carlo_batch` runs a batch of them for `verify` and Monte Carlo
-on the damping path.
+`sigma_monte_carlo_batch`, is the independent cross-check: it draws its
+axes as Marsaglia points (Ann. Math. Statist. 43 (1972) 645-646), exactly
+uniform from two uniforms in the unit disk, and never uses the identity
+above. It evaluates every matrix of a batch (`verify`'s trials, the points
+of a Monte Carlo sweep) on one seeded stream of directions, common random
+numbers (P. Glasserman, Monte Carlo Methods in Financial Engineering,
+Springer 2004, sec. 4.2): the estimates of one call have correlated
+errors, while each stays unbiased with its own standard error and is the
+same bytes as the matrix alone. `sigma_monte_carlo` is the batch of one.
 `sigma_for_state` picks one of the two METHODS for a single state.
 
 The damped pure states have K = diag(-s, -s, kappa), two of whose singular
@@ -34,7 +38,6 @@ path's exact method runs it instead of the duplication loop.
 
 from __future__ import annotations
 
-import math
 import operator
 import os
 from dataclasses import dataclass
@@ -86,10 +89,20 @@ RNG_IDENTITY = "numpy.random.Generator(PCG64)"
 # Candidate points per Monte Carlo draw, at most, about 6400 samples: a
 # draw's buffer and temporaries stay near 1 MB. On verify_mc (2 CPUs)
 # 3 * 2^12 gave 10% fewer points/s, and 6 * 2^12 5% more peak RSS.
-# `sigma_monte_carlo_batch` runs estimates concurrently only from MC_BLOCK
-# samples on: below that an estimate is mostly interpreter time, which holds
-# the GIL, and a pool made it slower.
 MC_BLOCK = 2**14
+# Samples per Monte Carlo chunk. Each chunk draws from its own stream and
+# keeps its own totals, and a batch runs its chunks on up to one thread per
+# CPU; the size is fixed, never read from the CPU count, so a seed gives the
+# same bytes on any machine. Two 10^6-sample estimates (2 CPUs, in-process)
+# took about 8% longer with 2^16 than with 2^17 or 2^18, which tied; 2^17
+# still makes 8 chunks of 10^6 samples for machines with more CPUs.
+MC_CHUNK = 2**17
+# Matrices evaluated together on a draw's pairs; their temporaries take at
+# most MC_TILE * 256 kB, whatever the batch size, and a tile of two or
+# fewer fits in the draw's own buffer. On a 603-point amplitude sweep of
+# 8192 samples, tiles of 1, 2, 8 and 16 took 1.24x, 1.08x, 1.01x and 1.29x
+# the time of 4.
+MC_TILE = 4
 # LAPACK's dgesdd rescales a matrix whose largest entry lies below
 # sqrt(safe minimum) / eps = 2^-459 by a factor that is not a power of two,
 # which can cost the singular values an ulp.
@@ -226,49 +239,37 @@ def _sample_count(n_samples) -> int:
     return n_samples
 
 
-def sigma_monte_carlo(
-    k: np.ndarray,
-    n_samples: int,
-    seed: int | np.random.SeedSequence,
-) -> SigmaEstimate:
-    """Direct double-sphere average of |a^T K b| over uniform axes.
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """`seed` as a SeedSequence; ValueError unless it is one integer >= 0 or
+    a SeedSequence."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    try:
+        return np.random.SeedSequence(operator.index(seed))
+    except TypeError:
+        raise ValueError(f"need one integer or SeedSequence seed, got {seed!r}") from None
 
-    Each axis is a Marsaglia point (G. Marsaglia, Ann. Math. Statist. 43
-    (1972) 645-646): (u, v) uniform on [-1, 1)^2, kept where q = u^2 + v^2
-    < 1, gives the uniform unit vector (2u sqrt(1-q), 2v sqrt(1-q), 1-2q),
-    with no normalisation. Results are deterministic for a fixed seed; the
-    error bound is the standard error of the mean. A K that is not a finite
-    3x3 matrix, or an n_samples that is not an integer >= 1, raises
-    ValueError before any draw.
 
-    Each draw takes m = min(MC_BLOCK, 3 * samples still needed + 16)
-    candidates from one generator, the m values of u, then the m of v, into
-    one buffer the estimate allocates once. Of the p pairs its kept points
-    make (at most the samples still needed), the first p points are the a
-    and the next p the b, in draw order; an odd or surplus point is dropped.
-    A draw's sum and sum of squares, each in numpy's pairwise order, are
-    added to running totals. K is first scaled by the power of two that puts
-    its largest entry in [1/2, 1), and the mean and standard error scaled
-    back, so no square under- or overflows at any finite scale.
-    """
-    k = np.asarray(k, dtype=float)
-    if k.shape != (3, 3):
-        raise ValueError(f"K must be a 3x3 matrix, got shape {k.shape}")
-    peak = float(np.abs(k).max())
-    if not math.isfinite(peak):
-        raise ValueError("K has non-finite entries")
-    n_samples = _sample_count(n_samples)
-    e = math.frexp(peak)[1]
-    # the draw keeps u/2 and v/2, which makes each axis 1/8 of itself,
-    # (u/2 t, v/2 t, 1/8 - q/4) with t = sqrt(1/4 - q/4): the form then
-    # reads 64K, here in units of 2^e, and every value is bit for bit that
-    # of the formula above
-    k64 = np.ldexp(k, 6 - e)
-    rng = np.random.default_rng(seed)
-    buf = np.empty(4 * min(MC_BLOCK, 3 * n_samples + 16))
-    total = 0.0
-    total_sq = 0.0
-    left = n_samples
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_totals(k64: np.ndarray, n: int, seq: np.random.SeedSequence) -> np.ndarray:
+    """(sum, sum of squares) of |a^T K b| over one chunk's n samples, drawn
+    from `seq`, for each matrix of the scaled stack `k64`: a (len(k64), 2)
+    array. The draws are shared by every matrix, which are evaluated
+    MC_TILE at a time."""
+    rng = np.random.default_rng(seq)
+    m = min(MC_BLOCK, 3 * n + 16)  # the largest draw, the first
+    tile = min(len(k64), MC_TILE)
+    # a draw's u, v and their squares, then a tile's K b rows and values
+    buf = np.empty(max(4 * m, tile * 4 * (m // 2)))
+    totals = np.zeros((len(k64), 2))
+    left = n
     while left:
         m = min(MC_BLOCK, 3 * left + 16)
         draw = buf[:4 * m].reshape(4, m)  # rows u/2, v/2 and their squares
@@ -281,67 +282,121 @@ def sigma_monte_carlo(
         axes = kept[:, :2 * pairs]
         axes[:2] *= np.sqrt(np.subtract(0.25, axes[2]))
         np.subtract(0.125, axes[2], out=axes[2])
-        w = k64 @ axes[:, pairs:]
-        w *= axes[:, :pairs]
-        vals = np.add.reduce(w, 0)
-        np.abs(vals, out=w[0])
-        np.square(vals, out=w[1])
-        part, part_sq = np.add.reduce(w[:2], 1).tolist()  # each row pairwise
-        total += part
-        total_sq += part_sq
+        a, b = axes[:, :pairs], axes[:, pairs:]
+        for lo in range(0, len(k64), tile):
+            kt = k64[lo:lo + tile]
+            size = len(kt) * pairs
+            w = np.matmul(kt, b, out=buf[:3 * size].reshape(len(kt), 3, pairs))
+            w *= a
+            vals = np.add.reduce(w, 1, out=buf[3 * size:4 * size].reshape(len(kt), pairs))
+            np.abs(vals, out=w[:, 0])
+            np.square(vals, out=w[:, 1])
+            totals[lo:lo + tile] += np.add.reduce(w[:, :2], 2)  # each row pairwise
         left -= pairs
-    mean = total / n_samples
-    if n_samples > 1:
-        var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
-        stderr = math.sqrt(var / n_samples)
-    else:
-        stderr = 0.0
-    # 2^(e-1) is a double for every finite peak; 2x is exact, so each value
-    # rounds once, as ldexp would, and a Sigma past the float range is inf
-    unit = math.ldexp(0.5, e)
-    return SigmaEstimate(2.0 * mean * unit, "monte_carlo", 2.0 * stderr * unit)
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return totals
 
 
 def sigma_monte_carlo_batch(
     k: np.ndarray,
     n_samples: int,
-    seeds,
+    seed: int | np.random.SeedSequence,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo Sigma of every correlation matrix in `k` (shape (..., 3,
-    3)), each sampled with its own entry of `seeds` (one per matrix, in C
-    order); returns (values, standard errors) with shape k.shape[:-2].
+    """Direct double-sphere average of |a^T K b| over uniform axes, for every
+    correlation matrix in `k` (shape (..., 3, 3)), all on the directions one
+    seed draws; returns (values, standard errors) with shape k.shape[:-2].
 
-    From MC_BLOCK samples on, the estimates run on a thread pool made for
-    this call only, with one worker per CPU this process may use and at most
-    one per matrix; fewer samples, one matrix or one CPU run in the calling
-    thread. Each value depends only on its matrix and seed, so the results
+    Each axis is a Marsaglia point (G. Marsaglia, Ann. Math. Statist. 43
+    (1972) 645-646): (u, v) uniform on [-1, 1)^2, kept where q = u^2 + v^2
+    < 1, gives the uniform unit vector (2u sqrt(1-q), 2v sqrt(1-q), 1-2q),
+    with no normalisation. The n_samples samples are split into chunks of
+    MC_CHUNK, the last one shorter. Chunk j draws from its own generator,
+    seeded by the SeedSequence with `seed`'s entropy and spawn key +(j,), the
+    child `seed.spawn()` would give a fresh copy of `seed`; `seed` itself is
+    not changed. Within a chunk each draw takes m = min(MC_BLOCK, 3 *
+    samples the chunk still needs + 16) candidates, the m values of u, then
+    the m of v. Of the p pairs its kept points make (at most the samples
+    still needed), the first p points are the a and the next p the b, in
+    draw order; an odd or surplus point is dropped. Every matrix is
+    evaluated on the same (a, b) pairs: this is common random numbers, so
+    the estimates of one call have correlated errors, while each stays
+    unbiased with its own standard error. A draw's sum and sum of squares,
+    each in numpy's pairwise order, are added to the chunk's running
+    totals, and the chunks' totals are added in chunk order. Each matrix is
+    first scaled by the power of two that puts its largest entry in [1/2,
+    1), and its mean and standard error scaled back, so no square under- or
+    overflows at any finite scale. A value thus depends only on its matrix,
+    the sample count and the seed: a matrix gives the same bytes alone and
+    at any place in any batch.
+
+    With more than one chunk, the chunks run on a thread pool made for this
+    call only, with one worker per CPU this process may use and at most one
+    per chunk; one chunk or one CPU runs in the calling thread. The results
     are the same bytes whatever the worker count, and a worker's exception
-    is raised here. Seeds that do not number one per matrix raise ValueError.
+    is raised here. A K that is not finite with shape (..., 3, 3), an
+    n_samples that is not an integer >= 1, or a seed that is not one
+    integer >= 0 or a SeedSequence raises ValueError before any draw.
     """
+    k = np.asarray(k, dtype=float)
+    if k.shape[-2:] != (3, 3):
+        raise ValueError(f"K must be a 3x3 matrix or a stack of them, got shape {k.shape}")
+    flat = k.reshape(-1, 3, 3)
+    peak = np.abs(flat).max(axis=(1, 2), initial=0.0)
+    if not np.isfinite(peak).all():
+        raise ValueError("K has non-finite entries")
     n_samples = _sample_count(n_samples)
-    if len(seeds := list(seeds)) != k.size // 9:
-        raise ValueError(f"need one seed per matrix, got {len(seeds)} for {k.size // 9}")
-    jobs = list(zip(k.reshape(-1, 3, 3), seeds))
-    workers = min(len(jobs), _cpu_count()) if n_samples >= MC_BLOCK else 1
-    if workers <= 1:
-        estimates = [sigma_monte_carlo(ki, n_samples, seed) for ki, seed in jobs]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # ~6 ms to import
+    root = _seed_sequence(seed)
+    e = np.frexp(peak)[1]
+    # the draw keeps u/2 and v/2, which makes each axis 1/8 of itself,
+    # (u/2 t, v/2 t, 1/8 - q/4) with t = sqrt(1/4 - q/4): the form then
+    # reads 64K, here in units of 2^e, and every value is bit for bit that
+    # of the formula above
+    k64 = np.ldexp(flat, (6 - e)[:, None, None])
+    totals = np.zeros((len(flat), 2))
+    if len(flat):
+        chunks = -(-n_samples // MC_CHUNK)
 
-        with ThreadPoolExecutor(workers) as pool:
-            estimates = list(pool.map(
-                lambda job: sigma_monte_carlo(job[0], n_samples, job[1]), jobs))
-    values = np.array([e.value for e in estimates]).reshape(k.shape[:-2])
-    bounds = np.array([e.error_bound for e in estimates]).reshape(k.shape[:-2])
-    return values, bounds
+        def chunk(j: int) -> np.ndarray:
+            seq = np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, j),
+                                         pool_size=root.pool_size)
+            return _chunk_totals(k64, min(MC_CHUNK, n_samples - j * MC_CHUNK), seq)
+
+        workers = min(chunks, _cpu_count())
+        if workers <= 1:
+            for part in map(chunk, range(chunks)):
+                totals += part
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # ~6 ms to import
+
+            with ThreadPoolExecutor(workers) as pool:
+                for part in pool.map(chunk, range(chunks)):
+                    totals += part
+    mean = totals[:, 0] / n_samples
+    if n_samples > 1:
+        var = np.maximum(totals[:, 1] / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
+        stderr = np.sqrt(var / n_samples)
+    else:
+        stderr = np.zeros_like(mean)
+    # 2^(e-1) is a double for every finite peak; 2x is exact, so each value
+    # rounds once, as ldexp would, and a Sigma past the float range is inf
+    unit = np.ldexp(0.5, e)
+    with np.errstate(over="ignore"):
+        values, stderrs = 2.0 * mean * unit, 2.0 * stderr * unit
+    return values.reshape(k.shape[:-2]), stderrs.reshape(k.shape[:-2])
+
+
+def sigma_monte_carlo(
+    k: np.ndarray,
+    n_samples: int,
+    seed: int | np.random.SeedSequence,
+) -> SigmaEstimate:
+    """Monte Carlo Sigma of the one 3x3 matrix `k`: `sigma_monte_carlo_batch`
+    on a batch of one, with the standard error of the mean as its error
+    bound. A K that is not a 3x3 matrix raises ValueError."""
+    k = np.asarray(k, dtype=float)
+    if k.shape != (3, 3):
+        raise ValueError(f"K must be a 3x3 matrix, got shape {k.shape}")
+    value, stderr = sigma_monte_carlo_batch(k, n_samples, seed)
+    return SigmaEstimate(float(value), "monte_carlo", float(stderr))
 
 
 def _singular_values(k: np.ndarray) -> np.ndarray:

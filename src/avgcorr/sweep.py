@@ -15,8 +15,12 @@ nor a sort. Two singular values are equal, so the exact method takes Sigma
 from `correlation.sigma_damped`, elementwise in elementary functions: each
 value depends only on its own (c, p), and a sweep row is bit for bit the
 one-point value at its p. `damped_sigma` writes K itself out only for Monte
-Carlo, the one estimator that reads it. The CLI's one-state `sigma` and
-`classify` run it on a single p.
+Carlo, the one estimator that reads it; one call averages every point over
+the same seeded directions (common random numbers), so a Monte Carlo row is
+also bit for bit its one-point value with the same seed and sample count,
+and the rows' errors are correlated while each stays unbiased with its own
+standard error. The CLI's one-state `sigma` and `classify` run it on a
+single p.
 """
 
 from __future__ import annotations
@@ -111,7 +115,7 @@ def damped_sigma(
     p,
     method: str = "exact",
     n_samples: int = 1_000_000,
-    seeds=(),
+    seed: int | np.random.SeedSequence = 42,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Singular triples and Sigma of the pure state with Schmidt coefficient
     c after `kind` damping of both qubits, at every probability in `p`; c
@@ -119,9 +123,10 @@ def damped_sigma(
     the broadcast shape of c and p.
 
     "exact" runs `sigma_damped` on s and kappa; "monte_carlo" runs
-    `sigma_monte_carlo_batch` on K, with `seeds` holding one seed per point
-    of S, in C order. A c or p outside [0, 1] (NaN included), an unknown
-    kind or a method not in METHODS raises ValueError.
+    `sigma_monte_carlo_batch` on K with `seed`, so every point is averaged
+    over the same directions and each value is its one-point value. A c or
+    p outside [0, 1] (NaN included), an unknown kind or a method not in
+    METHODS raises ValueError.
     """
     p = np.asarray(p, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -144,7 +149,7 @@ def damped_sigma(
         k = np.zeros(sv.shape[:-1] + (3, 3))
         k[..., 0, 0] = k[..., 1, 1] = -s
         k[..., 2, 2] = kappa
-        sigma, _ = sigma_monte_carlo_batch(k, n_samples, seeds)
+        sigma, _ = sigma_monte_carlo_batch(k, n_samples, seed)
     elif method in METHODS:
         sigma = sigma_damped(s, kappa)
     else:
@@ -157,13 +162,12 @@ def decay_curve(
     n_samples: int = 1_000_000,
     seed: int = 42,
 ) -> DecayCurve:
-    """Compute the Sigma(t) curve of every rate in the spec as columns."""
+    """Compute the Sigma(t) curve of every rate in the spec as columns;
+    Monte Carlo averages every grid point over the directions `seed` draws."""
     gammas = np.array(spec.gammas, dtype=float)
     times = np.linspace(0.0, spec.t_max, spec.steps)
     p = p_of_t(gammas[:, None], times)  # (rates, steps)
-    # one seed per grid point, drawn only by Monte Carlo
-    seeds = (np.random.SeedSequence(seed, spawn_key=key) for key in np.ndindex(p.shape))
-    sv, sigma = damped_sigma(spec.channel_kind, spec.c, p, spec.method, n_samples, seeds)
+    sv, sigma = damped_sigma(spec.channel_kind, spec.c, p, spec.method, n_samples, seed)
     exact = spec.method == "exact"
     metadata = {
         "channel": spec.channel_kind,

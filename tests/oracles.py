@@ -1,7 +1,7 @@
 """The periodic quadrature and the degenerate-pair closed form of Sigma: the
 oracles the tests hold the runtime estimator, Carlson's R_G, to. Also the
-plain per-block Monte Carlo loop that `sigma_monte_carlo` must match bit
-for bit.
+plain per-chunk, per-draw Monte Carlo loop that `sigma_monte_carlo` must
+match bit for bit.
 
 Sigma depends on K only through its singular values alpha >= beta >=
 gamma_sv and reduces to the single integral
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from avgcorr.correlation import MC_BLOCK, SigmaEstimate
+from avgcorr.correlation import MC_BLOCK, MC_CHUNK, SigmaEstimate
 
 DEGENERATE_PAIR_TOL = 1e-9
 
@@ -220,27 +220,37 @@ def marsaglia_points(rng: np.random.Generator, m: int) -> np.ndarray:
 
 def sigma_monte_carlo_one_shot(k: np.ndarray, n_samples: int, seed) -> SigmaEstimate:
     """The Monte Carlo estimate as its stream is defined: K scaled by the
-    power of two that puts its largest entry in [1/2, 1); per draw of
-    min(MC_BLOCK, 3 * samples left + 16) candidates, the first p kept points
+    power of two that puts its largest entry in [1/2, 1); the samples split
+    into chunks of MC_CHUNK, chunk j drawing from the SeedSequence with the
+    seed's entropy and spawn key +(j,); per draw of min(MC_BLOCK, 3 *
+    samples the chunk still needs + 16) candidates, the first p kept points
     are a and the next p are b, p the pairs it makes but at most the samples
-    left; each draw's sum and sum of squares go to running totals, and the
-    mean and standard error are scaled back. `sigma_monte_carlo` must match
-    it bit for bit."""
+    the chunk still needs; each draw's sum and sum of squares go to the
+    chunk's running totals, the chunks' totals are added in chunk order,
+    and the mean and standard error are scaled back. `sigma_monte_carlo`
+    must match it bit for bit, alone and in any batch."""
     k = np.asarray(k, dtype=float)
     e = math.frexp(float(np.max(np.abs(k))))[1]
     k = np.ldexp(k, -e)
-    rng = np.random.default_rng(seed)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     total = 0.0
     total_sq = 0.0
-    left = n_samples
-    while left > 0:
-        points = marsaglia_points(rng, min(MC_BLOCK, 3 * left + 16))
-        p = min(points.shape[1] // 2, left)
-        a, b = points[:, :p], points[:, p:2 * p]
-        vals = np.abs((a * (k @ b)).sum(axis=0))
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        left -= p
+    for j, start in enumerate(range(0, n_samples, MC_CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            root.entropy, spawn_key=root.spawn_key + (j,), pool_size=root.pool_size))
+        chunk_total = 0.0
+        chunk_sq = 0.0
+        left = min(MC_CHUNK, n_samples - start)
+        while left > 0:
+            points = marsaglia_points(rng, min(MC_BLOCK, 3 * left + 16))
+            p = min(points.shape[1] // 2, left)
+            a, b = points[:, :p], points[:, p:2 * p]
+            vals = np.abs((a * (k @ b)).sum(axis=0))
+            chunk_total += float(vals.sum())
+            chunk_sq += float((vals * vals).sum())
+            left -= p
+        total += chunk_total
+        total_sq += chunk_sq
     mean = total / n_samples
     if n_samples > 1:
         var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)

@@ -90,6 +90,40 @@ def test_sigma_matches_every_sweep_row(capsys):
             assert capsys.readouterr().out == f"{fields[6]} {fields[7]}\n", (common, row)
 
 
+@pytest.mark.parametrize("samples", [1000, correlation.MC_CHUNK + 1])
+def test_monte_carlo_sigma_matches_every_sweep_row(samples, capsys):
+    # a Monte Carlo sweep averages every row over the directions of its one
+    # seed, so each row's Sigma is bit for bit the one-point value, and
+    # `sigma --p <repr(p)>` prints its cell, at the same samples and seed
+    mc = ["--method", "mc", "--samples", str(samples), "--seed", "8"]
+    common = ["--channel", "amplitude", "--c", "0.6", *mc]
+    assert run(["sweep", *common, "--gammas", "0.7,2", "--steps", "4", "--format", "json"]) == 0
+    rows = [row for block in json.loads(capsys.readouterr().out)["blocks"] for row in block["rows"]]
+    assert len(rows) == 8
+    for row in rows:
+        _, one = avgcorr.sweep.damped_sigma("amplitude_damping", 0.6, row["p"], "monte_carlo",
+                                            samples, 8)
+        assert float(one).hex() == row["sigma"].hex(), row
+        assert run(["sigma", *common, "--p", repr(row["p"])]) == 0
+        assert capsys.readouterr().out == f"{format_sig12(row['sigma'])} {row['classification']}\n"
+
+
+def test_verify_state_and_monte_carlo_keys_never_meet(monkeypatch, capsys):
+    # trial i's state draws from spawn key (i, 0); the one Monte Carlo seed
+    # has key (trials,), so its chunk j draws from (trials, j)
+    keys = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        keys.append(seed.spawn_key)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    assert run(["verify", "--samples", str(2 * correlation.MC_CHUNK + 1), "--trials", "3"]) == 0
+    assert keys[:3] == [(0, 0), (1, 0), (2, 0)]
+    assert sorted(keys[3:]) == [(3, 0), (3, 1), (3, 2)]
+
+
 def test_sigma_rate_time_pair_matches_direct_p(capsys):
     assert run(["sigma", "--c", "0.6", "--channel", "amplitude",
                 "--gamma", "2.0", "--t", "0.5"]) == 0

@@ -169,9 +169,9 @@ def test_damped_sigma_of_no_points_is_empty(kind, method):
 @pytest.mark.parametrize("method", ["exact", "monte_carlo"])
 def test_damped_sigma_of_one_point_has_0d_shapes(kind, method):
     for c, p in [(0.6, 0.3), (np.float64(0.6), np.asarray(0.3)), (np.asarray(0.6), 1.0)]:
-        sv, sigma = damped_sigma(kind, c, p, method, n_samples=100, seeds=[5])
+        sv, sigma = damped_sigma(kind, c, p, method, n_samples=100, seed=5)
         assert sv.shape == (3,) and np.shape(sigma) == (), (c, p)
-        want_sv, want_sigma = damped_sigma(kind, [c], [p], method, n_samples=100, seeds=[5])
+        want_sv, want_sigma = damped_sigma(kind, [c], [p], method, n_samples=100, seed=5)
         assert sv.tobytes() == want_sv.tobytes()
         assert np.asarray(sigma).tobytes() == want_sigma.tobytes()
 

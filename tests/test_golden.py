@@ -5,8 +5,11 @@
 sweeps; any change to how the sweep computes or renders a row must keep
 them. `tests/data/verify_small.txt` holds the stdout of a small `avgcorr
 verify` run, `quadrature=` token included, and `tests/data/sweep_mc_small.csv`
-that of a small Monte Carlo sweep, one estimate of 100 samples per row: the
-two pin the Monte Carlo stream, its draw sizing included.
+that of a small Monte Carlo sweep, every row averaged over the same 100
+directions: the two pin the Monte Carlo stream, its draw sizing included.
+Both fit in one chunk; `tests/data/verify_chunks.txt` holds a `verify` run
+of three chunks, which pins the chunk streams and the order their totals
+are added in, whatever the number of CPUs.
 """
 
 from pathlib import Path
@@ -51,6 +54,12 @@ def test_verify_stdout_matches_golden_bytes(capsys):
     assert run(["verify", "--samples", "20000", "--trials", "3", "--seed", "42"]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (DATA / "verify_small.txt").read_bytes()
+
+
+def test_multi_chunk_verify_stdout_matches_golden_bytes(capsys):
+    assert run(["verify", "--samples", "300000", "--trials", "2", "--seed", "42"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (DATA / "verify_chunks.txt").read_bytes()
 
 
 def test_monte_carlo_sweep_csv_matches_golden_bytes(tmp_path):

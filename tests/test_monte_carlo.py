@@ -1,8 +1,9 @@
 """The Monte Carlo oracle: the estimate against the plain statement of its
 stream in `oracles.py` and against pinned values, the Marsaglia points in
 distribution, landmark and random-state values within their standard
-errors, the estimate's exact scaling with K, the concurrent batch against
-one estimate at a time, and its input checks.
+errors, the estimate's exact scaling with K, a batch sharing one seed's
+directions against each matrix alone, its chunks on the thread pool, and
+its input checks.
 
 Every value here must be the same bytes on one CPU and on many; CI also
 runs this file pinned to one CPU.
@@ -11,6 +12,7 @@ runs this file pinned to one CPU.
 import concurrent.futures
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ import avgcorr.correlation as correlation
 from avgcorr import (PHASE_DAMPING, correlation_matrix, damped_sigma, random_density,
                      sigma_for_state)
 from avgcorr.cli import run
-from avgcorr.correlation import MC_BLOCK, sigma_monte_carlo, sigma_monte_carlo_batch
+from avgcorr.correlation import MC_BLOCK, MC_CHUNK, sigma_monte_carlo, sigma_monte_carlo_batch
 from oracles import marsaglia_points, sigma_monte_carlo_one_shot
 
 RNG = np.random.default_rng(2024)
@@ -38,7 +40,8 @@ def as_pair(est):
 
 
 @pytest.mark.parametrize("kind", sorted(MATRICES))
-@pytest.mark.parametrize("n", [1, 2, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 5])
+@pytest.mark.parametrize("n", [1, 2, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 5,
+                               MC_CHUNK, MC_CHUNK + 1, 3 * MC_CHUNK + 5])
 def test_blocked_estimate_matches_one_shot_loop(kind, n):
     k = MATRICES[kind]
     assert as_pair(sigma_monte_carlo(k, n, n)) == as_pair(sigma_monte_carlo_one_shot(k, n, n))
@@ -51,14 +54,16 @@ def test_blocked_estimate_matches_one_shot_loop_past_a_million(kind):
 
 
 # (n, seed, value, standard error) of sigma_monte_carlo(PINNED_K, n, seed) on
-# the Marsaglia stream: these bytes must not move
+# the chunked Marsaglia stream: these bytes must not move
 PINNED_K = np.array([[0.3, -0.2, 0.1], [0.05, -0.6, 0.25], [-0.15, 0.4, 0.7]])
 PINNED = [
-    (1, 3, "0x1.c794db533518ep-2", "0x0.0p+0"),
-    (2, 3, "0x1.3004d39574163p-2", "0x1.2e50f724e53dcp-2"),
-    (1000, 17, "0x1.465fccddf2fc3p-2", "0x1.a18fb6d1b62a1p-8"),
-    (MC_BLOCK - 1, 42, "0x1.41d39b4e311d6p-2", "0x1.985e164699928p-10"),
-    (MC_BLOCK, 2024, "0x1.417cfac43efa4p-2", "0x1.95b7d2eaefa3dp-10"),
+    (1, 3, "0x1.37d42b7d686bfp-1", "0x0.0p+0"),
+    (2, 3, "0x1.8b30c24a4a8b4p-2", "0x1.c15d5f556668ap-5"),
+    (1000, 17, "0x1.39bd70e0cddaep-2", "0x1.9dde2854973ffp-8"),
+    (MC_BLOCK - 1, 42, "0x1.4295392b3a6d1p-2", "0x1.9a3273505c6fep-10"),
+    (MC_BLOCK, 2024, "0x1.4274c46d6d8a8p-2", "0x1.9b2d72322cf7ap-10"),
+    (MC_CHUNK + 1, 7, "0x1.3fb6f10a618a3p-2", "0x1.1f9bdb1885e4ap-11"),
+    (3 * MC_CHUNK + 5, 8, "0x1.40cb08bba1a53p-2", "0x1.4c4a0719ff5cdp-12"),
 ]
 
 
@@ -191,95 +196,151 @@ def test_monte_carlo_takes_numpy_integer_sample_counts():
 
 
 def batch_inputs(n_matrices=6):
-    ks = RNG.standard_normal((n_matrices, 3, 3)).reshape(2, -1, 3, 3)
-    seeds = [np.random.SeedSequence(11, spawn_key=(i,)) for i in range(n_matrices)]
-    return ks, seeds
+    return RNG.standard_normal((n_matrices, 3, 3)).reshape(2, -1, 3, 3), np.random.SeedSequence(11)
+
+
+matrix = st.lists(finite, min_size=9, max_size=9).map(lambda e: np.reshape(e, (3, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(matrix, min_size=1, max_size=7), st.data(), st.integers(0, 2**64 - 1),
+       st.sampled_from([1, 2, MC_CHUNK, MC_CHUNK + 1, 2 * MC_CHUNK + 3]), st.sampled_from([1, 2, 4]))
+def test_batch_gives_each_matrix_its_value_alone(ks, data, seed, n, cpus):
+    # common random numbers: every matrix of a batch is evaluated on the same
+    # directions, so its value and standard error are the same bytes alone,
+    # at any place of a shuffled batch and on any worker count; one
+    # SeedSequence passed again gives the same bytes, as spawn() would not
+    ks = np.array(ks)
+    order = data.draw(st.permutations(range(len(ks))))
+    seq = np.random.SeedSequence(seed)
+    with mock.patch.object(correlation, "_cpu_count", lambda: cpus):
+        values, stderrs = sigma_monte_carlo_batch(ks[order], n, seq)
+        again = sigma_monte_carlo_batch(ks[order], n, seq)
+    assert values.tobytes() == again[0].tobytes() and stderrs.tobytes() == again[1].tobytes()
+    for place, i in enumerate(order):
+        assert (values[place], stderrs[place]) == as_pair(sigma_monte_carlo(ks[i], n, seed))
+    first = order[0]
+    assert as_pair(sigma_monte_carlo(ks[first], n, seq)) == as_pair(
+        sigma_monte_carlo_one_shot(ks[first], n, seed))
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 64])
 def test_concurrent_batch_matches_one_estimate_at_a_time(cpus, monkeypatch):
-    ks, seeds = batch_inputs()
+    ks, seed = batch_inputs()
+    n = 3 * MC_CHUNK + 5  # four chunks
     threads = []
+    chunk_totals = correlation._chunk_totals
 
-    def traced(k, n, seed):
+    def traced(k64, n, seq):
         threads.append(threading.get_ident())
-        return sigma_monte_carlo(k, n, seed)
+        return chunk_totals(k64, n, seq)
 
     monkeypatch.setattr(correlation, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(correlation, "sigma_monte_carlo", traced)
-    values, bounds = sigma_monte_carlo_batch(ks, MC_BLOCK + 1, seeds)
-    expect = [sigma_monte_carlo(k, MC_BLOCK + 1, seed)
-              for k, seed in zip(ks.reshape(-1, 3, 3), seeds)]
+    monkeypatch.setattr(correlation, "_chunk_totals", traced)
+    values, bounds = sigma_monte_carlo_batch(ks, n, seed)
     assert values.shape == bounds.shape == (2, 3)
+    monkeypatch.setattr(correlation, "_chunk_totals", chunk_totals)
+    expect = [sigma_monte_carlo(k, n, seed) for k in ks.reshape(-1, 3, 3)]
     assert values.ravel().tolist() == [e.value for e in expect]
     assert bounds.ravel().tolist() == [e.error_bound for e in expect]
-    # one CPU runs every estimate in the calling thread, more run none there
+    # one CPU runs every chunk in the calling thread, more run none there
+    assert len(threads) == 4
     on_caller = threads.count(threading.get_ident())
-    assert on_caller == (len(seeds) if cpus == 1 else 0)
-    assert len(set(threads)) <= min(len(seeds), cpus)
+    assert on_caller == (4 if cpus == 1 else 0)
+    assert len(set(threads)) <= min(4, cpus)
 
 
-def test_pool_is_capped_and_only_for_estimates_of_a_block_or_more(monkeypatch):
+def test_pool_is_capped_and_only_for_more_than_one_chunk(monkeypatch):
     sizes = []
+    chunks = []
 
     class Recording(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
+    def counted(k64, n, seq):
+        chunks.append((seq.spawn_key, n))
+        return np.zeros((len(k64), 2))
+
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    ks, seeds = batch_inputs()
+    monkeypatch.setattr(correlation, "_chunk_totals", counted)
+    ks, seed = batch_inputs()
     for cpus in (4, 64):
         monkeypatch.setattr(correlation, "_cpu_count", lambda: cpus)
-        for n in (MC_BLOCK - 1, MC_BLOCK):
-            values, bounds = sigma_monte_carlo_batch(ks, n, seeds)
+        for n in (MC_CHUNK, MC_CHUNK + 1, 4 * MC_CHUNK + 1):
+            values, bounds = sigma_monte_carlo_batch(ks, n, seed)
             assert values.shape == bounds.shape == (2, 3)
-            assert values.ravel().tolist() == [sigma_monte_carlo(k, n, seed).value
-                                               for k, seed in zip(ks.reshape(-1, 3, 3), seeds)]
-    # min(estimates, CPUs) workers, and no pool below MC_BLOCK samples
-    assert sizes == [4, 6]
+    # min(chunks, CPUs) workers, and no pool for one chunk; chunk j has the
+    # seed's spawn key + (j,) and MC_CHUNK samples, the last the rest
+    assert sizes == [2, 4, 2, 5]
+    assert sorted(chunks[:3]) == [((0,), MC_CHUNK), ((0,), MC_CHUNK), ((1,), 1)]
+    assert sorted(chunks[3:8]) == [((j,), MC_CHUNK) for j in range(4)] + [((4,), 1)]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_batch_raises_the_workers_error(cpus, monkeypatch):
-    ks, seeds = batch_inputs()
+    ks, seed = batch_inputs()
     monkeypatch.setattr(correlation, "_cpu_count", lambda: cpus)
+
+    def drew(k64, n, seq):
+        raise AssertionError("drew before checking the input")
+
+    monkeypatch.setattr(correlation, "_chunk_totals", drew)
     with pytest.raises(ValueError, match="at least one sample"):
-        sigma_monte_carlo_batch(ks, 0, seeds)
+        sigma_monte_carlo_batch(ks, 0, seed)
     bad = ks.copy()
     bad[1, 2, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        sigma_monte_carlo_batch(bad, MC_BLOCK, seeds)
+        sigma_monte_carlo_batch(bad, 2 * MC_CHUNK, seed)
+    with pytest.raises(ValueError, match="3x3"):
+        sigma_monte_carlo_batch(ks[..., :2], 2 * MC_CHUNK, seed)
     error = ValueError("worker failed")
 
-    def failing(k, n, seed):
+    def failing(k64, n, seq):
         raise error
 
-    monkeypatch.setattr(correlation, "sigma_monte_carlo", failing)
+    monkeypatch.setattr(correlation, "_chunk_totals", failing)
     with pytest.raises(ValueError) as raised:
-        sigma_monte_carlo_batch(ks, MC_BLOCK, seeds)
+        sigma_monte_carlo_batch(ks, 2 * MC_CHUNK, seed)
     assert raised.value is error
 
 
 def test_batch_names_a_seed_count_mismatch():
+    # one seed draws the directions of the whole batch: a list of seeds, a
+    # negative or a non-integer seed is refused before any draw
     ks = np.broadcast_to(np.eye(3), (2, 3, 3))
-    with pytest.raises(ValueError, match="^need one seed per matrix, got 3 for 2$"):
-        sigma_monte_carlo_batch(ks, 10, [1, 2, 3])
-    # damped_sigma's default seeds=() leave a Monte Carlo point without one
-    with pytest.raises(ValueError, match="^need one seed per matrix, got 0 for 1$"):
-        damped_sigma(PHASE_DAMPING, 0.6, 0.3, "monte_carlo")
+    with pytest.raises(ValueError, match=r"^need one integer or SeedSequence seed, got \[1, 2\]$"):
+        sigma_monte_carlo_batch(ks, 10, [1, 2])
+    with pytest.raises(ValueError, match="^need one integer or SeedSequence seed, got 2.5$"):
+        sigma_monte_carlo_batch(ks, 10, 2.5)
+    with pytest.raises(ValueError, match="non-negative"):
+        sigma_monte_carlo_batch(ks, 10, -1)
+    # damped_sigma's default seed, like sigma_for_state's, is 42
+    point = damped_sigma(PHASE_DAMPING, 0.6, 0.3, "monte_carlo", 100)[1]
+    assert point == damped_sigma(PHASE_DAMPING, 0.6, 0.3, "monte_carlo", 100, 42)[1]
+
+
+def test_empty_batch_draws_nothing(monkeypatch):
+    def drew(k64, n, seq):
+        raise AssertionError("drew for an empty batch")
+
+    monkeypatch.setattr(correlation, "_chunk_totals", drew)
+    values, bounds = sigma_monte_carlo_batch(np.zeros((2, 0, 3, 3)), 10, 1)
+    assert values.shape == bounds.shape == (2, 0)
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--samples", str(MC_BLOCK), "--trials", "3"],
-    ["sweep", "--channel", "phase", "--method", "mc", "--samples", str(MC_BLOCK), "--steps", "3"],
+    ["verify", "--samples", str(MC_CHUNK + 1), "--trials", "3"],
+    ["sweep", "--channel", "phase", "--method", "mc", "--samples", str(MC_CHUNK + 1),
+     "--steps", "3"],
 ])
 def test_worker_error_is_one_error_line(argv, monkeypatch, capsys):
-    def failing(k, n, seed):
+    def failing(k64, n, seq):
         raise ValueError("worker\nfailed")
 
     monkeypatch.setattr(correlation, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(correlation, "sigma_monte_carlo", failing)
+    monkeypatch.setattr(correlation, "_chunk_totals", failing)
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -230,15 +230,15 @@ def test_sweep_spec_rejects_non_finite(kwargs):
 def per_point_rows(spec, n_samples, seed):
     """The sweep rows computed point by point through the Kraus form:
     apply_both -> correlation_matrix -> singular_values, and the estimator
-    on that one state by `sigma_for_state`."""
+    on that one state by `sigma_for_state`, Monte Carlo with the sweep's
+    own seed at every point."""
     rho0 = make_pure_state(spec.c)
-    for bi, gamma in enumerate(spec.gammas):
-        for ti, t in enumerate(np.linspace(0.0, spec.t_max, spec.steps)):
+    for gamma in spec.gammas:
+        for t in np.linspace(0.0, spec.t_max, spec.steps):
             p = p_of_t(gamma, t)
             rho = apply_both(rho0, make_channel(spec.channel_kind, p))
             s = singular_values(correlation_matrix(rho))
-            est = sigma_for_state(rho, spec.method, n_samples,
-                                  np.random.SeedSequence(seed, spawn_key=(bi, ti)))
+            est = sigma_for_state(rho, spec.method, n_samples, seed)
             yield gamma, (t, p, s.alpha, s.beta, s.gamma_sv, est.value), classify(est)
 
 
