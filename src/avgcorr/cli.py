@@ -48,13 +48,12 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Iterator
-from itertools import chain, repeat
 
 import numpy as np
 
 from .channels import p_of_t
 from .correlation import classify, correlation_matrix, sigma_for_state, sigma_monte_carlo_batch
+from .float_repr import DIGITS4, repr_bytes
 from .states import random_density
 from .sweep import FIGURE_KINDS, DecayCurve, SweepSpec, damped_sigma, decay_curve
 
@@ -86,9 +85,6 @@ def format_sig12(x: float) -> str:
 
 # 10**k, correctly rounded, at index k + 12 for k in -12..23
 _POW10 = np.array([float(f"1e{k}") for k in range(-12, 24)])
-# the ASCII digits of 0000 .. 9999, four bytes to an entry
-_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-_DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
 _WIDTH = 26  # the widest cell: "-0." and 11 zeros before 12 digits
 # format_sig12's cells with @ for the 12 digits, at index 24 * neg + e + 12
 _CELLS = [format_sig12(float(f"{'-' * neg}1.11111111111e{e}")).replace("1", "@")
@@ -124,7 +120,7 @@ def _sig12_bytes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # n's 4-digit chunks; floors of quotients of integers below 2**53 are exact
     chunks = np.floor(n[order[:bounds[48]]] / [[1e8], [1e4], [1.0]])
     chunks[1:] -= chunks[:-1] * 1e4
-    digits = np.take(_DIGITS4, chunks.T.astype(np.intp)).view(np.uint8)
+    digits = np.take(DIGITS4, chunks.T.astype(np.intp)).view(np.uint8)
     out = np.take(_LAYOUT, key[order], mode="clip")  # slow cells are written below
     grid = out.view(np.uint8).reshape(x.size, _WIDTH)
     for k in np.flatnonzero(np.diff(bounds)).tolist():
@@ -137,96 +133,97 @@ def _sig12_bytes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return grid, lengths
 
 
+def _lay_out(head: str, shape: tuple[int, ...], fields, widths, texts) -> str:
+    """`head`, then rows of the given shape, each texts[0], fields[0],
+    texts[1], ..., fields[-1], texts[-1]. Field i is an array of NUL-padded
+    cells along its last axis (bytes, or the UCS-4 code points of ASCII
+    text) that broadcasts to the shape, cut to widths[i]. The rows are laid
+    out in one NUL-padded byte matrix, whose NULs are then deleted. The
+    text is joined to `head` while the matrix is still held: freeing the
+    matrix first let the heap shrink and grow back on every call, which
+    cost a CSV sweep about twice the page faults."""
+    row = bytearray(texts[0])
+    starts = []
+    for width, text in zip(widths, texts[1:], strict=True):
+        starts.append(len(row))
+        row += bytes(int(width)) + text
+    rows = np.empty((*shape, len(row)), np.uint8)
+    rows[...] = np.frombuffer(row, np.uint8)
+    for field, width, start in zip(fields, widths, starts):
+        rows[..., start:start + width] = field[..., :width]
+    return head + rows.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _label_codes(labels: np.ndarray) -> np.ndarray:
+    """The labels' UCS-4 code points, NUL-padded along a last axis; they are
+    ASCII, so the code points are their bytes."""
+    return np.asarray(labels, dtype=str)[..., None].view(np.uint32)
+
+
 def render_csv(curve: DecayCurve) -> str:
-    """CSV_HEADER and one row per grid point, laid out as bytes in one
-    (rates, steps, row width) NUL-padded matrix, each of the 8 fields as wide
-    as its widest cell; the NULs are then deleted from its bytes."""
+    """CSV_HEADER and one row per grid point, laid out by `_lay_out`, each
+    of the 8 fields as wide as its widest cell."""
     rates, steps = curve.p.shape
     cells, lengths = _sig12_bytes(np.concatenate((curve.gammas, curve.t, np.concatenate(
         (curve.p[..., None], curve.sv, curve.sigma[..., None]), axis=-1).ravel())))
-    # the labels are ASCII, so their UCS-4 code points are their bytes
-    labels = np.asarray(curve.labels, dtype=str)[..., None].view(np.uint32)
+    labels = _label_codes(curve.labels)
     body = cells[rates + steps:].reshape(rates, steps, 5, _WIDTH)
     fields = (cells[:rates, None], cells[rates:rates + steps], *np.moveaxis(body, 2, 0), labels)
     widths = (lengths[:rates].max(initial=0), lengths[rates:rates + steps].max(initial=0),
               *lengths[rates + steps:].reshape(-1, 5).max(axis=0, initial=0), labels.shape[-1])
-    ends = np.cumsum(np.add(widths, 1))  # each field and its separator
-    rows = np.zeros((rates, steps, ends[-1]), np.uint8)
-    for field, width, end in zip(fields, widths, ends.tolist()):
-        rows[..., end - width - 1:end - 1] = field[..., :width]
-    rows[..., ends - 1] = np.frombuffer(b",,,,,,,\n", np.uint8)
-    return CSV_HEADER + "\n" + rows.tobytes().translate(None, b"\0").decode("ascii")
+    return _lay_out(CSV_HEADER + "\n", (rates, steps), fields, widths, (b"", *[b","] * 7, b"\n"))
 
 
-# The layout of json.dumps(..., indent=2) for a row, as the texts around
-# its seven values, and for a block up to its rows; %r of a float is
-# float.__repr__, as in json, a row's numbers come already written, and the
-# labels are plain identifiers that need no escaping.
-_JSON_ROW_PARTS = (
-    '        {\n          "t": ',
-    ',\n          "p": ',
-    ',\n          "alpha": ',
-    ',\n          "beta": ',
-    ',\n          "gamma_sv": ',
-    ',\n          "sigma": ',
-    ',\n          "classification": "',
-    '"\n        }',
-)
-_JSON_BLOCK = '    {\n      "gamma": %r,\n      "rows": '
-
-
-def _json_openers(n: int, head: str = "") -> list[str]:
-    """The text before each of the n items of a list in json.dumps's
-    indented layout, each followed by `head`."""
-    return ["[\n" + head, *[",\n" + head] * (n - 1)]
-
-
-def _json_closer(n: int, indent: str) -> str:
-    """The text after the last of the n items of a list in json.dumps's
-    indented layout, the closing bracket at `indent`; an empty list is `[]`."""
-    return "\n" + indent + "]" if n else "[]"
-
-
-def _json_rows(heads: list[str], columns) -> Iterator[str]:
-    """The texts of the rows whose seven values, already written, are the
-    `columns`, in order, each row after its entry of `heads`."""
-    parts = [heads]
-    for column, text in zip(columns, _JSON_ROW_PARTS[1:], strict=True):
-        parts += (column, repeat(text))
-    return chain.from_iterable(zip(*parts))
+# The layout of json.dumps(..., indent=2) around a block's gamma and rows,
+# and around the eight fields of a row: its seven values and a comma that
+# the last row lacks. The labels are plain identifiers that need no escaping.
+_JSON_BLOCK = ('    {\n      "gamma": ', ',\n      "rows": ', "\n    }")
+_JSON_ROW = (b'\n        {\n          "t": ', b',\n          "p": ', b',\n          "alpha": ',
+             b',\n          "beta": ', b',\n          "gamma_sv": ', b',\n          "sigma": ',
+             b',\n          "classification": "', b'"\n        }', b"")
 
 
 def render_json(curve: DecayCurve) -> str:
     """The curve as `json.dumps({"metadata": ..., "blocks": ...}, indent=2)`
     would write it, with the rows laid out from the columns directly.
 
-    Damped rows repeat their numbers (s is both beta and one of alpha and
-    gamma_sv; under phase damping a row is (p, 1.0, s, s, Sigma)), so the
-    row cells are written once per distinct value: `repr` runs on each
-    distinct bit pattern and the texts are gathered back into the grid.
-    The key is the bits, not the value, since 0.0 and -0.0 are equal but
-    written differently. The document is a single join of those texts and
-    the layout around them, so no row or block is copied before it.
+    Every number is written once per distinct bit pattern (damped rows
+    repeat theirs: under phase damping a row is (p, 1.0, s, s, Sigma)) by
+    `repr_bytes`, which writes float.__repr__'s text; the key is the bits,
+    not the value, since 0.0 and -0.0 are equal but written differently.
+    Each rate block's rows are then laid out by `_lay_out` from those
+    texts, one block at a time.
     """
     columns = (curve.gammas, curve.t, curve.p, curve.sv, curve.sigma)
     if not all(np.isfinite(col).all() for col in columns):
         raise ValueError("JSON cannot hold the non-finite values in this decay curve")
-    cells = np.concatenate((curve.p[..., None], curve.sv, curve.sigma[..., None]), axis=-1,
-                           dtype=float)
-    bits, where = np.unique(cells.view(np.int64).ravel(), return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    texts = texts[where].reshape(cells.shape)
-    t_col = list(map(repr, curve.t.tolist()))
-    row_heads = _json_openers(len(t_col), _JSON_ROW_PARTS[0])
-    gammas = curve.gammas.tolist()
+    rates, steps = curve.p.shape
+    cells = np.concatenate((curve.p[..., None], curve.sv, curve.sigma[..., None]), axis=-1)
+    numbers = np.concatenate((curve.gammas, curve.t, cells.ravel()), dtype=float)
+    del cells
+    bits, where = np.unique(numbers.view(np.int64), return_inverse=True)
+    del numbers
+    texts, extents = repr_bytes(bits.view(np.float64))
+    del bits
+    in_rows = where[rates + steps:].reshape(rates, steps, 5)
+    t_cells = texts[where[rates:rates + steps]]
+    labels = _label_codes(curve.labels)
+    widths = (extents[where[rates:rates + steps]].max(initial=0),
+              *extents[in_rows].max(axis=(0, 1), initial=0), labels.shape[-1], 1)
+    comma = np.full((steps, 1), ord(","), np.uint8)
+    comma[-1:] = 0
     head = json.dumps({"metadata": curve.metadata}, indent=2)[:-2]  # drop "\n}"
     pieces = [head, ',\n  "blocks": ']
-    for opener, gamma, block, labels in zip(_json_openers(len(gammas)), gammas, texts,
-                                            curve.labels.tolist()):
-        pieces += (opener, _JSON_BLOCK % gamma)
-        pieces += _json_rows(row_heads, (t_col, *block.T.tolist(), labels))
-        pieces.append(_json_closer(len(t_col), "      ") + "\n    }")
-    pieces.append(_json_closer(len(gammas), "  ") + "\n}\n")
+    for i in range(rates):
+        gamma = texts[where[i]].tobytes().translate(None, b"\0").decode()
+        pieces += (",\n" if i else "[\n", _JSON_BLOCK[0], gamma, _JSON_BLOCK[1])
+        if steps:
+            fields = (t_cells, *np.moveaxis(texts[in_rows[i]], 1, 0), labels[i], comma)
+            pieces += (_lay_out("[", (steps,), fields, widths, _JSON_ROW), "\n      ]")
+        else:
+            pieces.append("[]")
+        pieces.append(_JSON_BLOCK[2])
+    pieces.append("\n  ]\n}\n" if rates else "[]\n}\n")
     return "".join(pieces)
 
 

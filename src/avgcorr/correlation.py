@@ -157,8 +157,9 @@ def sigma_rg_batch(alpha, beta, gamma_sv) -> np.ndarray:
     The middle value sits in the z slot, so -(x-z)(y-z) >= 0 and no two
     terms cancel. R_F and R_D share one duplication loop over x, y and z,
     kept as three values of the batch's shape, and finish with Carlson's
-    fifth-order series. Where b is at most RG_TINY_RATIO, and so wherever
-    alpha = 0, Sigma is alpha/4.
+    fifth-order series. Each triple stops at its own convergence, so its
+    value is the same bits in any batch. Where b is at most RG_TINY_RATIO,
+    and so wherever alpha = 0, Sigma is alpha/4.
     """
     alpha = np.asarray(alpha, dtype=float)
     scale = np.maximum(alpha, 5e-324)  # alpha = 0 has beta = gamma_sv = 0
@@ -168,16 +169,19 @@ def sigma_rg_batch(alpha, beta, gamma_sv) -> np.ndarray:
     b = np.where(tiny, 1.0, b)  # any valid triple; its value is discarded
     g2 = g * g  # may underflow; sqrt(xy/z) reads the same y = g2 as R_F and R_D
     x, y, z = np.ones_like(b), g2, b * b  # x >= z >= y, kept so
-    fac, rd_sum = 1.0, 0.0
+    rd_sum, fac = np.zeros_like(b), np.ones_like(b)
     for _ in range(RG_MAX_STEPS):
-        # counts NaN as not converged, so a NaN triple reaches the cap
-        if not np.count_nonzero(~(x <= (1.0 + RG_SPREAD) * y)):
+        # NaN counts as not converged, so a NaN triple reaches the cap
+        active = ~(x <= (1.0 + RG_SPREAD) * y)
+        if not (count := np.count_nonzero(active)):
             break
         sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
         lam = sx * (sy + sz) + sy * sz
-        rd_sum += fac / (sz * (z + lam))
-        fac *= 0.25
-        x, y, z = (x + lam) * 0.25, (y + lam) * 0.25, (z + lam) * 0.25
+        step = (rd_sum + fac / (sz * (z + lam)), fac * 0.25,
+                (x + lam) * 0.25, (y + lam) * 0.25, (z + lam) * 0.25)
+        if count < active.size:  # the converged triples keep their values
+            step = [np.where(active, new, old) for new, old in zip(step, (rd_sum, fac, x, y, z))]
+        rd_sum, fac, x, y, z = step
     else:
         raise RuntimeError(f"R_G duplication did not converge in {RG_MAX_STEPS} steps")
     mean = (x + y + z) / 3.0

@@ -53,10 +53,13 @@ class DensityReport:
     trace_deviation: float
     min_eigenvalue: float
     non_finite_entries: int = 0
+    shape: tuple[int, ...] = (4, 4)
 
     @property
     def failures(self) -> list[str]:
-        out = [f"non-finite entries: {self.non_finite_entries}"] if self.non_finite_entries else []
+        out = [f"shape {self.shape}, expected (4, 4)"] if self.shape != (4, 4) else []
+        if self.non_finite_entries:
+            out.append(f"non-finite entries: {self.non_finite_entries}")
         if not self.hermiticity_residual <= HERMITICITY_TOL:  # NaN fails
             out.append(f"hermiticity residual {self.hermiticity_residual:.3e}")
         if not self.trace_deviation <= TRACE_TOL:
@@ -71,12 +74,15 @@ class DensityReport:
 
 
 def validate_density(rho: np.ndarray) -> DensityReport:
-    """Check Hermiticity, unit trace, and positive semidefiniteness.
+    """Check the 4x4 shape, Hermiticity, unit trace, and positive semidefiniteness.
 
-    Failed checks are reported with their residuals (NaN for non-finite entries), not raised.
+    Failed checks are reported with their residuals (NaN for another shape
+    or for non-finite entries), not raised.
     """
     rho = np.asarray(rho, dtype=complex)
-    if bad := int(np.count_nonzero(~np.isfinite(rho))):  # NaN residuals, no arithmetic
+    if rho.shape != (4, 4):  # NaN residuals, no arithmetic
+        return DensityReport(np.nan, np.nan, np.nan, shape=rho.shape)
+    if bad := int(np.count_nonzero(~np.isfinite(rho))):  # the same
         return DensityReport(np.nan, np.nan, np.nan, bad)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     trace_dev = float(abs(np.trace(rho) - 1.0))

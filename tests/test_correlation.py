@@ -480,6 +480,30 @@ def test_rg_of_a_0d_triple_is_its_batch_of_one_bit_for_bit(alpha, beta_ratio, ga
         assert np.asarray(one).tobytes() == batch.tobytes(), (alpha, beta, gamma_sv)
 
 
+def triple_from_ratios(alpha, beta_ratio, gamma_ratio):
+    return alpha, alpha * beta_ratio, alpha * beta_ratio * gamma_ratio
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 1e300), RATIOS, RATIOS).map(
+    lambda ratios: triple_from_ratios(*ratios)), min_size=1, max_size=30))
+def test_rg_of_a_batch_is_each_triple_alone_bit_for_bit(triples):
+    batch = sigma_rg_batch(*np.array(triples).T)
+    alone = np.array([sigma_rg_batch(*triple) for triple in triples])
+    assert batch.tobytes() == alone.tobytes(), triples
+
+
+def test_rg_values_do_not_move_with_their_batch():
+    # each triple stops at its own convergence: a batch of sorted uniform
+    # triples, with or without a slow (1, 1e-149, 0) triple, gives every
+    # triple's value alone
+    rng = np.random.default_rng(2000)
+    triples = -np.sort(-rng.uniform(0.0, 1.0, (2000, 3)), axis=1)
+    alone = np.array([sigma_rg_batch(*triple) for triple in triples])
+    with_slow = np.vstack([triples, [1.0, 1e-149, 0.0]])
+    assert sigma_rg_batch(*triples.T).tobytes() == alone.tobytes()
+    assert sigma_rg_batch(*with_slow.T)[:-1].tobytes() == alone.tobytes()
+
+
 @pytest.mark.parametrize("triple", [(np.nan, np.nan, np.nan), (1.0, 0.5, np.nan),
                                     (1.0, np.nan, np.nan)])
 def test_rg_of_a_0d_nan_triple_raises(triple):

@@ -1,9 +1,11 @@
 """Golden-file pins of the sweep output bytes.
 
 `tests/data/figure{1,2}.csv` hold the exact bytes of `avgcorr sweep
---figure 1|2`, and `tests/data/sweep_*.json` those of two small JSON
+--figure 1|2`, `tests/data/figure{1,2}.json` those of the same sweeps with
+`--format json`, and `tests/data/sweep_*.json` those of two small JSON
 sweeps; any change to how the sweep computes or renders a row must keep
-them. `tests/data/verify_small.txt` holds the stdout of a small `avgcorr
+them. The JSON goldens were written by one `float.__repr__` call per
+number, so they pin the numpy digit kernel that replaced it. `tests/data/verify_small.txt` holds the stdout of a small `avgcorr
 verify` run, `quadrature=` token included, and `tests/data/sweep_mc_small.csv`
 that of a small Monte Carlo sweep, every row averaged over the same 100
 directions: the two pin the Monte Carlo stream, its draw sizing included.
@@ -21,6 +23,8 @@ from avgcorr.cli import run
 DATA = Path(__file__).parent / "data"
 
 JSON_SWEEPS = {
+    "figure1.json": ["--figure", "1"],
+    "figure2.json": ["--figure", "2"],
     "sweep_phase_closed.json": [
         "--channel", "phase", "--method", "closed", "--c", "0.37",
         "--gammas", "0.4,1.3,2.7", "--steps", "20",

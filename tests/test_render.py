@@ -9,6 +9,7 @@ made one `format_sig12` call per value.
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from avgcorr import (AMPLITUDE_DAMPING, PHASE_DAMPING, DecayCurve, SweepSpec, decay_curve,
                      figure_dataset)
-from avgcorr import cli
+from avgcorr import cli, float_repr
 from avgcorr.cli import CSV_HEADER, format_sig12, render_csv, render_json, run
 from avgcorr.correlation import classify_batch
 from rows import blocks
@@ -276,8 +277,8 @@ def test_render_csv_sends_few_cells_to_format_sig12(monkeypatch):
         assert 0 < len(calls) < 0.01 * cells, (len(calls), cells)
 
 
-def test_render_json_writes_each_distinct_row_number_once(monkeypatch):
-    """A fall-back of the JSON writer to one repr per cell must fail here,
+def test_render_json_sends_few_cells_to_repr(monkeypatch):
+    """A fall-back of the JSON writer to one repr per value must fail here,
     not only show in the benchmark."""
     calls = []
 
@@ -285,16 +286,90 @@ def test_render_json_writes_each_distinct_row_number_once(monkeypatch):
         calls.append(x)
         return repr(x)
 
-    monkeypatch.setattr(cli, "repr", counted, raising=False)
+    monkeypatch.setattr(float_repr, "repr", counted, raising=False)
     sweep = SweepSpec(PHASE_DAMPING, 0.6, (0.5, 1.0, 2.0), t_max=8.0, steps=400)
-    curve = decay_curve(sweep)
-    assert render_json(curve) == old_render_json(curve)
-    rates, steps = curve.p.shape
-    cells = np.concatenate((curve.p[..., None], curve.sv, curve.sigma[..., None]), axis=-1)
-    distinct = np.unique(cells.view(np.int64)).size
-    # phase damping makes every row (p, 1.0, s, s, Sigma)
-    assert distinct <= 3 * rates * steps
-    assert 0 < len(calls) <= distinct + steps + rates, (len(calls), distinct)
+    for curve in (figure_dataset(1), figure_dataset(2), decay_curve(sweep)):
+        calls.clear()
+        assert render_json(curve) == old_render_json(curve)
+        rates, steps = curve.p.shape
+        cells = np.concatenate((curve.p[..., None], curve.sv, curve.sigma[..., None]), axis=-1)
+        numbers = np.concatenate((curve.gammas, curve.t, cells.ravel()))
+        distinct = np.unique(numbers.view(np.int64)).size
+        # damped rows repeat their numbers: (p, 1.0, s, s, Sigma) under phase damping
+        assert distinct <= 3 * rates * steps + steps + rates
+        # 0.0 at t = 0 and the power-of-two rates always reach it, so the
+        # counter is known to be wired
+        assert 0 < len(calls) < 0.01 * distinct, (len(calls), distinct)
+
+
+def render_json_peak(curve) -> int:
+    render_json(curve)  # numpy's first-call set-up is not the renderer's
+    tracemalloc.start()
+    try:
+        render_json(curve)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_render_json_allocation_peak_stays_below_1mb():
+    """The per-value writer it replaced peaked at about 0.93 MB here, for
+    337 kB of output; the byte matrices must not cost more."""
+    curve = decay_curve(SweepSpec(PHASE_DAMPING, 0.6, (0.5, 1.0, 2.0), t_max=8.0, steps=400))
+    assert render_json_peak(curve) <= 1_000_000
+
+
+def repr_texts(x) -> list[str]:
+    cells, extents = float_repr.repr_bytes(np.asarray(x, dtype=float))
+    texts = [cell.tobytes().replace(b"\0", b"").decode() for cell in cells]
+    # each extent ends at the cell's last non-NUL byte
+    assert all(cell[extent - 1] and not cell[extent:].any()
+               for cell, extent in zip(cells, extents.tolist()))
+    return texts
+
+
+def repr_adversarial_values() -> np.ndarray:
+    """Doubles on which a shortest-repr kernel could slip, both signs: every
+    power of two; every double within 50 ulps of 10**k for k = -300 .. 300,
+    the layout edges 1e-4 and 1e16 among them; the 2**53 region, where the
+    half-ulp bounds are integers; decimals of 1 to 17 digits read back;
+    subnormals; the largest double and 0.0."""
+    values = [np.ldexp(1.0, np.arange(-1074, 1024))]
+    for k in range(-300, 301):
+        x = float(f"1e{k}")
+        values.append(x + np.arange(-50, 51) * np.spacing(x))
+        values.append(np.nextafter(x, 0.0) - np.arange(50) * np.spacing(np.nextafter(x, 0.0)))
+    values.append(np.arange(-2000, 2000) + 2.0**53)
+    values.append(np.arange(-2000, 2000) / 2 + 2.0**52)
+    rng = np.random.default_rng(1753)
+    digits = rng.integers(1, 18, 20000)
+    mantissas = [int(rng.integers(10 ** (d - 1), 10**d)) for d in digits.tolist()]
+    values.append([float(f"{m}e{k}") for m, k in zip(mantissas, rng.integers(-330, 300, 20000))])
+    values.append(rng.integers(1, 2**52, 2000, dtype=np.int64).view(np.float64))  # subnormals
+    values.append([5e-324, 2.0**-1022, np.nextafter(2.0**-1022, 0.0), 1.7976931348623157e308, 0.0])
+    values = np.concatenate(values)
+    values = values[np.isfinite(values)]
+    return np.concatenate((values, -values))
+
+
+def test_repr_bytes_matches_float_repr_on_adversarial_values():
+    values = repr_adversarial_values()
+    assert {1e-4, 1e16, 2.0**53, 5e-324, -0.0} <= set(values.tolist())
+    bad = [(x, text) for x, text in zip(values.tolist(), repr_texts(values)) if text != repr(x)]
+    assert not bad, f"{len(bad)} values differ, first {bad[0]!r}"
+
+
+@pytest.mark.parametrize("rates, steps", [(1, 7), (3, 10**4)])
+def test_render_json_matches_json_dumps_on_repr_adversarial_columns(rates, steps):
+    curve = curve_from_values(repr_adversarial_values(), rates, steps, seed=steps)
+    assert render_json(curve) == old_render_json(curve), (rates, steps)
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_repr_bytes_matches_float_repr_on_any_finite_bits(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    assert repr_texts(values) == list(map(repr, values.tolist()))
 
 
 @pytest.mark.parametrize("column, bad", [

@@ -57,6 +57,14 @@ def test_make_figure_data_writes_the_golden_csvs(tmp_path):
     assert "  gamma=2.0 : start=0.500000 min=0.166711 final=0.250000" in result.stdout
 
 
+def test_make_figure_data_writes_the_golden_json(tmp_path):
+    result = run_script("make_figure_data.py", "--outdir", str(tmp_path), "--format", "json")
+    assert result.returncode == 0, result.stderr
+    for figure in (1, 2):
+        name = f"figure{figure}.json"
+        assert (tmp_path / name).read_bytes() == (DATA / name).read_bytes(), name
+
+
 def test_scan_schmidt_peaks_at_the_grid_point_nearest_inv_sqrt2():
     # 21 points put the grid at multiples of 0.05, so 0.7 is nearest 1/sqrt(2)
     result = run_script("scan_schmidt.py", "--points", "21")

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -176,6 +177,18 @@ def test_non_finite_entries_are_reported_without_warnings(at, bad):
         assert not report.ok
         with pytest.raises(ValueError, match="^not a density matrix: non-finite entries: 1;"):
             sigma_for_state(rho)
+
+
+@pytest.mark.parametrize("rho", [np.eye(3) / 3, np.ones(4) / 4, np.array(0.25),
+                                 np.stack([np.eye(4) / 4] * 2)], ids=["3x3", "1-d", "0-d", "stack"])
+def test_a_shape_other_than_4x4_is_reported_before_any_arithmetic(rho):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_density(rho)
+    assert report.failures[0] == f"shape {rho.shape}, expected (4, 4)"
+    assert not report.ok
+    with pytest.raises(ValueError, match="^" + re.escape(f"not a density matrix: shape {rho.shape}")):
+        sigma_for_state(rho)
 
 
 def test_random_density_is_physical():
