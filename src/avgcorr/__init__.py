@@ -1,6 +1,5 @@
 """Rotation-averaged correlation of two-qubit states under local damping."""
 
-from .channels import AMPLITUDE_DAMPING, PHASE_DAMPING, p_of_t
 from .correlation import (
     CLASSICAL_COMPATIBLE,
     CLASSICAL_MAX,
@@ -15,7 +14,16 @@ from .correlation import (
     t_matrix,
 )
 from .states import DensityReport, make_pure_state, random_density, tensor2, validate_density
-from .sweep import DecayCurve, SweepSpec, damped_sigma, decay_curve, figure_dataset
+from .sweep import (
+    AMPLITUDE_DAMPING,
+    PHASE_DAMPING,
+    DecayCurve,
+    SweepSpec,
+    damped_sigma,
+    decay_curve,
+    figure_dataset,
+    p_of_t,
+)
 
 __version__ = "0.1.0"
 

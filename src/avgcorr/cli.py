@@ -11,12 +11,15 @@ allocate included), 2 usage error.
 
 The handlers only map flags to library calls; `--method closed` and
 `--method quadrature` both name the library's "exact" method, and `mc` its
-"monte_carlo" (METHOD_NAMES). The library owns the model's rules:
-`damped_sigma` and `p_of_t` check c, p, gamma and t, `SweepSpec` checks a
-sweep and supplies the figures' shape for every flag left out, and a
-ValueError they raise becomes a usage error. The handlers check only what
-the flags alone decide: which flags go together, `--samples`, `--seed` and
-`--trials`, and that `--gamma`, `--t` and `classify --value` are finite.
+"monte_carlo" (METHOD_NAMES). The library owns the model's rules, each
+checked by one function that every entry point calls: c in `states`, the
+method in `correlation`, the channel kind and the rates' sign in `sweep`,
+where `p_of_t` also checks t and `damped_sigma` p. `SweepSpec` checks a
+sweep with them and supplies the figures' shape for every flag left out;
+a ValueError they raise becomes a usage error. The handlers check only
+what the flags alone decide: which flags go together, `--samples`,
+`--seed` and `--trials`, and that `--gamma`, `--t` and `classify --value`
+are finite. `--samples` and `--seed` default to MC_SAMPLES and MC_SEED.
 
 `--seed` seeds one Monte Carlo batch per command: a sweep's points, or
 `verify`'s trials, are all averaged over the same directions, so their
@@ -24,7 +27,9 @@ errors are correlated while each estimate stays unbiased with its own
 standard error, and a sweep row is the value `sigma` gives its point alone.
 `verify` draws trial i's state from spawn key (i, 0) of `--seed` and its
 Monte Carlo directions from key (trials,), so the two never share a
-stream.
+stream. It builds each trial's K once and runs `sigma_for_state`'s exact
+K -> Sigma step (`_singular_values`, then `sigma_rg_batch`) on the whole
+stack; its states are valid by construction, so none is validated.
 
 `run()` builds its argument parser on its first call and reuses it for
 every later call in the process, since building the argparse tree costs
@@ -51,16 +56,17 @@ import sys
 
 import numpy as np
 
-from .channels import p_of_t
-from .correlation import classify, correlation_matrix, sigma_for_state, sigma_monte_carlo_batch
+from .correlation import (MC_SAMPLES, MC_SEED, _singular_values, classify, correlation_matrix,
+                          sigma_monte_carlo_batch, sigma_rg_batch)
 from .float_repr import DIGITS4, repr_bytes
 from .states import random_density
-from .sweep import FIGURE_KINDS, DecayCurve, SweepSpec, damped_sigma, decay_curve
+from .sweep import (AMPLITUDE_DAMPING, FIGURE_KINDS, PHASE_DAMPING, DecayCurve, SweepSpec,
+                    damped_sigma, decay_curve, p_of_t)
 
 CSV_HEADER = "gamma,t,p,alpha,beta,gamma_sv,sigma,classification"
 
 METHOD_NAMES = {"closed": "exact", "quadrature": "exact", "mc": "monte_carlo"}
-CHANNEL_KIND_BY_FLAG = {"phase": "phase_damping", "amplitude": "amplitude_damping"}
+CHANNEL_KIND_BY_FLAG = {"phase": PHASE_DAMPING, "amplitude": AMPLITUDE_DAMPING}
 
 
 def format_sig12(x: float) -> str:
@@ -269,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="elapsed time (use together with --gamma)")
         sp.add_argument("--method", choices=tuple(METHOD_NAMES), default="quadrature",
                         help="Sigma estimator (closed and quadrature: exact)")
-        sp.add_argument("--samples", type=int, default=1_000_000,
+        sp.add_argument("--samples", type=int, default=MC_SAMPLES,
                         help="Monte Carlo sample count")
-        sp.add_argument("--seed", type=int, default=42, help="random seed")
+        sp.add_argument("--seed", type=int, default=MC_SEED, help="random seed")
         sp.add_argument("--out", default=None, help="write output here instead of stdout")
 
     p_sigma = sub.add_parser("sigma", help="Sigma for one damped pure state")
@@ -290,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--steps", type=int, default=None,
                          help="grid point count (default 201)")
     p_sweep.add_argument("--method", choices=tuple(METHOD_NAMES), default=None)
-    p_sweep.add_argument("--samples", type=int, default=1_000_000)
-    p_sweep.add_argument("--seed", type=int, default=42)
+    p_sweep.add_argument("--samples", type=int, default=MC_SAMPLES)
+    p_sweep.add_argument("--seed", type=int, default=MC_SEED)
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -299,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="check the exact R_G estimator against the Monte Carlo oracle"
     )
-    p_verify.add_argument("--samples", type=int, default=1_000_000)
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify.add_argument("--samples", type=int, default=MC_SAMPLES)
+    p_verify.add_argument("--seed", type=int, default=MC_SEED)
     p_verify.add_argument("--trials", type=int, default=20)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
@@ -405,10 +411,11 @@ def cmd_verify(args, parser) -> int:
     # trial i's state draws from spawn key (i, 0); the run's one Monte Carlo
     # seed has key (trials,), so its chunk keys (trials, j) meet no state's
     state_seqs = [np.random.SeedSequence(args.seed, spawn_key=(i, 0)) for i in range(args.trials)]
-    rhos = [random_density(np.random.default_rng(seq)) for seq in state_seqs]
-    quads = [sigma_for_state(rho).value for rho in rhos]  # exact R_G, printed as quadrature=
+    ks = np.array([correlation_matrix(random_density(np.random.default_rng(seq)))
+                   for seq in state_seqs])
+    # the exact R_G, printed as quadrature=, by sigma_for_state's K -> Sigma step
+    quads = sigma_rg_batch(*_singular_values(ks).T).tolist()
     # every trial's Monte Carlo estimate from one call, on the same directions
-    ks = np.array([correlation_matrix(rho) for rho in rhos])
     mc_seed = np.random.SeedSequence(args.seed, spawn_key=(args.trials,))
     mcs, stderrs = sigma_monte_carlo_batch(ks, args.samples, mc_seed)
     lines = []

@@ -63,6 +63,14 @@ _LABELS.flags.writeable = False
 IMAG_RESIDUAL_HARD_LIMIT = 1e-9
 
 METHODS = ("exact", "monte_carlo")  # the exact formula, or the Monte Carlo average
+
+
+def check_method(method) -> None:
+    """ValueError unless `method` is one of METHODS."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+
+
 # Method tag of the exact estimator of a general state, R_G by duplication.
 ESTIMATOR = "carlson_rg"
 # Relative error bound of `sigma_rg_batch` for results above the subnormal
@@ -86,6 +94,10 @@ RG_MAX_STEPS = 40
 # Generator identity recorded in output metadata; the PCG64 stream is
 # stable across numpy versions, so a seed pins results exactly.
 RNG_IDENTITY = "numpy.random.Generator(PCG64)"
+# The sample count and seed of a Monte Carlo request that names none, in
+# the library and on the command line alike.
+MC_SAMPLES = 1_000_000
+MC_SEED = 42
 # Candidate points per Monte Carlo draw, at most, about 6400 samples: a
 # draw's buffer and temporaries stay near 1 MB. On verify_mc (2 CPUs)
 # 3 * 2^12 gave 10% fewer points/s, and 6 * 2^12 5% more peak RSS.
@@ -404,21 +416,21 @@ def sigma_monte_carlo(
 
 
 def _singular_values(k: np.ndarray) -> np.ndarray:
-    """Descending singular values of the 3x3 `k`. Where its largest entry is
-    below SVD_RESCALE_BELOW, K is first scaled exactly by a power of two into
-    [1/2, 1), so LAPACK's own rescaling never runs, and the values scaled back."""
-    peak = np.max(np.abs(k))
-    if peak >= SVD_RESCALE_BELOW:
-        return np.linalg.svd(k, compute_uv=False)
-    _, e = np.frexp(peak)
-    return np.ldexp(np.linalg.svd(np.ldexp(k, -e), compute_uv=False), e)
+    """Descending singular values of each 3x3 matrix of `k` (shape (..., 3,
+    3)), shape k.shape[:-1]. A K whose largest entry is below
+    SVD_RESCALE_BELOW is first scaled exactly by the power of two that puts
+    that entry in [1/2, 1), so LAPACK's own rescaling never runs, and its
+    values scaled back; every other K is scaled by 2^0, which is exact."""
+    peak = np.abs(k).max(axis=(-2, -1))
+    e = np.where(peak < SVD_RESCALE_BELOW, np.frexp(peak)[1], 0)[..., None]
+    return np.ldexp(np.linalg.svd(np.ldexp(k, -e[..., None]), compute_uv=False), e)
 
 
 def sigma_for_state(
     rho: np.ndarray,
     method: str = "exact",
-    n_samples: int = 1_000_000,
-    seed: int | np.random.SeedSequence = 42,
+    n_samples: int = MC_SAMPLES,
+    seed: int | np.random.SeedSequence = MC_SEED,
 ) -> SigmaEstimate:
     """Full pipeline rho -> K -> Sigma. "monte_carlo" runs `sigma_monte_carlo`
     on K, with no SVD; "exact" runs `sigma_rg_batch` on K's singular values,
@@ -429,11 +441,10 @@ def sigma_for_state(
     """
     if failures := validate_density(rho).failures:
         raise ValueError(f"not a density matrix: {'; '.join(failures)}")
+    check_method(method)
     k = correlation_matrix(rho)
     if method == "monte_carlo":
         return sigma_monte_carlo(k, n_samples, seed)
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     value = float(sigma_rg_batch(*_singular_values(k)))
     return SigmaEstimate(value, ESTIMATOR, max(RG_REL_ERROR_BOUND * value, RG_ABS_ERROR_FLOOR))
 

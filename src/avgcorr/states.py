@@ -30,6 +30,15 @@ def tensor2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+def check_schmidt(c) -> np.ndarray:
+    """Schmidt coefficients `c` as a float array; ValueError, naming the
+    first bad entry, unless every entry lies in [0, 1] (NaN does not)."""
+    c = np.asarray(c, dtype=float)
+    if np.count_nonzero(bad := ~((c >= 0.0) & (c <= 1.0))):
+        raise ValueError(f"Schmidt coefficient must lie in [0, 1], got {c[bad].flat[0]}")
+    return c
+
+
 def make_pure_state(c: float) -> np.ndarray:
     """Density matrix of the entangled pure state c|01> - sqrt(1-c^2)|10>.
 
@@ -38,8 +47,7 @@ def make_pure_state(c: float) -> np.ndarray:
     -c*sqrt(1-c^2), zeros elsewhere.
     """
     c = float(c)
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"Schmidt coefficient must lie in [0, 1], got {c}")
+    check_schmidt(c)
     # the factored 1 - c^2 does not cancel near c = 1
     amp = np.array([0.0, c, -np.sqrt((1.0 - c) * (1.0 + c)), 0.0], dtype=complex)
     return np.outer(amp, amp.conj())

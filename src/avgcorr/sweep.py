@@ -1,14 +1,24 @@
-"""Decay curves of the average correlation under local damping.
+"""Local damping of a pure Schmidt state, and its average correlation's
+decay curves.
 
-A sweep applies the same channel to both qubits of a pure state at
-p(t) = 1 - exp(-gamma*t) over a uniform time grid and records the singular
-triple, Sigma, and its nonclassicality label per point, as columns over the
-(rate, time) grid.
+Phase damping (coherence loss without energy exchange) and amplitude damping
+(energy decay toward |0>) have the Kraus operators
 
-For the pure Schmidt state c|01> - sqrt(1-c^2)|10>, both channels keep the
-correlation matrix diagonal: K = diag(-s, -s, kappa) with
-s = 2c sqrt(1-c^2)(1-p), kappa = -1 under phase damping and 2p - 1 under
-amplitude damping (see `channels`). Its descending singular triple is
+    phase:     K0 = diag(1, sqrt(1-p)),   K1 = diag(0, sqrt(p))
+    amplitude: K0 = diag(1, sqrt(1-p)),   K1 = sqrt(p) |0><1|
+
+and act on a qubit as rho -> sum_i Ki rho Ki^dag, at p(t) = 1 - exp(-gamma*t)
+(`p_of_t`). The Kraus and Pauli-transfer forms of the channels are test
+oracles (`tests/kraus.py`, `tests/transfer.py`). A sweep applies the same
+channel to both qubits of a pure state over a uniform time grid and records
+the singular triple, Sigma, and its nonclassicality label per point, as
+columns over the (rate, time) grid.
+
+For the pure Schmidt state c|01> - sqrt(1-c^2)|10>, whose correlation matrix
+is diag(-s0, -s0, -1) with s0 = 2c sqrt(1-c^2), both channels keep K
+diagonal: K = diag(-s, -s, kappa) with s = s0 (1-p), kappa = -1 under phase
+damping and 2p - 1 under amplitude damping, which moves weight toward |00>.
+Its descending singular triple is
 (max(s, |kappa|), s, min(s, |kappa|)), so `damped_sigma` writes the triple
 in closed form over any array of damping probabilities, with neither an SVD
 nor a sort. Two singular values are equal, so the exact method takes Sigma
@@ -31,18 +41,65 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import AMPLITUDE_DAMPING, CHANNEL_KINDS, PHASE_DAMPING, p_of_t
 from .correlation import (
-    METHODS,
+    MC_SAMPLES,
+    MC_SEED,
     RG_REL_ERROR_BOUND,
     RNG_IDENTITY,
+    check_method,
     classify_batch,
     sigma_damped,
     sigma_monte_carlo_batch,
 )
+from .states import check_schmidt
+
+PHASE_DAMPING = "phase_damping"
+AMPLITUDE_DAMPING = "amplitude_damping"
+CHANNEL_KINDS = (PHASE_DAMPING, AMPLITUDE_DAMPING)
 
 # the channel each canned figure shows
 FIGURE_KINDS = {1: PHASE_DAMPING, 2: AMPLITUDE_DAMPING}
+
+
+def _check_kind(kind) -> None:
+    """ValueError unless `kind` is one of CHANNEL_KINDS."""
+    if kind not in CHANNEL_KINDS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+
+
+def _check_rates(gamma) -> np.ndarray:
+    """Decoherence rates `gamma` as a float array; ValueError, naming the
+    first bad entry, unless every rate is >= 0 (NaN is not)."""
+    gamma = np.asarray(gamma, dtype=float)
+    # counts the values that pass, so NaN fails; the mask is built only then
+    if np.count_nonzero(gamma >= 0.0) < gamma.size:
+        raise ValueError(f"decoherence rate must be >= 0, got {gamma[~(gamma >= 0.0)].flat[0]}")
+    return gamma
+
+
+def p_of_t(gamma, t):
+    """Damping probability after time t at decoherence rate gamma, for
+    scalars (a float) or arrays that broadcast together (an array).
+
+    p(t) = 1 - exp(-gamma * t), so p(0) = 0 and p -> 1 as t -> inf. A
+    negative or NaN gamma or t, or an infinite one times zero, raises
+    ValueError.
+    """
+    gamma = _check_rates(gamma)
+    t = np.asarray(t, dtype=float)
+    if np.count_nonzero(t >= 0.0) < t.size:
+        raise ValueError(f"time must be >= 0, got {t[~(t >= 0.0)].flat[0]}")
+    # expm1 keeps full precision for small gamma*t; a product that overflows
+    # to inf is a rate-time far past saturation, and p = 1 there exactly
+    try:
+        with np.errstate(over="ignore", invalid="raise"):
+            p = -np.expm1(-gamma * t) + 0.0  # + 0.0: a rate of -0.0 gives p = 0.0
+    except FloatingPointError:  # inf * 0, the one invalid product once NaN is out
+        gamma, t = np.broadcast_arrays(gamma, t)
+        at = np.flatnonzero(np.isinf(gamma) & (t == 0.0) | (gamma == 0.0) & np.isinf(t))[0]
+        raise ValueError(f"gamma * t is undefined at gamma = {gamma.flat[at]}, "
+                         f"t = {t.flat[at]}") from None
+    return float(p) if p.ndim == 0 else p
 
 
 @dataclass(frozen=True)
@@ -63,19 +120,16 @@ class SweepSpec:
     method: str = "exact"
 
     def __post_init__(self):
-        if self.channel_kind not in CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind {self.channel_kind!r}")
+        _check_kind(self.channel_kind)
         if not all(map(math.isfinite, (self.c, self.t_max, *self.gammas))):
             raise ValueError(
                 f"c, gammas and t_max must be finite, got c={self.c}, "
                 f"gammas={self.gammas}, t_max={self.t_max}"
             )
-        if not 0.0 <= self.c <= 1.0:
-            raise ValueError(f"Schmidt coefficient must lie in [0, 1], got {self.c}")
+        check_schmidt(self.c)
         if len(self.gammas) == 0:
             raise ValueError("need at least one decoherence rate")
-        if any(g < 0.0 for g in self.gammas):
-            raise ValueError(f"decoherence rates must be >= 0, got {self.gammas}")
+        _check_rates(self.gammas)
         if self.t_max <= 0.0:
             raise ValueError(f"t_max must be > 0, got {self.t_max}")
         try:
@@ -83,8 +137,7 @@ class SweepSpec:
                 raise ValueError(f"need at least 2 time steps, got {self.steps}")
         except TypeError:
             raise ValueError(f"steps must be an integer, got {self.steps!r}") from None
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        check_method(self.method)
         object.__setattr__(self, "c", float(self.c) + 0.0)
         object.__setattr__(self, "gammas", tuple(float(g) + 0.0 for g in self.gammas))
         object.__setattr__(self, "t_max", float(self.t_max))
@@ -114,8 +167,8 @@ def damped_sigma(
     c: float,
     p,
     method: str = "exact",
-    n_samples: int = 1_000_000,
-    seed: int | np.random.SeedSequence = 42,
+    n_samples: int = MC_SAMPLES,
+    seed: int | np.random.SeedSequence = MC_SEED,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Singular triples and Sigma of the pure state with Schmidt coefficient
     c after `kind` damping of both qubits, at every probability in `p`; c
@@ -129,13 +182,11 @@ def damped_sigma(
     METHODS raises ValueError.
     """
     p = np.asarray(p, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if np.count_nonzero(bad := ~((c >= 0.0) & (c <= 1.0))):  # NaN fails
-        raise ValueError(f"Schmidt coefficient must lie in [0, 1], got {c[bad].flat[0]}")
-    if np.count_nonzero(bad := ~((p >= 0.0) & (p <= 1.0))):
+    c = check_schmidt(c)
+    if np.count_nonzero(bad := ~((p >= 0.0) & (p <= 1.0))):  # NaN fails
         raise ValueError(f"p must lie in [0, 1], got {p[bad].flat[0]}")
-    if kind not in CHANNEL_KINDS:
-        raise ValueError(f"unknown channel kind {kind!r}")
+    _check_kind(kind)
+    check_method(method)
     # s has the broadcast shape of c and p; kappa broadcasts into it. The
     # factored 1 - c^2 does not cancel near c = 1.
     s = 2.0 * c * np.sqrt((1.0 - c) * (1.0 + c)) * (1.0 - p)
@@ -150,17 +201,15 @@ def damped_sigma(
         k[..., 0, 0] = k[..., 1, 1] = -s
         k[..., 2, 2] = kappa
         sigma, _ = sigma_monte_carlo_batch(k, n_samples, seed)
-    elif method in METHODS:
-        sigma = sigma_damped(s, kappa)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        sigma = sigma_damped(s, kappa)
     return sv, sigma
 
 
 def decay_curve(
     spec: SweepSpec,
-    n_samples: int = 1_000_000,
-    seed: int = 42,
+    n_samples: int = MC_SAMPLES,
+    seed: int = MC_SEED,
 ) -> DecayCurve:
     """Compute the Sigma(t) curve of every rate in the spec as columns;
     Monte Carlo averages every grid point over the directions `seed` draws."""
@@ -189,7 +238,7 @@ def decay_curve(
     return DecayCurve(**columns, metadata=metadata)
 
 
-def figure_dataset(figure: int, seed: int = 42) -> DecayCurve:
+def figure_dataset(figure: int, seed: int = MC_SEED) -> DecayCurve:
     """Canned decay datasets on SweepSpec's default shape: figure 1 is phase
     damping, figure 2 amplitude damping."""
     if figure not in FIGURE_KINDS:

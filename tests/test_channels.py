@@ -1,3 +1,4 @@
+import importlib.util
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import avgcorr
 from avgcorr import (
     make_pure_state,
     p_of_t,
@@ -12,7 +14,7 @@ from avgcorr import (
     t_matrix,
     validate_density,
 )
-from avgcorr.channels import CHANNEL_KINDS, PHASE_DAMPING
+from avgcorr.sweep import CHANNEL_KINDS, PHASE_DAMPING
 from kraus import (
     amplitude_damping,
     apply_both,
@@ -214,3 +216,19 @@ def test_pauli_transfer_domain_errors(bad):
     for kind in ("bogus", "phase", "amplitude"):  # only CHANNEL_KINDS
         with pytest.raises(ValueError):
             pauli_transfer(kind, 0.5)
+
+
+def test_the_channels_live_in_sweep_under_the_same_public_names():
+    # the damping law and the channel kinds sit with the damped correlation
+    # matrix in `avgcorr.sweep`; the package exports the same 24 names
+    assert importlib.util.find_spec("avgcorr.channels") is None
+    assert CHANNEL_KINDS == (avgcorr.PHASE_DAMPING, avgcorr.AMPLITUDE_DAMPING)
+    assert sorted(avgcorr.__all__) == [
+        "AMPLITUDE_DAMPING", "CLASSICAL_COMPATIBLE", "CLASSICAL_MAX", "DecayCurve",
+        "DensityReport", "INDETERMINATE", "NONCLASSICAL", "NONCLASSICAL_MIN",
+        "PHASE_DAMPING", "SigmaEstimate", "SweepSpec", "classify", "correlation_matrix",
+        "damped_sigma", "decay_curve", "figure_dataset", "make_pure_state", "p_of_t",
+        "random_density", "sigma_for_state", "sigma_monte_carlo", "t_matrix", "tensor2",
+        "validate_density",
+    ]
+    assert all(hasattr(avgcorr, name) for name in avgcorr.__all__)

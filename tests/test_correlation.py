@@ -490,6 +490,15 @@ def test_rg_of_a_batch_is_each_triple_alone_bit_for_bit(triples):
     batch = sigma_rg_batch(*np.array(triples).T)
     alone = np.array([sigma_rg_batch(*triple) for triple in triples])
     assert batch.tobytes() == alone.tobytes(), triples
+    # the same for the K -> Sigma step on a stack of K with these triples,
+    # rotated, and on the stack scaled by 2^-600, below SVD_RESCALE_BELOW
+    rng = np.random.default_rng(len(triples))
+    u, v = (np.linalg.qr(rng.standard_normal((len(triples), 3, 3)))[0] for _ in "uv")
+    ks = u @ (np.array(triples)[:, :, None] * v)
+    for stack in (ks, np.ldexp(ks, -600)):
+        batch = sigma_rg_batch(*_singular_values(stack).T)
+        alone = np.array([sigma_rg_batch(*_singular_values(k)) for k in stack])
+        assert batch.tobytes() == alone.tobytes(), triples
 
 
 def test_rg_values_do_not_move_with_their_batch():

@@ -4,6 +4,7 @@ descending singular triple with no SVD, no sort and no runtime cross-check. The 
 `tests/transfer.py` is the oracle it is held to here, and Monte Carlo on that
 K the oracle of the closed-form Sigma the exact method runs."""
 
+import re
 import sys
 
 import numpy as np
@@ -13,10 +14,12 @@ import avgcorr.sweep
 from avgcorr import (
     AMPLITUDE_DAMPING,
     PHASE_DAMPING,
+    SweepSpec,
     damped_sigma,
     figure_dataset,
     make_pure_state,
     p_of_t,
+    sigma_for_state,
     sigma_monte_carlo,
     t_matrix,
 )
@@ -136,26 +139,65 @@ def test_damped_sigma_rejects_p_outside_the_unit_interval(kind, bad):
         damped_sigma(kind, 0.6, [0.5, bad])
 
 
+def entry_points(values, others=(), other_values=None):
+    """Cases (entry, value) of a rule's tests: damped_sigma on every value,
+    under the value's own id, then each other entry point that checks the
+    rule on `other_values` (default `values`), its name leading the id."""
+    cases = [pytest.param("damped_sigma", value, id=str(value)) for value in values]
+    for entry in others:
+        cases += [pytest.param(entry, value, id=f"{entry}-{value}")
+                  for value in (values if other_values is None else other_values)]
+    return cases
+
+
+# SweepSpec rejects a non-finite c by its own finiteness check first
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
-@pytest.mark.parametrize("bad", [-0.1, 1.0001, np.nan, np.inf])
-def test_damped_sigma_rejects_c_outside_the_unit_interval(kind, bad):
+@pytest.mark.parametrize("entry, bad", entry_points(
+    [-0.1, 1.0001, np.nan, np.inf], ("make_pure_state", "SweepSpec"), [-0.1, 1.0001, -5e-324]))
+def test_damped_sigma_rejects_c_outside_the_unit_interval(entry, kind, bad):
+    call = {"damped_sigma": lambda: damped_sigma(kind, bad, [0.0, 0.5]),
+            "make_pure_state": lambda: make_pure_state(bad),
+            "SweepSpec": lambda: SweepSpec(kind, c=bad)}[entry]
     with pytest.raises(ValueError,
-                       match=r"^Schmidt coefficient must lie in \[0, 1\], got "):
-        damped_sigma(kind, bad, [0.0, 0.5])
+                       match=r"^Schmidt coefficient must lie in \[0, 1\], got ") as info:
+        call()
+    assert info.traceback[-1].name == "check_schmidt"  # the rule's one owner raised it
 
 
-@pytest.mark.parametrize("kind", ["bogus", "phase", "amplitude"])
-def test_damped_sigma_rejects_an_unknown_kind(kind):
-    with pytest.raises(ValueError, match=f"^unknown channel kind '{kind}'$"):
-        damped_sigma(kind, 0.6, [0.0, 0.5])
+@pytest.mark.parametrize("entry, kind", entry_points(["bogus", "phase", "amplitude"],
+                                                     ("SweepSpec",)))
+def test_damped_sigma_rejects_an_unknown_kind(entry, kind):
+    call = {"damped_sigma": lambda: damped_sigma(kind, 0.6, [0.0, 0.5]),
+            "SweepSpec": lambda: SweepSpec(kind)}[entry]
+    with pytest.raises(ValueError, match=f"^unknown channel kind '{kind}'$") as info:
+        call()
+    assert info.traceback[-1].name == "_check_kind"  # the rule's one owner raised it
 
 
 # the methods are "exact" and "monte_carlo"; "closed", "quadrature" and "mc" are
 # only CLI spellings
-@pytest.mark.parametrize("method", ["bogus", "closed", "mc", "closed_form", "quadrature"])
-def test_damped_sigma_rejects_an_unknown_method(method):
-    with pytest.raises(ValueError, match=f"^unknown method '{method}'$"):
-        damped_sigma(PHASE_DAMPING, 0.6, [0.0, 0.5], method)
+@pytest.mark.parametrize("entry, method", entry_points(
+    ["bogus", "closed", "mc", "closed_form", "quadrature"], ("SweepSpec", "sigma_for_state")))
+def test_damped_sigma_rejects_an_unknown_method(entry, method):
+    call = {"damped_sigma": lambda: damped_sigma(PHASE_DAMPING, 0.6, [0.0, 0.5], method),
+            "SweepSpec": lambda: SweepSpec(PHASE_DAMPING, method=method),
+            "sigma_for_state": lambda: sigma_for_state(make_pure_state(0.6), method)}[entry]
+    with pytest.raises(ValueError, match=f"^unknown method '{method}'$") as info:
+        call()
+    assert info.traceback[-1].name == "check_method"  # the rule's one owner raised it
+
+
+# damped_sigma takes p, not rates: a sweep's rates are p_of_t's, and SweepSpec
+# rejects a negative one as p_of_t does (a non-finite one by its own check first)
+@pytest.mark.parametrize("entry", ["p_of_t", "SweepSpec"])
+@pytest.mark.parametrize("bad", [-1.0, -5e-324])
+def test_sweep_spec_rejects_a_negative_rate_as_p_of_t_does(entry, bad):
+    call = {"p_of_t": lambda: p_of_t(np.array([1.0, bad]), 2.0),
+            "SweepSpec": lambda: SweepSpec(PHASE_DAMPING, gammas=(1.0, bad))}[entry]
+    message = f"^decoherence rate must be >= 0, got {re.escape(str(bad))}$"
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert info.traceback[-1].name == "_check_rates"  # the rule's one owner raised it
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])

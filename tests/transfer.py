@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from avgcorr.channels import AMPLITUDE_DAMPING, PHASE_DAMPING
+from avgcorr import AMPLITUDE_DAMPING, PHASE_DAMPING
 from avgcorr.states import PAULIS
 
 
