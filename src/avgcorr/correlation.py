@@ -18,16 +18,22 @@ alpha >= beta >= gamma_sv >= 0,
 
 `sigma_rg_batch` evaluates it with Carlson's duplication algorithm for R_F
 and R_D (B. C. Carlson, Numer. Algorithms 10 (1995) 13-26,
-arXiv:math/9409227). A seeded Monte Carlo average over the two spheres,
-`sigma_monte_carlo_batch`, is the independent cross-check: it draws its
-axes as Marsaglia points (Ann. Math. Statist. 43 (1972) 645-646), exactly
-uniform from two uniforms in the unit disk, and never uses the identity
-above. It evaluates every matrix of a batch (`verify`'s trials, the points
-of a Monte Carlo sweep) on one seeded stream of directions, common random
-numbers (P. Glasserman, Monte Carlo Methods in Financial Engineering,
-Springer 2004, sec. 4.2): the estimates of one call have correlated
-errors, while each stays unbiased with its own standard error and is the
-same bytes as the matrix alone. `sigma_monte_carlo` is the batch of one.
+arXiv:math/9409227). A seeded Monte Carlo average, `sigma_monte_carlo_batch`,
+is the cross-check: it takes the first step above, E_b |a^T K b| = |K^T a|/2,
+and averages |K^T a|/2 over uniform axes a alone, conditional Monte Carlo
+(P. Glasserman, Monte Carlo Methods in Financial Engineering, Springer 2004,
+sec. 4.1), with the same mean as the double-sphere average and a variance
+never larger. What it checks independently is the rest: the reduction to
+the singular values and R_G with its duplication algorithm. Its axes are
+Marsaglia points (Ann. Math. Statist. 43 (1972) 645-646), exactly uniform
+from two uniforms in the unit disk. It evaluates every matrix of a batch
+(`verify`'s trials, the points of a Monte Carlo sweep) on one seeded stream
+of directions, common random numbers (Glasserman, sec. 4.2): the estimates
+of one call have correlated errors, while each stays unbiased with its own
+standard error and is the same bytes as the matrix alone.
+`sigma_monte_carlo` is the batch of one. The tests hold the shared step
+E_b |v . b| = |v|/2 by itself and keep the double-sphere average as an
+oracle that shares nothing with R_G.
 `sigma_for_state` picks one of the two METHODS for a single state.
 
 The damped pure states have K = diag(-s, -s, kappa), two of whose singular
@@ -38,6 +44,7 @@ path's exact method runs it instead of the duplication loop.
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 from dataclasses import dataclass
@@ -98,9 +105,11 @@ RNG_IDENTITY = "numpy.random.Generator(PCG64)"
 # the library and on the command line alike.
 MC_SAMPLES = 1_000_000
 MC_SEED = 42
-# Candidate points per Monte Carlo draw, at most, about 6400 samples: a
-# draw's buffer and temporaries stay near 1 MB. On verify_mc (2 CPUs)
-# 3 * 2^12 gave 10% fewer points/s, and 6 * 2^12 5% more peak RSS.
+# Candidate points per Monte Carlo draw, at most, about 12900 samples: a
+# draw's buffer, its kept axes and a tile's K^T a rows stay near 1 MB. Two
+# 10^6-sample estimates (2 CPUs, in-process, one point per sample) took
+# 23-24 ms with 2^14, 30-38 ms with 2^13 and 21-22 ms with 3 * 2^13, which
+# peaked 1.5 MB higher; 2^13 peaked 1.5 MB lower.
 MC_BLOCK = 2**14
 # Samples per Monte Carlo chunk. Each chunk draws from its own stream and
 # keeps its own totals, and a batch runs its chunks on up to one thread per
@@ -109,11 +118,10 @@ MC_BLOCK = 2**14
 # took about 8% longer with 2^16 than with 2^17 or 2^18, which tied; 2^17
 # still makes 8 chunks of 10^6 samples for machines with more CPUs.
 MC_CHUNK = 2**17
-# Matrices evaluated together on a draw's pairs; their temporaries take at
-# most MC_TILE * 256 kB, whatever the batch size, and a tile of two or
-# fewer fits in the draw's own buffer. On a 603-point amplitude sweep of
-# 8192 samples, tiles of 1, 2, 8 and 16 took 1.24x, 1.08x, 1.01x and 1.29x
-# the time of 4.
+# Matrices evaluated together on a draw's axes; their K^T a rows take at
+# most MC_TILE * 384 kB, whatever the batch size. On a 603-point amplitude
+# sweep of 10^4 samples (in-process, median of 40 calls, 3 runs), tiles of
+# 1, 2, 8 and 16 took about 1.35x, 1.1-1.3x, 1.5x and 1.6x the 28-34 ms of 4.
 MC_TILE = 4
 # LAPACK's dgesdd rescales a matrix whose largest entry lies below
 # sqrt(safe minimum) / eps = 2^-459 by a factor that is not a power of two,
@@ -274,41 +282,43 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_totals(k64: np.ndarray, n: int, seq: np.random.SeedSequence) -> np.ndarray:
-    """(sum, sum of squares) of |a^T K b| over one chunk's n samples, drawn
-    from `seq`, for each matrix of the scaled stack `k64`: a (len(k64), 2)
-    array. The draws are shared by every matrix, which are evaluated
-    MC_TILE at a time."""
+def _chunk_totals(kt: np.ndarray, shift: np.ndarray, n: int,
+                  seq: np.random.SeedSequence) -> np.ndarray:
+    """(sum, sum of squares) of |K^T a| - shift over one chunk's n samples,
+    drawn from `seq`, for each matrix of the scaled, transposed stack `kt`
+    and its shift: a (len(kt), 2) array. The draws are shared by every
+    matrix, which are evaluated MC_TILE at a time."""
     rng = np.random.default_rng(seq)
-    m = min(MC_BLOCK, 3 * n + 16)  # the largest draw, the first
-    tile = min(len(k64), MC_TILE)
-    # a draw's u, v and their squares, then a tile's K b rows and values
-    buf = np.empty(max(4 * m, tile * 4 * (m // 2)))
-    totals = np.zeros((len(k64), 2))
+    m = min(MC_BLOCK, 3 * n // 2 + 16)  # the largest draw, the first
+    tile = min(len(kt), MC_TILE)
+    # a draw's u, v and their squares, then a tile's K^T a rows
+    buf = np.empty(max(4, 3 * tile) * m)
+    totals = np.zeros((len(kt), 2))
     left = n
     while left:
-        m = min(MC_BLOCK, 3 * left + 16)
+        m = min(MC_BLOCK, 3 * left // 2 + 16)
         draw = buf[:4 * m].reshape(4, m)  # rows u/2, v/2 and their squares
         half = rng.random(out=buf[:2 * m])
         np.subtract(half, 0.5, out=half)
         np.square(draw[:2], out=draw[2:])
         q4 = np.add(draw[2], draw[3], out=draw[2])
         kept = draw[:3].compress(q4 < 0.25, 1)
-        pairs = min(kept.shape[1] // 2, left)
-        axes = kept[:, :2 * pairs]
-        axes[:2] *= np.sqrt(np.subtract(0.25, axes[2]))
-        np.subtract(0.125, axes[2], out=axes[2])
-        a, b = axes[:, :pairs], axes[:, pairs:]
-        for lo in range(0, len(k64), tile):
-            kt = k64[lo:lo + tile]
-            size = len(kt) * pairs
-            w = np.matmul(kt, b, out=buf[:3 * size].reshape(len(kt), 3, pairs))
-            w *= a
-            vals = np.add.reduce(w, 1, out=buf[3 * size:4 * size].reshape(len(kt), pairs))
-            np.abs(vals, out=w[:, 0])
-            np.square(vals, out=w[:, 1])
-            totals[lo:lo + tile] += np.add.reduce(w[:, :2], 2)  # each row pairwise
-        left -= pairs
+        size = min(kept.shape[1], left)
+        a = kept[:, :size]
+        a[:2] *= np.sqrt(np.subtract(0.25, a[2]))
+        np.subtract(0.125, a[2], out=a[2])
+        for lo in range(0, len(kt), tile):
+            part = slice(lo, lo + tile)
+            rows = min(tile, len(kt) - lo)
+            w = np.matmul(kt[part], a, out=buf[:3 * rows * size].reshape(rows, 3, size))
+            np.square(w, out=w)
+            x = np.add(w[:, 0], w[:, 1], out=w[:, 0])
+            x += w[:, 2]
+            np.sqrt(x, out=x)
+            x -= shift[part, None]
+            np.square(x, out=w[:, 1])
+            totals[part] += np.add.reduce(w[:, :2], 2)  # each row pairwise
+        left -= size
     return totals
 
 
@@ -317,9 +327,11 @@ def sigma_monte_carlo_batch(
     n_samples: int,
     seed: int | np.random.SeedSequence,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Direct double-sphere average of |a^T K b| over uniform axes, for every
-    correlation matrix in `k` (shape (..., 3, 3)), all on the directions one
-    seed draws; returns (values, standard errors) with shape k.shape[:-2].
+    """Conditional Monte Carlo average of |K^T a| / 2 over uniform axes a,
+    which is Sigma, the mean of |a^T K b| over both axes, averaged over b
+    exactly; for every correlation matrix in `k` (shape (..., 3, 3)), all on
+    the directions one seed draws. Returns (values, standard errors) with
+    shape k.shape[:-2].
 
     Each axis is a Marsaglia point (G. Marsaglia, Ann. Math. Statist. 43
     (1972) 645-646): (u, v) uniform on [-1, 1)^2, kept where q = u^2 + v^2
@@ -329,20 +341,25 @@ def sigma_monte_carlo_batch(
     seeded by the SeedSequence with `seed`'s entropy and spawn key +(j,), the
     child `seed.spawn()` would give a fresh copy of `seed`; `seed` itself is
     not changed. Within a chunk each draw takes m = min(MC_BLOCK, 3 *
-    samples the chunk still needs + 16) candidates, the m values of u, then
-    the m of v. Of the p pairs its kept points make (at most the samples
-    still needed), the first p points are the a and the next p the b, in
-    draw order; an odd or surplus point is dropped. Every matrix is
-    evaluated on the same (a, b) pairs: this is common random numbers, so
-    the estimates of one call have correlated errors, while each stays
-    unbiased with its own standard error. A draw's sum and sum of squares,
-    each in numpy's pairwise order, are added to the chunk's running
-    totals, and the chunks' totals are added in chunk order. Each matrix is
-    first scaled by the power of two that puts its largest entry in [1/2,
-    1), and its mean and standard error scaled back, so no square under- or
-    overflows at any finite scale. A value thus depends only on its matrix,
-    the sample count and the seed: a matrix gives the same bytes alone and
-    at any place in any batch.
+    samples the chunk still needs // 2 + 16) candidates, the m values of u,
+    then the m of v. Its kept points, in draw order and at most the samples
+    still needed, are the axes a, one per sample; a surplus point is dropped.
+    Every matrix is evaluated on the same axes: this is common random
+    numbers, so the estimates of one call have correlated errors, while
+    each stays unbiased with its own standard error.
+
+    Each matrix is first scaled by the power of two that puts its largest
+    entry in [1/2, 1), and its mean and standard error scaled back, so no
+    square under- or overflows at any finite scale. The samples are summed
+    as their distances from a shift c, the RMS sqrt(|K|_F^2 / 3) of |K^T a|,
+    so a nearly constant |K^T a| (K near an isotropic one) keeps its spread:
+    (c - mean)^2 is at most the variance. For K = -I, whose |K^T a| are 1
+    to an ulp or two, the mean rounds to 1/2 once those ulps average out. A
+    draw's sum and sum of squares of |K^T a| - c, each in numpy's pairwise
+    order, are added to the chunk's running totals, and the chunks' totals
+    are added in chunk order. A value thus depends only on its matrix, the
+    sample count and the seed: a matrix gives the same bytes alone and at
+    any place in any batch.
 
     With more than one chunk, the chunks run on a thread pool made for this
     call only, with one worker per CPU this process may use and at most one
@@ -362,11 +379,14 @@ def sigma_monte_carlo_batch(
     n_samples = _sample_count(n_samples)
     root = _seed_sequence(seed)
     e = np.frexp(peak)[1]
+    scaled = np.ldexp(flat, -e[:, None, None])
+    # the shift c of each matrix, its squares added in row-major order
+    shift = np.sqrt(functools.reduce(np.add, np.square(scaled.reshape(-1, 9)).T, 0.0) / 3.0)
     # the draw keeps u/2 and v/2, which makes each axis 1/8 of itself,
-    # (u/2 t, v/2 t, 1/8 - q/4) with t = sqrt(1/4 - q/4): the form then
-    # reads 64K, here in units of 2^e, and every value is bit for bit that
-    # of the formula above
-    k64 = np.ldexp(flat, (6 - e)[:, None, None])
+    # (u/2 t, v/2 t, 1/8 - q/4) with t = sqrt(1/4 - q/4): 8K^T on it gives
+    # K^T a, here in units of 2^e, and every value is bit for bit that of
+    # the formula above
+    kt = np.ascontiguousarray(8.0 * scaled.transpose(0, 2, 1))
     totals = np.zeros((len(flat), 2))
     if len(flat):
         chunks = -(-n_samples // MC_CHUNK)
@@ -374,7 +394,7 @@ def sigma_monte_carlo_batch(
         def chunk(j: int) -> np.ndarray:
             seq = np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, j),
                                          pool_size=root.pool_size)
-            return _chunk_totals(k64, min(MC_CHUNK, n_samples - j * MC_CHUNK), seq)
+            return _chunk_totals(kt, shift, min(MC_CHUNK, n_samples - j * MC_CHUNK), seq)
 
         workers = min(chunks, _cpu_count())
         if workers <= 1:
@@ -386,17 +406,19 @@ def sigma_monte_carlo_batch(
             with ThreadPoolExecutor(workers) as pool:
                 for part in pool.map(chunk, range(chunks)):
                     totals += part
-    mean = totals[:, 0] / n_samples
+    offset = totals[:, 0] / n_samples
     if n_samples > 1:
-        var = np.maximum(totals[:, 1] / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
+        var = (np.maximum(totals[:, 1] / n_samples - offset * offset, 0.0)
+               * n_samples / (n_samples - 1))
         stderr = np.sqrt(var / n_samples)
     else:
-        stderr = np.zeros_like(mean)
-    # 2^(e-1) is a double for every finite peak; 2x is exact, so each value
-    # rounds once, as ldexp would, and a Sigma past the float range is inf
+        stderr = np.zeros_like(offset)
+    # a sample is |K^T a| / 2, so 2^(e-1) scales back, a double for every
+    # finite peak: each value rounds once, as ldexp would, and a Sigma past
+    # the float range is inf
     unit = np.ldexp(0.5, e)
     with np.errstate(over="ignore"):
-        values, stderrs = 2.0 * mean * unit, 2.0 * stderr * unit
+        values, stderrs = (shift + offset) * unit, stderr * unit
     return values.reshape(k.shape[:-2]), stderrs.reshape(k.shape[:-2])
 
 

@@ -1,7 +1,8 @@
 """The periodic quadrature and the degenerate-pair closed form of Sigma: the
 oracles the tests hold the runtime estimator, Carlson's R_G, to. Also the
 plain per-chunk, per-draw Monte Carlo loop that `sigma_monte_carlo` must
-match bit for bit.
+match bit for bit, and the double-sphere Monte Carlo average, which shares
+no step with R_G.
 
 Sigma depends on K only through its singular values alpha >= beta >=
 gamma_sv and reduces to the single integral
@@ -220,18 +221,25 @@ def marsaglia_points(rng: np.random.Generator, m: int) -> np.ndarray:
 
 def sigma_monte_carlo_one_shot(k: np.ndarray, n_samples: int, seed) -> SigmaEstimate:
     """The Monte Carlo estimate as its stream is defined: K scaled by the
-    power of two that puts its largest entry in [1/2, 1); the samples split
-    into chunks of MC_CHUNK, chunk j drawing from the SeedSequence with the
-    seed's entropy and spawn key +(j,); per draw of min(MC_BLOCK, 3 *
-    samples the chunk still needs + 16) candidates, the first p kept points
-    are a and the next p are b, p the pairs it makes but at most the samples
-    the chunk still needs; each draw's sum and sum of squares go to the
-    chunk's running totals, the chunks' totals are added in chunk order,
-    and the mean and standard error are scaled back. `sigma_monte_carlo`
-    must match it bit for bit, alone and in any batch."""
+    power of two that puts its largest entry in [1/2, 1), and its shift c =
+    sqrt(|K|_F^2 / 3), the squares added in row-major order; the samples
+    split into chunks of MC_CHUNK, chunk j drawing from the SeedSequence
+    with the seed's entropy and spawn key +(j,); per draw of min(MC_BLOCK,
+    3 * samples the chunk still needs // 2 + 16) candidates, the first p kept
+    points are the axes a, p at most the samples the chunk still needs; each
+    sample is |K^T a|, its squares added in axis order, and each draw's sum
+    and sum of squares of |K^T a| - c go to the chunk's running totals; the
+    chunks' totals are added in chunk order, and the mean c + sum/n and the
+    standard error, halved, are scaled back. `sigma_monte_carlo` must match
+    it bit for bit, alone and in any batch."""
     k = np.asarray(k, dtype=float)
     e = math.frexp(float(np.max(np.abs(k))))[1]
     k = np.ldexp(k, -e)
+    norm2 = 0.0
+    for entry in k.ravel().tolist():
+        norm2 += entry * entry
+    shift = math.sqrt(norm2 / 3.0)
+    kt = np.ascontiguousarray(k.T)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     total = 0.0
     total_sq = 0.0
@@ -242,19 +250,41 @@ def sigma_monte_carlo_one_shot(k: np.ndarray, n_samples: int, seed) -> SigmaEsti
         chunk_sq = 0.0
         left = min(MC_CHUNK, n_samples - start)
         while left > 0:
-            points = marsaglia_points(rng, min(MC_BLOCK, 3 * left + 16))
-            p = min(points.shape[1] // 2, left)
-            a, b = points[:, :p], points[:, p:2 * p]
-            vals = np.abs((a * (k @ b)).sum(axis=0))
-            chunk_total += float(vals.sum())
-            chunk_sq += float((vals * vals).sum())
+            points = marsaglia_points(rng, min(MC_BLOCK, 3 * left // 2 + 16))
+            p = min(points.shape[1], left)
+            w = kt @ points[:, :p]
+            d = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2]) - shift
+            chunk_total += float(d.sum())
+            chunk_sq += float((d * d).sum())
             left -= p
         total += chunk_total
         total_sq += chunk_sq
-    mean = total / n_samples
+    offset = total / n_samples
     if n_samples > 1:
-        var = max(total_sq / n_samples - mean * mean, 0.0) * n_samples / (n_samples - 1)
+        var = max(total_sq / n_samples - offset * offset, 0.0) * n_samples / (n_samples - 1)
         stderr = math.sqrt(var / n_samples)
     else:
         stderr = 0.0
-    return SigmaEstimate(math.ldexp(mean, e), "monte_carlo", math.ldexp(stderr, e))
+    return SigmaEstimate(math.ldexp(shift + offset, e - 1), "monte_carlo",
+                         math.ldexp(stderr, e - 1))
+
+
+def sigma_double_sphere(k: np.ndarray, n_samples: int, seed) -> SigmaEstimate:
+    """The direct double-sphere mean of |a^T K b| over independent Marsaglia
+    axes a and b, with its standard error: the oracle of
+    `sigma_monte_carlo_one_shot`, which averages |K^T a| / 2, the exact mean
+    over b, and so shares its first step with the R_G identity. This one
+    shares nothing with either."""
+    rng = np.random.default_rng(seed)
+    k = np.asarray(k, dtype=float)
+    vals = []
+    left = n_samples
+    while left > 0:
+        points = marsaglia_points(rng, min(2**16, 3 * left + 16))
+        p = min(points.shape[1] // 2, left)
+        a, b = points[:, :p], points[:, p:2 * p]
+        vals.append(np.abs(np.einsum("ip,ij,jp->p", a, k, b)))
+        left -= p
+    vals = np.concatenate(vals)
+    return SigmaEstimate(float(vals.mean()), "monte_carlo",
+                         float(vals.std(ddof=1) / math.sqrt(n_samples)))

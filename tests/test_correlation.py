@@ -438,14 +438,47 @@ def test_rg_matches_monte_carlo_across_simplex():
         assert abs(value - mc.value) <= 4 * mc.error_bound or value == mc.value, triple
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.37])
+def test_rg_matches_monte_carlo_near_the_isotropic_corner(alpha):
+    # near (1, 1, 1) every |K^T a| is close to alpha, spread by about delta/2
+    # of it, far below the rounding of a one-pass sum of squares: the
+    # standard error must keep that spread and still cover the gap to R_G.
+    # At 2e5 samples it is about 3e-4 delta, so below delta = 1e-12 it falls
+    # under an ulp of the mean and R_G's own rounding.
+    deltas = [(0.0, 0.0), (0.0, 1e-3), (1e-4, 1e-4), (0.0, 1e-6), (0.0, 1e-9),
+              (1e-10, 3e-10), (0.0, 1e-12)]
+    triples = np.array([(alpha, alpha * (1 - db), alpha * (1 - dg)) for db, dg in deltas])
+    got = sigma_rg_batch(*triples.T)
+    for triple, value, seq in zip(triples, got, np.random.SeedSequence(65).spawn(len(triples))):
+        mc = sigma_monte_carlo(np.diag(triple), 2 * 10**5, seed=seq)
+        assert mc.error_bound > 0.0 or triple[0] == triple[2], triple
+        assert abs(value - mc.value) <= 4 * mc.error_bound or value == mc.value, triple
+
+
+def mpmath_sigma(mpmath, a2, b2, g2):
+    """Sigma = R_G(a2, b2, g2) / 2 of a descending triple's squares, by
+    mpmath. The smallest goes first: mpmath 1.3.0's elliprg(x, x, z) returns
+    half of R_G when z lies within about 10^(-dps/2) of x, and a descending
+    triple with a = b puts its two equal values first."""
+    return mpmath.elliprg(g2, a2, b2) / 2
+
+
+def test_mpmath_oracle_keeps_a_nearly_equal_third_value():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = 1 - mpmath.mpf(10) ** -25
+        # R_G(1, 1, x) = 1 - (1 - x)/6 + ...; the descending call gives 1/2
+        assert abs(mpmath_sigma(mpmath, 1, 1, x) - 0.5) < 1e-25
+        assert abs(mpmath_sigma(mpmath, 1, x, x) - 0.5) < 1e-25
+
+
 def test_rg_matches_mpmath_elliprg_across_simplex():
     mpmath = pytest.importorskip("mpmath")
     triples = simplex_triples(150, 64)
     got = sigma_rg_batch(*triples.T)
     with mpmath.workdps(40):
         for (a, b, g), value in zip(triples.tolist(), got.tolist()):
-            exact = mpmath.elliprg(mpmath.mpf(a) ** 2, mpmath.mpf(b) ** 2,
-                                   mpmath.mpf(g) ** 2) / 2
+            exact = mpmath_sigma(mpmath, *(mpmath.mpf(s) ** 2 for s in (a, b, g)))
             error = abs(mpmath.mpf(value) - exact)
             assert error <= RG_REL_ERROR_BOUND * exact + SUBNORMAL_SLACK, (a, b, g, value)
 
@@ -551,7 +584,7 @@ def test_sigma_for_state_error_bound_covers_subnormal_values():
             est = sigma_for_state(rho)
             sv = np.linalg.svd(correlation_matrix(rho), compute_uv=False)
             with mpmath.workdps(40):
-                exact = mpmath.elliprg(*(mpmath.mpf(s) ** 2 for s in sv.tolist())) / 2
+                exact = mpmath_sigma(mpmath, *(mpmath.mpf(s) ** 2 for s in sv.tolist()))
                 error = float(abs(mpmath.mpf(est.value) - exact))
             assert 0.0 < est.value < 2.0**-1022
             assert est.error_bound == RG_ABS_ERROR_FLOOR

@@ -24,6 +24,7 @@ from avgcorr import (
     t_matrix,
 )
 from avgcorr.cli import run
+from oracles import sigma_double_sphere
 from transfer import pauli_transfer
 
 CS = [0.0, 1.0, 5e-324, 1e-300, 1 / np.sqrt(2), 0.6, 0.3,
@@ -79,14 +80,16 @@ def test_exact_method_gets_no_k_and_the_same_triple(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
 def test_closed_form_agrees_with_monte_carlo_on_the_damped_k(kind, monkeypatch):
-    # the damped family's independent oracle: the double-sphere average of
-    # the K that damped_sigma builds for Monte Carlo, within 4 standard errors
+    # the K that damped_sigma builds for Monte Carlo, averaged by the
+    # library's conditional estimate and by the double-sphere average, the
+    # damped family's independent oracle, each within 4 standard errors
     for i, (c, p) in enumerate([(0.6, 0.0), (1 / np.sqrt(2), 0.3), (0.3, 0.5),
                                 (0.95, 2.0 / 3.0), (0.8, 0.9), (0.0, 0.4)]):
         k, _ = damped_k(kind, c, p, monkeypatch)
         _, exact = damped_sigma(kind, c, p, "exact")
-        estimate = sigma_monte_carlo(k, 200_000, 9100 + i)
-        assert abs(estimate.value - exact) <= 4.0 * estimate.error_bound, (c, p)
+        for estimate in (sigma_monte_carlo(k, 200_000, 9100 + i),
+                         sigma_double_sphere(k, 200_000, 9200 + i)):
+            assert abs(estimate.value - exact) <= 4.0 * estimate.error_bound, (c, p)
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])

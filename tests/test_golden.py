@@ -11,7 +11,10 @@ that of a small Monte Carlo sweep, every row averaged over the same 100
 directions: the two pin the Monte Carlo stream, its draw sizing included.
 Both fit in one chunk; `tests/data/verify_chunks.txt` holds a `verify` run
 of three chunks, which pins the chunk streams and the order their totals
-are added in, whatever the number of CPUs.
+are added in, whatever the number of CPUs, and
+`tests/data/sigma_mc_default.txt` a one-point `sigma --method mc` at the
+default sample count and seed (MC_SAMPLES, MC_SEED): eight chunks for a
+batch of one.
 """
 
 from pathlib import Path
@@ -34,6 +37,8 @@ JSON_SWEEPS = {
         "--gammas", "1.5", "--steps", "40",
     ],
 }
+
+MC_SIGMA = ["sigma", "--c", "0.6", "--channel", "amplitude", "--p", "0.3", "--method", "mc"]
 
 MC_SWEEP = ["--channel", "amplitude", "--method", "mc", "--samples", "100", "--c", "0.6",
             "--gammas", "1", "--steps", "20"]
@@ -71,3 +76,9 @@ def test_monte_carlo_sweep_csv_matches_golden_bytes(tmp_path):
     argv = ["sweep", *MC_SWEEP, "--out", str(out)]
     assert run(argv) == 0
     assert out.read_bytes() == (DATA / "sweep_mc_small.csv").read_bytes()
+
+
+def test_default_monte_carlo_sigma_matches_golden_bytes(capsys):
+    assert run(MC_SIGMA) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (DATA / "sigma_mc_default.txt").read_bytes()

@@ -1,9 +1,11 @@
 """The Monte Carlo oracle: the estimate against the plain statement of its
 stream in `oracles.py` and against pinned values, the Marsaglia points in
-distribution, landmark and random-state values within their standard
-errors, the estimate's exact scaling with K, a batch sharing one seed's
-directions against each matrix alone, its chunks on the thread pool, and
-its input checks.
+distribution, the step it shares with R_G (E_b |v . b| = |v|/2) by itself,
+landmark and random-state values within their standard errors, the
+double-sphere average as the oracle's own oracle, K = -I exactly, the
+estimate's exact scaling with K, a batch sharing one seed's directions
+against each matrix alone, its chunks on the thread pool, and its input
+checks.
 
 Every value here must be the same bytes on one CPU and on many; CI also
 runs this file pinned to one CPU.
@@ -23,8 +25,9 @@ import avgcorr.correlation as correlation
 from avgcorr import (PHASE_DAMPING, correlation_matrix, damped_sigma, random_density,
                      sigma_for_state)
 from avgcorr.cli import run
-from avgcorr.correlation import MC_BLOCK, MC_CHUNK, sigma_monte_carlo, sigma_monte_carlo_batch
-from oracles import marsaglia_points, sigma_monte_carlo_one_shot
+from avgcorr.correlation import (MC_BLOCK, MC_CHUNK, _singular_values, sigma_monte_carlo,
+                                 sigma_monte_carlo_batch, sigma_rg_batch)
+from oracles import marsaglia_points, sigma_double_sphere, sigma_monte_carlo_one_shot
 
 RNG = np.random.default_rng(2024)
 MATRICES = {
@@ -54,16 +57,16 @@ def test_blocked_estimate_matches_one_shot_loop_past_a_million(kind):
 
 
 # (n, seed, value, standard error) of sigma_monte_carlo(PINNED_K, n, seed) on
-# the chunked Marsaglia stream: these bytes must not move
+# the chunked Marsaglia stream, one axis per sample: these bytes must not move
 PINNED_K = np.array([[0.3, -0.2, 0.1], [0.05, -0.6, 0.25], [-0.15, 0.4, 0.7]])
 PINNED = [
-    (1, 3, "0x1.37d42b7d686bfp-1", "0x0.0p+0"),
-    (2, 3, "0x1.8b30c24a4a8b4p-2", "0x1.c15d5f556668ap-5"),
-    (1000, 17, "0x1.39bd70e0cddaep-2", "0x1.9dde2854973ffp-8"),
-    (MC_BLOCK - 1, 42, "0x1.4295392b3a6d1p-2", "0x1.9a3273505c6fep-10"),
-    (MC_BLOCK, 2024, "0x1.4274c46d6d8a8p-2", "0x1.9b2d72322cf7ap-10"),
-    (MC_CHUNK + 1, 7, "0x1.3fb6f10a618a3p-2", "0x1.1f9bdb1885e4ap-11"),
-    (3 * MC_CHUNK + 5, 8, "0x1.40cb08bba1a53p-2", "0x1.4c4a0719ff5cdp-12"),
+    (1, 3, "0x1.55c5a7284eed6p-2", "0x0.0p+0"),
+    (2, 3, "0x1.78974808448fep-2", "0x1.46ea883297664p-5"),
+    (1000, 17, "0x1.3b4ea767f90bdp-2", "0x1.2d04eb7e8494ep-9"),
+    (MC_BLOCK - 1, 42, "0x1.40eaaa5fefbdap-2", "0x1.262818ece6e51p-11"),
+    (MC_BLOCK, 2024, "0x1.417f43f9bd83bp-2", "0x1.252c7538bf619p-11"),
+    (MC_CHUNK + 1, 7, "0x1.40af6b9413ce5p-2", "0x1.9cd198552bc81p-13"),
+    (3 * MC_CHUNK + 5, 8, "0x1.409bde627dfa1p-2", "0x1.de914ba2c9c09p-14"),
 ]
 
 
@@ -131,6 +134,22 @@ def test_marsaglia_coordinates_are_uniform_on_minus_one_one(axis):
     assert np.sum((counts - expected) ** 2 / expected) < 63.7
 
 
+UNIT = np.array([2.0, -3.0, 6.0]) / 7.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v", [UNIT, 1e-300 * UNIT, 1e300 * UNIT, [0.0, 0.0, 1.0],
+                               [-1e300, 0.0, 0.0], [0.0, 1e-300, 0.0]],
+                         ids=["unit", "tiny", "huge", "z", "huge_x", "tiny_y"])
+def test_mean_projection_on_a_uniform_axis_is_half_the_length(v):
+    # the one step the estimate shares with R_G: for a fixed a, v = K^T a,
+    # and E_b |v . b| = |v| E|cos| = |v|/2 over uniform b, checked here over
+    # Marsaglia points, with no estimator code in between
+    ratios = np.abs(np.asarray(v) @ POINTS) / math.hypot(*v)
+    stderr = ratios.std(ddof=1) / np.sqrt(POINTS.shape[1])
+    assert abs(ratios.mean() - 0.5) < 4.5 * stderr
+
+
 U, V = np.array([0.3, -0.4, 1.2]), np.array([-0.5, 0.1, 0.2])
 
 
@@ -152,6 +171,39 @@ def test_random_states_within_four_standard_errors():
         est = sigma_monte_carlo(correlation_matrix(rho), 100_000, mc_seq)
         z.append((est.value - sigma_for_state(rho).value) / est.error_bound)
     assert np.max(np.abs(z)) < 4.0, z
+
+
+def verify_states(trials=20, seed=42):
+    """The correlation matrices of `verify`'s default trials."""
+    return np.array([
+        correlation_matrix(random_density(np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(i, 0)))))
+        for i in range(trials)])
+
+
+def test_conditional_and_double_sphere_estimates_agree_on_verify_states():
+    # the double-sphere average shares no step with R_G: both estimates
+    # must meet R_G and each other, and averaging over b exactly must leave
+    # the smaller standard error on every state
+    ks = verify_states()
+    exact = sigma_rg_batch(*_singular_values(ks).T)
+    n = 200_000
+    values, stderrs = sigma_monte_carlo_batch(ks, n, 5)
+    for i, (k, rg, value, stderr) in enumerate(zip(ks, exact, values, stderrs)):
+        direct = sigma_double_sphere(k, n, np.random.SeedSequence(6, spawn_key=(i,)))
+        assert abs(value - rg) <= 4.0 * stderr, i
+        assert abs(direct.value - rg) <= 4.0 * direct.error_bound, i
+        assert abs(value - direct.value) <= 4.0 * math.hypot(stderr, direct.error_bound), i
+        assert stderr < direct.error_bound, i
+
+
+@pytest.mark.parametrize("n, seed", [(100, 0), (1000, 1), (MC_BLOCK + 1, 2), (100_000, 3),
+                                     (MC_CHUNK + 1, 4), (10**6, 42)])
+def test_minus_identity_gives_exactly_one_half(n, seed):
+    # every |K^T a| is 1 to an ulp or two, and the samples are summed as
+    # their distances from the shift sqrt(|K|_F^2 / 3), exactly 1 here, so
+    # the ulps average away instead of piling up in a sum of n values near 1
+    assert sigma_monte_carlo(-np.eye(3), n, seed).value == 0.5
 
 
 finite = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
@@ -231,9 +283,9 @@ def test_concurrent_batch_matches_one_estimate_at_a_time(cpus, monkeypatch):
     threads = []
     chunk_totals = correlation._chunk_totals
 
-    def traced(k64, n, seq):
+    def traced(kt, shift, n, seq):
         threads.append(threading.get_ident())
-        return chunk_totals(k64, n, seq)
+        return chunk_totals(kt, shift, n, seq)
 
     monkeypatch.setattr(correlation, "_cpu_count", lambda: cpus)
     monkeypatch.setattr(correlation, "_chunk_totals", traced)
@@ -259,9 +311,9 @@ def test_pool_is_capped_and_only_for_more_than_one_chunk(monkeypatch):
             sizes.append(max_workers)
             super().__init__(max_workers)
 
-    def counted(k64, n, seq):
+    def counted(kt, shift, n, seq):
         chunks.append((seq.spawn_key, n))
-        return np.zeros((len(k64), 2))
+        return np.zeros((len(kt), 2))
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(correlation, "_chunk_totals", counted)
@@ -283,7 +335,7 @@ def test_batch_raises_the_workers_error(cpus, monkeypatch):
     ks, seed = batch_inputs()
     monkeypatch.setattr(correlation, "_cpu_count", lambda: cpus)
 
-    def drew(k64, n, seq):
+    def drew(kt, shift, n, seq):
         raise AssertionError("drew before checking the input")
 
     monkeypatch.setattr(correlation, "_chunk_totals", drew)
@@ -297,7 +349,7 @@ def test_batch_raises_the_workers_error(cpus, monkeypatch):
         sigma_monte_carlo_batch(ks[..., :2], 2 * MC_CHUNK, seed)
     error = ValueError("worker failed")
 
-    def failing(k64, n, seq):
+    def failing(kt, shift, n, seq):
         raise error
 
     monkeypatch.setattr(correlation, "_chunk_totals", failing)
@@ -322,7 +374,7 @@ def test_batch_names_a_seed_count_mismatch():
 
 
 def test_empty_batch_draws_nothing(monkeypatch):
-    def drew(k64, n, seq):
+    def drew(kt, shift, n, seq):
         raise AssertionError("drew for an empty batch")
 
     monkeypatch.setattr(correlation, "_chunk_totals", drew)
@@ -336,7 +388,7 @@ def test_empty_batch_draws_nothing(monkeypatch):
      "--steps", "3"],
 ])
 def test_worker_error_is_one_error_line(argv, monkeypatch, capsys):
-    def failing(k64, n, seq):
+    def failing(kt, shift, n, seq):
         raise ValueError("worker\nfailed")
 
     monkeypatch.setattr(correlation, "_cpu_count", lambda: 2)
