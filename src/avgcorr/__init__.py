@@ -6,14 +6,11 @@ from .correlation import (
     INDETERMINATE,
     NONCLASSICAL,
     NONCLASSICAL_MIN,
-    SigmaEstimate,
     classify,
     correlation_matrix,
     sigma_for_state,
-    sigma_monte_carlo,
-    t_matrix,
 )
-from .states import DensityReport, make_pure_state, random_density, tensor2, validate_density
+from .states import DensityReport, make_pure_state, random_density, validate_density
 from .sweep import (
     AMPLITUDE_DAMPING,
     PHASE_DAMPING,
@@ -37,7 +34,6 @@ __all__ = [
     "NONCLASSICAL",
     "NONCLASSICAL_MIN",
     "PHASE_DAMPING",
-    "SigmaEstimate",
     "SweepSpec",
     "classify",
     "correlation_matrix",
@@ -48,8 +44,5 @@ __all__ = [
     "p_of_t",
     "random_density",
     "sigma_for_state",
-    "sigma_monte_carlo",
-    "t_matrix",
-    "tensor2",
     "validate_density",
 ]

@@ -30,11 +30,10 @@ from two uniforms in the unit disk. It evaluates every matrix of a batch
 (`verify`'s trials, the points of a Monte Carlo sweep) on one seeded stream
 of directions, common random numbers (Glasserman, sec. 4.2): the estimates
 of one call have correlated errors, while each stays unbiased with its own
-standard error and is the same bytes as the matrix alone.
-`sigma_monte_carlo` is the batch of one. The tests hold the shared step
-E_b |v . b| = |v|/2 by itself and keep the double-sphere average as an
-oracle that shares nothing with R_G.
-`sigma_for_state` picks one of the two METHODS for a single state.
+standard error and is the same bytes as the matrix alone. The tests
+hold the shared step E_b |v . b| = |v|/2 by itself and keep the
+double-sphere average as an oracle that shares nothing with R_G.
+`sigma_for_state` runs one of the two METHODS on one state or a stack.
 
 The damped pure states have K = diag(-s, -s, kappa), two of whose singular
 values are equal, and there R_G reduces to the elementary R_C:
@@ -47,7 +46,6 @@ from __future__ import annotations
 import functools
 import operator
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +61,7 @@ INDETERMINATE = "indeterminate"
 NONCLASSICAL = "nonclassical"
 
 # the labels in the order of the thresholds a value passes, read-only
-# because `classify_batch` returns a view of it for a 0-d value
+# because `classify` returns a view of it for a 0-d value
 _LABELS = np.array([CLASSICAL_COMPATIBLE, INDETERMINATE, NONCLASSICAL])
 _LABELS.flags.writeable = False
 
@@ -78,8 +76,6 @@ def check_method(method) -> None:
         raise ValueError(f"unknown method {method!r}")
 
 
-# Method tag of the exact estimator of a general state, R_G by duplication.
-ESTIMATOR = "carlson_rg"
 # Relative error bound of `sigma_rg_batch` for results above the subnormal
 # range; the tests hold it to a 40-digit mpmath.elliprg across the
 # sorted-triple simplex, where the worst of 24288 triples measured 6.8e-16.
@@ -135,14 +131,16 @@ _PAULI_PRODUCTS = np.array(
 
 
 def t_matrix(rho: np.ndarray) -> np.ndarray:
-    """Real 4x4 matrix T_mu,nu = tr(rho sigma_mu (x) sigma_nu), sigma_0 = I.
+    """Real 4x4 matrix T_mu,nu = tr(rho sigma_mu (x) sigma_nu), sigma_0 = I,
+    of each matrix of `rho` (shape (..., 4, 4)), shape rho.shape[:-2] + (4,
+    4); each is bit for bit that of its matrix alone.
 
     T_00 is the trace, row 0 and column 0 hold the local Bloch vectors, and
     the lower 3x3 block is the correlation matrix K. A local channel pair
     with Pauli-transfer matrices R_A, R_B maps T to R_A T R_B^T.
     """
-    t = np.einsum("ab,mnba->mn", np.asarray(rho, dtype=complex), _PAULI_PRODUCTS)
-    worst_imag = float(np.max(np.abs(t.imag)))
+    t = np.einsum("...ab,mnba->...mn", np.asarray(rho, dtype=complex), _PAULI_PRODUCTS)
+    worst_imag = float(np.max(np.abs(t.imag), initial=0.0))
     if worst_imag > IMAG_RESIDUAL_HARD_LIMIT:
         raise ValueError(
             f"correlation entries have imaginary residual {worst_imag:.3e}; "
@@ -152,17 +150,9 @@ def t_matrix(rho: np.ndarray) -> np.ndarray:
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    """3x3 real matrix K_ij = tr(rho sigma_i (x) sigma_j), the lower block of T."""
-    return np.ascontiguousarray(t_matrix(rho)[1:, 1:])
-
-
-@dataclass(frozen=True)
-class SigmaEstimate:
-    """Average-correlation value with its method tag and error bound."""
-
-    value: float
-    method: str
-    error_bound: float
+    """3x3 real matrix K_ij = tr(rho sigma_i (x) sigma_j), the lower block of
+    T, of each matrix of `rho` (shape (..., 4, 4))."""
+    return np.ascontiguousarray(t_matrix(rho)[..., 1:, 1:])
 
 
 def sigma_rg_batch(alpha, beta, gamma_sv) -> np.ndarray:
@@ -422,21 +412,6 @@ def sigma_monte_carlo_batch(
     return values.reshape(k.shape[:-2]), stderrs.reshape(k.shape[:-2])
 
 
-def sigma_monte_carlo(
-    k: np.ndarray,
-    n_samples: int,
-    seed: int | np.random.SeedSequence,
-) -> SigmaEstimate:
-    """Monte Carlo Sigma of the one 3x3 matrix `k`: `sigma_monte_carlo_batch`
-    on a batch of one, with the standard error of the mean as its error
-    bound. A K that is not a 3x3 matrix raises ValueError."""
-    k = np.asarray(k, dtype=float)
-    if k.shape != (3, 3):
-        raise ValueError(f"K must be a 3x3 matrix, got shape {k.shape}")
-    value, stderr = sigma_monte_carlo_batch(k, n_samples, seed)
-    return SigmaEstimate(float(value), "monte_carlo", float(stderr))
-
-
 def _singular_values(k: np.ndarray) -> np.ndarray:
     """Descending singular values of each 3x3 matrix of `k` (shape (..., 3,
     3)), shape k.shape[:-1]. A K whose largest entry is below
@@ -453,27 +428,38 @@ def sigma_for_state(
     method: str = "exact",
     n_samples: int = MC_SAMPLES,
     seed: int | np.random.SeedSequence = MC_SEED,
-) -> SigmaEstimate:
-    """Full pipeline rho -> K -> Sigma. "monte_carlo" runs `sigma_monte_carlo`
-    on K, with no SVD; "exact" runs `sigma_rg_batch` on K's singular values,
-    tagged ESTIMATOR, error bound max(RG_REL_ERROR_BOUND * value, RG_ABS_ERROR_FLOOR).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full pipeline rho -> K -> Sigma for one state or a stack of them
+    (shape (..., 4, 4)): (values, error bounds), each of shape
+    rho.shape[:-2], 0-d for one state. Every value and bound is bit for bit
+    that of its state alone.
 
-    A rho that fails `validate_density`, or a method not in METHODS, raises
-    ValueError.
+    "monte_carlo" is one `sigma_monte_carlo_batch` call on the stack's K,
+    with no SVD, and its bounds are the standard errors; "exact" runs
+    `sigma_rg_batch` on K's singular values, with the bound
+    max(RG_REL_ERROR_BOUND * value, RG_ABS_ERROR_FLOOR).
+
+    A state that fails `validate_density` raises ValueError, and in a stack
+    the message names the first such state's index, as [i, j]; an array
+    whose shape does not end in (4, 4) is checked as one state. A method
+    not in METHODS raises ValueError too.
     """
-    if failures := validate_density(rho).failures:
-        raise ValueError(f"not a density matrix: {'; '.join(failures)}")
+    rho = np.asarray(rho, dtype=complex)
+    for index in np.ndindex(rho.shape[:-2] if rho.shape[-2:] == (4, 4) else ()):
+        if failures := validate_density(rho[index]).failures:
+            at = f" at index {list(index)}" if index else ""
+            raise ValueError(f"not a density matrix{at}: {'; '.join(failures)}")
     check_method(method)
     k = correlation_matrix(rho)
     if method == "monte_carlo":
-        return sigma_monte_carlo(k, n_samples, seed)
-    value = float(sigma_rg_batch(*_singular_values(k)))
-    return SigmaEstimate(value, ESTIMATOR, max(RG_REL_ERROR_BOUND * value, RG_ABS_ERROR_FLOOR))
+        return sigma_monte_carlo_batch(k, n_samples, seed)
+    values = sigma_rg_batch(*np.moveaxis(_singular_values(k), -1, 0))
+    return values, np.asarray(np.maximum(RG_REL_ERROR_BOUND * values, RG_ABS_ERROR_FLOOR))
 
 
-def classify_batch(values) -> np.ndarray:
+def classify(values) -> np.ndarray:
     """Nonclassicality labels of an array of average-correlation values, as
-    an array of its shape (dtype <U20).
+    an array of its shape (dtype <U20), 0-d for one value.
 
     <= 1/4 is compatible with classical states; > 1/(2 sqrt 2) occurs only
     for nonclassical states; in between, and for NaN, is indeterminate.
@@ -483,9 +469,3 @@ def classify_batch(values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     rank = np.add(~(values <= CLASSICAL_MAX), values > NONCLASSICAL_MIN, dtype=np.intp)
     return _LABELS[rank, ...]  # the Ellipsis keeps a 0-d result an array
-
-
-def classify(sigma: SigmaEstimate | float) -> str:
-    """Nonclassicality label of one value or estimate, by `classify_batch`."""
-    value = sigma.value if isinstance(sigma, SigmaEstimate) else float(sigma)
-    return classify_batch(value).item()

@@ -47,7 +47,7 @@ from .correlation import (
     RG_REL_ERROR_BOUND,
     RNG_IDENTITY,
     check_method,
-    classify_batch,
+    classify,
     sigma_damped,
     sigma_monte_carlo_batch,
 )
@@ -232,7 +232,7 @@ def decay_curve(
         "rng": RNG_IDENTITY,
     }
     columns = dict(gammas=gammas, t=times, p=p, sv=sv, sigma=sigma,
-                   labels=classify_batch(sigma))
+                   labels=classify(sigma))
     for column in columns.values():
         column.flags.writeable = False  # frozen=True guards the fields, this their contents
     return DecayCurve(**columns, metadata=metadata)

@@ -1,7 +1,7 @@
 """The periodic quadrature and the degenerate-pair closed form of Sigma: the
 oracles the tests hold the runtime estimator, Carlson's R_G, to. Also the
-plain per-chunk, per-draw Monte Carlo loop that `sigma_monte_carlo` must
-match bit for bit, and the double-sphere Monte Carlo average, which shares
+plain per-chunk, per-draw Monte Carlo loop that `sigma_monte_carlo_batch`
+must match bit for bit, and the double-sphere Monte Carlo average, which shares
 no step with R_G.
 
 Sigma depends on K only through its singular values alpha >= beta >=
@@ -24,10 +24,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from avgcorr.correlation import MC_BLOCK, MC_CHUNK, SigmaEstimate
+from avgcorr.correlation import MC_BLOCK, MC_CHUNK
 
 DEGENERATE_PAIR_TOL = 1e-9
 
@@ -38,6 +39,13 @@ QUADRATURE_REL_TOL = 1e-10
 # (16 triples x 1024 nodes); larger blocks cost memory and gain no speed.
 QUADRATURE_BLOCK = 16
 QUADRATURE_BLOCK_VALUES = QUADRATURE_BLOCK * 2 * QUADRATURE_START_NODES
+
+
+class Estimate(NamedTuple):
+    """An oracle's value of Sigma and its error bound."""
+
+    value: float
+    error_bound: float
 
 
 @dataclass(frozen=True)
@@ -169,12 +177,12 @@ def sigma_quadrature(
     rel_tol: float = QUADRATURE_REL_TOL,
     start_nodes: int = QUADRATURE_START_NODES,
     max_nodes: int = QUADRATURE_MAX_NODES,
-) -> SigmaEstimate:
+) -> Estimate:
     """Average correlation of one triple by `sigma_quadrature_batch`."""
     values, bounds = sigma_quadrature_batch(
         [s.alpha], [s.beta], [s.gamma_sv], rel_tol, start_nodes, max_nodes
     )
-    return SigmaEstimate(float(values[0]), "quadrature", float(bounds[0]))
+    return Estimate(float(values[0]), float(bounds[0]))
 
 
 def sigma_closed_pure_batch(alpha, beta) -> np.ndarray:
@@ -199,11 +207,11 @@ def sigma_closed_pure_batch(alpha, beta) -> np.ndarray:
     return np.where(beta == alpha, alpha / 2.0, values)
 
 
-def sigma_closed_pure(alpha: float, beta: float) -> SigmaEstimate:
+def sigma_closed_pure(alpha: float, beta: float) -> Estimate:
     """Closed-form average correlation of one degenerate triple, by
     `sigma_closed_pure_batch`."""
     value = sigma_closed_pure_batch([float(alpha)], [float(beta)])[0]
-    return SigmaEstimate(float(value), "closed_form", 0.0)
+    return Estimate(float(value), 0.0)
 
 
 def marsaglia_points(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -219,7 +227,7 @@ def marsaglia_points(rng: np.random.Generator, m: int) -> np.ndarray:
     return np.stack([u * r, v * r, 1.0 - 2.0 * q])
 
 
-def sigma_monte_carlo_one_shot(k: np.ndarray, n_samples: int, seed) -> SigmaEstimate:
+def sigma_monte_carlo_one_shot(k: np.ndarray, n_samples: int, seed) -> Estimate:
     """The Monte Carlo estimate as its stream is defined: K scaled by the
     power of two that puts its largest entry in [1/2, 1), and its shift c =
     sqrt(|K|_F^2 / 3), the squares added in row-major order; the samples
@@ -230,8 +238,8 @@ def sigma_monte_carlo_one_shot(k: np.ndarray, n_samples: int, seed) -> SigmaEsti
     sample is |K^T a|, its squares added in axis order, and each draw's sum
     and sum of squares of |K^T a| - c go to the chunk's running totals; the
     chunks' totals are added in chunk order, and the mean c + sum/n and the
-    standard error, halved, are scaled back. `sigma_monte_carlo` must match
-    it bit for bit, alone and in any batch."""
+    standard error, halved, are scaled back. `sigma_monte_carlo_batch` must
+    match it bit for bit, alone and in any batch."""
     k = np.asarray(k, dtype=float)
     e = math.frexp(float(np.max(np.abs(k))))[1]
     k = np.ldexp(k, -e)
@@ -265,11 +273,10 @@ def sigma_monte_carlo_one_shot(k: np.ndarray, n_samples: int, seed) -> SigmaEsti
         stderr = math.sqrt(var / n_samples)
     else:
         stderr = 0.0
-    return SigmaEstimate(math.ldexp(shift + offset, e - 1), "monte_carlo",
-                         math.ldexp(stderr, e - 1))
+    return Estimate(math.ldexp(shift + offset, e - 1), math.ldexp(stderr, e - 1))
 
 
-def sigma_double_sphere(k: np.ndarray, n_samples: int, seed) -> SigmaEstimate:
+def sigma_double_sphere(k: np.ndarray, n_samples: int, seed) -> Estimate:
     """The direct double-sphere mean of |a^T K b| over independent Marsaglia
     axes a and b, with its standard error: the oracle of
     `sigma_monte_carlo_one_shot`, which averages |K^T a| / 2, the exact mean
@@ -286,5 +293,4 @@ def sigma_double_sphere(k: np.ndarray, n_samples: int, seed) -> SigmaEstimate:
         vals.append(np.abs(np.einsum("ip,ij,jp->p", a, k, b)))
         left -= p
     vals = np.concatenate(vals)
-    return SigmaEstimate(float(vals.mean()), "monte_carlo",
-                         float(vals.std(ddof=1) / math.sqrt(n_samples)))
+    return Estimate(float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_samples)))

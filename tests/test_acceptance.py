@@ -15,11 +15,10 @@ from avgcorr import (
     make_pure_state,
     random_density,
     sigma_for_state,
-    sigma_monte_carlo,
     validate_density,
 )
 from avgcorr.cli import run
-from avgcorr.correlation import ESTIMATOR, sigma_rg_batch
+from avgcorr.correlation import sigma_monte_carlo_batch, sigma_rg_batch
 
 from kraus import amplitude_damping, apply_both, phase_damping
 from oracles import sigma_closed_pure
@@ -56,15 +55,14 @@ def figure2():
 
 def test_criterion_1_landmark_values():
     for c, expected in ((INV_SQRT2, 0.5), (1.0, 0.25)):
-        est = sigma_for_state(make_pure_state(c), "exact")
-        assert est.method == ESTIMATOR
-        assert abs(est.value - expected) <= 1e-9
+        value, _ = sigma_for_state(make_pure_state(c), "exact")
+        assert abs(value - expected) <= 1e-9
     _report(1, "Sigma(c=1/sqrt2)=1/2 and Sigma(c=1)=1/4 by the exact R_G estimator")
 
 
 def test_criterion_2_maximizer_location():
     grid = np.linspace(0.0, 1.0, 2001)
-    values = [sigma_for_state(make_pure_state(c), "exact").value for c in grid]
+    values, _ = sigma_for_state([make_pure_state(c) for c in grid], "exact")
     best = grid[int(np.argmax(values))]
     step = grid[1] - grid[0]
     assert abs(best - INV_SQRT2) <= step + 1e-12
@@ -77,12 +75,12 @@ def test_criterion_3_oracle_equivalence():
     for child in master.spawn(50):
         state_seq, mc_seq = child.spawn(2)
         rho = random_density(np.random.default_rng(state_seq))
-        exact = sigma_for_state(rho)
-        mc = sigma_monte_carlo(correlation_matrix(rho), 10**6, seed=mc_seq)
-        gap = abs(exact.value - mc.value)
-        assert gap <= 4.0 * mc.error_bound
-        if mc.error_bound:
-            worst = max(worst, gap / mc.error_bound)
+        exact, _ = sigma_for_state(rho)
+        mc, stderr = sigma_monte_carlo_batch(correlation_matrix(rho), 10**6, seed=mc_seq)
+        gap = abs(exact - mc)
+        assert gap <= 4.0 * stderr
+        if stderr:
+            worst = max(worst, gap / stderr)
     _report(3, f"50 random states, R_G vs 1e6-sample Monte Carlo, "
                f"worst gap {worst:.2f} standard errors")
 
@@ -221,8 +219,8 @@ def test_criterion_8_property_suite():
     values = exact_sigma(perms)
     assert np.max(np.abs(values - values[0])) <= 1e-9
     k = rng.uniform(-1.0, 1.0, size=(3, 3))
-    assert (sigma_monte_carlo(k, 10**4, seed=2).value
-            == sigma_monte_carlo(-k, 10**4, seed=2).value)
+    assert (sigma_monte_carlo_batch(k, 10**4, seed=2)[0]
+            == sigma_monte_carlo_batch(-k, 10**4, seed=2)[0])
 
     # bounds alpha/4 <= Sigma <= alpha/2 on a 20x20x20 sorted-triple grid
     fractions = np.linspace(0.0, 1.0, 20)

@@ -11,9 +11,9 @@ from avgcorr import (
     make_pure_state,
     p_of_t,
     random_density,
-    t_matrix,
     validate_density,
 )
+from avgcorr.correlation import t_matrix
 from avgcorr.sweep import CHANNEL_KINDS, PHASE_DAMPING
 from kraus import (
     amplitude_damping,
@@ -220,15 +220,14 @@ def test_pauli_transfer_domain_errors(bad):
 
 def test_the_channels_live_in_sweep_under_the_same_public_names():
     # the damping law and the channel kinds sit with the damped correlation
-    # matrix in `avgcorr.sweep`; the package exports the same 24 names
+    # matrix in `avgcorr.sweep`; the package exports these 20 names
     assert importlib.util.find_spec("avgcorr.channels") is None
     assert CHANNEL_KINDS == (avgcorr.PHASE_DAMPING, avgcorr.AMPLITUDE_DAMPING)
     assert sorted(avgcorr.__all__) == [
         "AMPLITUDE_DAMPING", "CLASSICAL_COMPATIBLE", "CLASSICAL_MAX", "DecayCurve",
         "DensityReport", "INDETERMINATE", "NONCLASSICAL", "NONCLASSICAL_MIN",
-        "PHASE_DAMPING", "SigmaEstimate", "SweepSpec", "classify", "correlation_matrix",
-        "damped_sigma", "decay_curve", "figure_dataset", "make_pure_state", "p_of_t",
-        "random_density", "sigma_for_state", "sigma_monte_carlo", "t_matrix", "tensor2",
-        "validate_density",
+        "PHASE_DAMPING", "SweepSpec", "classify", "correlation_matrix", "damped_sigma",
+        "decay_curve", "figure_dataset", "make_pure_state", "p_of_t", "random_density",
+        "sigma_for_state", "validate_density",
     ]
     assert all(hasattr(avgcorr, name) for name in avgcorr.__all__)

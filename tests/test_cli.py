@@ -335,6 +335,25 @@ def test_verify_quick(capsys):
     assert "all within 4 standard errors" in out
 
 
+def test_verify_counts_the_exact_error_bound_in_the_gap(monkeypatch, capsys):
+    # every trial is the singlet, K = -I, where Sigma is 1/2 exactly. At 2
+    # samples and this seed both |K^T a| are 1 - 2^-53, so Monte Carlo gives
+    # 1/2 less an ulp with a standard error of 0: the gap lies within the
+    # exact value's error bound, not within 4 standard errors alone. The
+    # summary line keeps its fixed words, which count that bound too
+    singlet = np.zeros((4, 4))
+    singlet[1:3, 1:3] = [[0.5, -0.5], [-0.5, 0.5]]
+    mc_seed = np.random.SeedSequence(12, spawn_key=(20,))
+    value, stderr = correlation.sigma_for_state(singlet, "monte_carlo", 2, mc_seed)
+    assert (float(value).hex(), stderr) == ("0x1.fffffffffffffp-2", 0.0)
+    monkeypatch.setattr(cli, "random_density", lambda rng: singlet)
+    assert run(["verify", "--samples", "2", "--seed", "12"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 21
+    assert all(line.endswith(" 0.00 ok") for line in lines[:20])
+    assert lines[20] == "20 trials at 2 samples: all within 4 standard errors"
+
+
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "avgcorr", "sigma", "--c", "1.0", "--p", "0",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,17 +16,15 @@ from avgcorr import (
     make_pure_state,
     random_density,
     sigma_for_state,
-    sigma_monte_carlo,
-    t_matrix,
 )
 from avgcorr.correlation import (
-    ESTIMATOR,
     RG_ABS_ERROR_FLOOR,
     RG_REL_ERROR_BOUND,
     RG_TINY_RATIO,
     _singular_values,
-    classify_batch,
+    sigma_monte_carlo_batch,
     sigma_rg_batch,
+    t_matrix,
 )
 from avgcorr.states import IDENTITY_2, PAULIS, tensor2
 from kraus import amplitude_damping, apply_both, phase_damping
@@ -133,8 +133,8 @@ def test_quadrature_against_monte_carlo_degenerate_plateau():
     s = SingularTriple(0.5, 0.5, 0.0)
     quad = sigma_quadrature(s)
     assert abs(quad.value - np.pi / 16) < 1e-9
-    mc = sigma_monte_carlo(np.diag([0.5, 0.5, 0.0]), 10**7, seed=314)
-    assert abs(quad.value - mc.value) <= 3 * mc.error_bound
+    mc, stderr = sigma_monte_carlo_batch(np.diag([0.5, 0.5, 0.0]), 10**7, seed=314)
+    assert abs(quad.value - mc) <= 3 * stderr
 
 
 def test_closed_form_landmarks():
@@ -153,8 +153,8 @@ def test_closed_form_frozen_value_and_cross_checks():
     assert abs(closed.value - SIGMA_PURE_09) < 1e-12
     quad = sigma_quadrature(SingularTriple(1.0, beta, beta))
     assert abs(closed.value - quad.value) < 1e-9
-    mc = sigma_monte_carlo(correlation_matrix(make_pure_state(0.9)), 10**6, seed=99)
-    assert abs(closed.value - mc.value) <= 3 * mc.error_bound
+    mc, stderr = sigma_monte_carlo_batch(correlation_matrix(make_pure_state(0.9)), 10**6, seed=99)
+    assert abs(closed.value - mc) <= 3 * stderr
 
 
 def test_closed_form_agrees_with_quadrature_on_degenerate_family():
@@ -173,31 +173,31 @@ def test_closed_form_strictly_increasing_in_beta():
 
 
 def test_monte_carlo_zero_matrix_is_exact():
-    est = sigma_monte_carlo(np.zeros((3, 3)), 10**4, seed=0)
-    assert est.value == 0.0
-    assert est.error_bound == 0.0
+    value, stderr = sigma_monte_carlo_batch(np.zeros((3, 3)), 10**4, seed=0)
+    assert value == 0.0
+    assert stderr == 0.0
 
 
 def test_monte_carlo_landmarks():
-    mc = sigma_monte_carlo(np.diag([-1.0, -1.0, -1.0]), 10**6, seed=42)
-    assert abs(mc.value - 0.5) <= 3 * mc.error_bound
-    mc = sigma_monte_carlo(np.diag([1.0, 0.0, 0.0]), 10**6, seed=43)
+    mc, stderr = sigma_monte_carlo_batch(np.diag([-1.0, -1.0, -1.0]), 10**6, seed=42)
+    assert abs(mc - 0.5) <= 3 * stderr
+    mc, stderr = sigma_monte_carlo_batch(np.diag([1.0, 0.0, 0.0]), 10**6, seed=43)
     # separable average: E|cos theta_a| * E|cos theta_b| = 1/4
-    assert abs(mc.value - 0.25) <= 3 * mc.error_bound
+    assert abs(mc - 0.25) <= 3 * stderr
 
 
 def test_monte_carlo_sign_invariance_and_determinism():
     k = correlation_matrix(make_pure_state(0.8))
-    one = sigma_monte_carlo(k, 10**5, seed=7)
-    two = sigma_monte_carlo(k, 10**5, seed=7)
-    flipped = sigma_monte_carlo(-k, 10**5, seed=7)
-    assert one.value == two.value == flipped.value
-    assert one.error_bound == flipped.error_bound
+    one = sigma_monte_carlo_batch(k, 10**5, seed=7)
+    two = sigma_monte_carlo_batch(k, 10**5, seed=7)
+    flipped = sigma_monte_carlo_batch(-k, 10**5, seed=7)
+    assert one[0] == two[0] == flipped[0]
+    assert one[1] == flipped[1]
 
 
 def test_monte_carlo_needs_samples():
     with pytest.raises(ValueError):
-        sigma_monte_carlo(np.eye(3), 0, seed=1)
+        sigma_monte_carlo_batch(np.eye(3), 0, seed=1)
 
 
 def test_permutation_invariance():
@@ -205,15 +205,15 @@ def test_permutation_invariance():
     reference = sigma_quadrature(SingularTriple.from_values(*perms[0])).value
     for perm in perms:
         assert abs(sigma_quadrature(SingularTriple.from_values(*perm)).value - reference) < 1e-9
-        mc = sigma_monte_carlo(np.diag(perm), 3 * 10**5, seed=11)
-        assert abs(mc.value - reference) <= 4 * mc.error_bound
+        mc, stderr = sigma_monte_carlo_batch(np.diag(perm), 3 * 10**5, seed=11)
+        assert abs(mc - reference) <= 4 * stderr
 
 
 def test_sigma_for_state_landmarks():
-    assert abs(sigma_for_state(make_pure_state(INV_SQRT2), "exact").value - 0.5) < 1e-9
-    assert abs(sigma_for_state(make_pure_state(1.0), "exact").value - 0.25) < 1e-9
-    mc = sigma_for_state(make_pure_state(1.0), "monte_carlo", n_samples=10**5, seed=3)
-    assert abs(mc.value - 0.25) <= 4 * mc.error_bound
+    assert abs(sigma_for_state(make_pure_state(INV_SQRT2), "exact")[0] - 0.5) < 1e-9
+    assert abs(sigma_for_state(make_pure_state(1.0), "exact")[0] - 0.25) < 1e-9
+    mc, stderr = sigma_for_state(make_pure_state(1.0), "monte_carlo", n_samples=10**5, seed=3)
+    assert abs(mc - 0.25) <= 4 * stderr
 
 
 # the methods are "exact" and "monte_carlo"; "quadrature" is only a CLI spelling
@@ -224,31 +224,28 @@ def test_sigma_for_state_rejects_an_unknown_method(method):
 
 
 def test_sigma_for_state_monte_carlo_runs_no_svd(monkeypatch):
-    # Monte Carlo reads K itself: the request is `sigma_monte_carlo` on K,
-    # bit for bit, and never reaches the singular values
+    # Monte Carlo reads K itself: the request is `sigma_monte_carlo_batch`
+    # on K, bit for bit, and never reaches the singular values
     rho = random_density(np.random.default_rng(361))
-    want = sigma_monte_carlo(correlation_matrix(rho), 5000, 29)
+    want = sigma_monte_carlo_batch(correlation_matrix(rho), 5000, 29)
 
     def forbidden(k):
         raise AssertionError("a Monte Carlo request ran an SVD")
 
     monkeypatch.setattr(correlation, "_singular_values", forbidden)
     got = sigma_for_state(rho, "monte_carlo", 5000, 29)
-    assert got.method == want.method == "monte_carlo"
-    assert np.array([got.value, got.error_bound]).tobytes() == \
-        np.array([want.value, want.error_bound]).tobytes()
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_sigma_for_state_exact_methods_agree():
     # amplitude damping at p = 0.2 leaves distinct smaller singular values and
     # the undamped c = 0.4 state a degenerate pair; the default request is the
-    # "exact" one, which runs R_G on either, and the tag says so
+    # "exact" one, which runs R_G on either
     for rho in (apply_both(make_pure_state(INV_SQRT2), amplitude_damping(0.2)),
                 make_pure_state(0.4)):
-        exact = sigma_for_state(rho, "exact")
-        assert exact == sigma_for_state(rho)
-        assert exact.method == ESTIMATOR
-        assert exact.error_bound == RG_REL_ERROR_BOUND * exact.value
+        value, bound = sigma_for_state(rho, "exact")
+        assert (value, bound) == sigma_for_state(rho)
+        assert bound == RG_REL_ERROR_BOUND * value
 
 
 def _non_hermitian():
@@ -273,11 +270,11 @@ def test_sigma_for_state_rejects_a_non_density_matrix(rho, failure):
 
 def test_sigma_for_state_amplitude_damped_crosses_threshold():
     rho = apply_both(make_pure_state(INV_SQRT2), amplitude_damping(0.5))
-    quad = sigma_for_state(rho, "exact")
-    assert quad.value < 0.25
-    mc = sigma_for_state(rho, "monte_carlo", n_samples=10**6, seed=17)
-    assert abs(quad.value - mc.value) <= 4 * mc.error_bound
-    assert mc.value < 0.25
+    quad, _ = sigma_for_state(rho, "exact")
+    assert quad < 0.25
+    mc, stderr = sigma_for_state(rho, "monte_carlo", n_samples=10**6, seed=17)
+    assert abs(quad - mc) <= 4 * stderr
+    assert mc < 0.25
 
 
 def test_schmidt_sign_invariance():
@@ -285,8 +282,8 @@ def test_schmidt_sign_invariance():
     for c in (0.3, INV_SQRT2, 0.95):
         amp = np.array([0.0, c, +np.sqrt(1 - c * c), 0.0], dtype=complex)
         flipped = np.outer(amp, amp.conj())
-        ref = sigma_for_state(make_pure_state(c), "exact").value
-        assert abs(sigma_for_state(flipped, "exact").value - ref) < 1e-12
+        ref = sigma_for_state(make_pure_state(c), "exact")[0]
+        assert abs(sigma_for_state(flipped, "exact")[0] - ref) < 1e-12
 
 
 def test_quadrature_matches_monte_carlo_on_random_states():
@@ -296,8 +293,8 @@ def test_quadrature_matches_monte_carlo_on_random_states():
         rho = random_density(rng)
         k = correlation_matrix(rho)
         quad = sigma_quadrature(singular_values(k))
-        mc = sigma_monte_carlo(k, 2 * 10**5, seed=seq)
-        assert abs(quad.value - mc.value) <= 4 * mc.error_bound
+        mc, stderr = sigma_monte_carlo_batch(k, 2 * 10**5, seed=seq)
+        assert abs(quad.value - mc) <= 4 * stderr
 
 
 def test_classify_examples():
@@ -314,8 +311,8 @@ def test_classify_boundaries():
 
 
 def test_classify_accepts_estimates():
-    est = sigma_for_state(make_pure_state(INV_SQRT2), "exact")
-    assert classify(est) == NONCLASSICAL
+    value, _ = sigma_for_state(make_pure_state(INV_SQRT2), "exact")
+    assert classify(value) == NONCLASSICAL
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
@@ -372,17 +369,16 @@ def test_closed_pure_batch_is_the_single_pair_closed_form():
 def test_classify_batch_matches_classify():
     values = np.array([0.0, 0.25, np.nextafter(0.25, 1.0), NONCLASSICAL_MIN,
                        np.nextafter(NONCLASSICAL_MIN, 1.0), 0.5, np.nan])
-    assert classify_batch(values).tolist() == [classify(v) for v in values]
+    assert classify(values).tolist() == [classify(v) for v in values]
 
 
 def test_nan_is_indeterminate_and_labels_keep_their_dtype():
     assert classify(np.nan) == INDETERMINATE
-    assert classify_batch([np.nan]).tolist() == [INDETERMINATE]
-    labels = [classify_batch(0.3), classify_batch([np.nan]), classify_batch(np.zeros((2, 3)))]
+    assert classify([np.nan]).tolist() == [INDETERMINATE]
+    labels = [classify(0.3), classify([np.nan]), classify(np.zeros((2, 3)))]
     assert [type(x) for x in labels] == [np.ndarray] * 3
     assert [x.shape for x in labels] == [(), (1,), (2, 3)]
     assert {x.dtype for x in labels} == {np.dtype("<U20")}
-    assert type(classify(0.3)) is str
 
 
 def test_t_matrix_blocks():
@@ -434,8 +430,8 @@ def test_rg_matches_monte_carlo_across_simplex():
     got = sigma_rg_batch(*unit.T)
     master = np.random.SeedSequence(63)
     for triple, value, seq in zip(unit, got, master.spawn(len(unit))):
-        mc = sigma_monte_carlo(np.diag(triple), 2 * 10**5, seed=seq)
-        assert abs(value - mc.value) <= 4 * mc.error_bound or value == mc.value, triple
+        mc, stderr = sigma_monte_carlo_batch(np.diag(triple), 2 * 10**5, seed=seq)
+        assert abs(value - mc) <= 4 * stderr or value == mc, triple
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.37])
@@ -450,9 +446,9 @@ def test_rg_matches_monte_carlo_near_the_isotropic_corner(alpha):
     triples = np.array([(alpha, alpha * (1 - db), alpha * (1 - dg)) for db, dg in deltas])
     got = sigma_rg_batch(*triples.T)
     for triple, value, seq in zip(triples, got, np.random.SeedSequence(65).spawn(len(triples))):
-        mc = sigma_monte_carlo(np.diag(triple), 2 * 10**5, seed=seq)
-        assert mc.error_bound > 0.0 or triple[0] == triple[2], triple
-        assert abs(value - mc.value) <= 4 * mc.error_bound or value == mc.value, triple
+        mc, stderr = sigma_monte_carlo_batch(np.diag(triple), 2 * 10**5, seed=seq)
+        assert stderr > 0.0 or triple[0] == triple[2], triple
+        assert abs(value - mc) <= 4 * stderr or value == mc, triple
 
 
 def mpmath_sigma(mpmath, a2, b2, g2):
@@ -563,8 +559,7 @@ def test_sigma_for_state_exact_methods_are_one_estimator():
                - np.einsum("i,ikl->kl", triple, products)) / 4
         want = float(sigma_rg_batch(*_singular_values(correlation_matrix(rho))))
         bound = RG_REL_ERROR_BOUND * want if want >= 2.0**-1022 else RG_ABS_ERROR_FLOOR
-        est = sigma_for_state(rho, "exact")
-        assert (est.value, est.method, est.error_bound) == (want, ESTIMATOR, bound), triple
+        assert sigma_for_state(rho, "exact") == (want, bound), triple
 
 
 def test_sigma_for_state_error_bound_covers_subnormal_values():
@@ -581,14 +576,14 @@ def test_sigma_for_state_error_bound_covers_subnormal_values():
             t[2, 2] = 0.0
             rho = (tensor2(IDENTITY_2, IDENTITY_2)
                    + np.einsum("ij,ijkl->kl", t, products)) / 4
-            est = sigma_for_state(rho)
+            value, bound = sigma_for_state(rho)
             sv = np.linalg.svd(correlation_matrix(rho), compute_uv=False)
             with mpmath.workdps(40):
                 exact = mpmath_sigma(mpmath, *(mpmath.mpf(s) ** 2 for s in sv.tolist()))
-                error = float(abs(mpmath.mpf(est.value) - exact))
-            assert 0.0 < est.value < 2.0**-1022
-            assert est.error_bound == RG_ABS_ERROR_FLOOR
-            assert error <= est.error_bound, (scale, t)
+                error = float(abs(mpmath.mpf(float(value)) - exact))
+            assert 0.0 < value < 2.0**-1022
+            assert bound == RG_ABS_ERROR_FLOOR
+            assert error <= bound, (scale, t)
             worst = max(worst, error)
     assert worst > 0.0  # the states do round
 
@@ -619,4 +614,45 @@ def test_sigma_for_state_of_a_nearly_uncorrelated_state_is_exact(rho_03, rho_12)
     k = correlation_matrix(rho)  # diag(2(rho_03 + rho_12), 2(rho_12 - rho_03), 0)
     assert np.count_nonzero(k - np.diag(np.diag(k))) == 0
     triple = sorted(np.abs(np.diag(k)), reverse=True)
-    assert sigma_for_state(rho, "exact").value == float(sigma_rg_batch(*triple))
+    assert sigma_for_state(rho, "exact")[0] == float(sigma_rg_batch(*triple))
+
+
+def state_stack(shape, seed):
+    """Random density matrices in an array of shape shape + (4, 4)."""
+    rng = np.random.default_rng(seed)
+    rhos = [random_density(rng) for _ in range(int(np.prod(shape)))]
+    return np.array(rhos, dtype=complex).reshape(*shape, 4, 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 5000])
+def test_correlation_matrix_of_a_stack_is_each_state_alone_bit_for_bit(n):
+    rhos = state_stack((n,), n)
+    alone = np.array([correlation_matrix(rho) for rho in rhos])
+    assert correlation_matrix(rhos).tobytes() == alone.tobytes()
+    assert correlation_matrix(rhos.reshape(-1, 1, 4, 4)).tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("method", ["exact", "monte_carlo"])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3), (0,)], ids=["one", "5", "2x3", "empty"])
+def test_sigma_for_state_of_a_stack_is_each_state_alone_bit_for_bit(shape, method):
+    rhos = state_stack(shape, 71)
+    values, bounds = sigma_for_state(rhos, method, 3000, 72)
+    assert type(values) is type(bounds) is np.ndarray
+    assert values.shape == bounds.shape == shape
+    alone = [sigma_for_state(rho, method, 3000, 72) for rho in rhos.reshape(-1, 4, 4)]
+    assert values.ravel().tobytes() == np.array([v for v, _ in alone], float).tobytes()
+    assert bounds.ravel().tobytes() == np.array([b for _, b in alone], float).tobytes()
+    if method == "monte_carlo":
+        want = sigma_monte_carlo_batch(correlation_matrix(rhos), 3000, 72)
+        assert np.array((values, bounds)).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("method", ["exact", "monte_carlo"])
+@pytest.mark.parametrize("shape, at", [((5,), (3,)), ((2, 3), (1, 0)), ((2, 3), (0, 2))])
+def test_sigma_for_state_names_the_first_bad_state_of_a_stack(shape, at, method):
+    rhos = state_stack(shape, 73)
+    rhos[at] *= 2.0  # trace 2
+    rhos[(-1,) * len(shape)] = np.diag([0.5, 0.5, 0.5, -0.5])  # the last, bad too, goes unnamed
+    message = re.escape(f"not a density matrix at index {list(at)}: trace deviation 1.000e+00")
+    with pytest.raises(ValueError, match="^" + message + "$"):
+        sigma_for_state(rhos, method, n_samples=10)

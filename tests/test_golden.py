@@ -14,7 +14,9 @@ of three chunks, which pins the chunk streams and the order their totals
 are added in, whatever the number of CPUs, and
 `tests/data/sigma_mc_default.txt` a one-point `sigma --method mc` at the
 default sample count and seed (MC_SAMPLES, MC_SEED): eight chunks for a
-batch of one.
+batch of one. `tests/data/sigma_amplitude.txt` and `classify_*.txt` hold
+one-state `sigma` and `classify` lines, whose labels `classify` returns as
+0-d arrays.
 """
 
 from pathlib import Path
@@ -39,6 +41,12 @@ JSON_SWEEPS = {
 }
 
 MC_SIGMA = ["sigma", "--c", "0.6", "--channel", "amplitude", "--p", "0.3", "--method", "mc"]
+
+ONE_STATE = {
+    "sigma_amplitude.txt": ["sigma", "--c", "0.6", "--channel", "amplitude", "--p", "0.3"],
+    "classify_value.txt": ["classify", "--value", "0.3"],
+    "classify_state.txt": ["classify", "--c", "0.9", "--channel", "amplitude", "--p", "0.4"],
+}
 
 MC_SWEEP = ["--channel", "amplitude", "--method", "mc", "--samples", "100", "--c", "0.6",
             "--gammas", "1", "--steps", "20"]
@@ -82,3 +90,10 @@ def test_default_monte_carlo_sigma_matches_golden_bytes(capsys):
     assert run(MC_SIGMA) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (DATA / "sigma_mc_default.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(ONE_STATE))
+def test_one_state_stdout_matches_golden_bytes(name, capsys):
+    assert run(ONE_STATE[name]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (DATA / name).read_bytes()

@@ -22,7 +22,7 @@ from avgcorr import (AMPLITUDE_DAMPING, PHASE_DAMPING, DecayCurve, SweepSpec, de
                      figure_dataset)
 from avgcorr import cli, float_repr
 from avgcorr.cli import CSV_HEADER, format_sig12, render_csv, render_json, run
-from avgcorr.correlation import classify_batch
+from avgcorr.correlation import classify
 from rows import blocks
 
 
@@ -174,7 +174,7 @@ def curve_from_values(values, rates, steps, seed):
     grid = rest[:rates * steps * 5].reshape(rates, steps, 5)
     sigma = grid[..., 4].copy()
     return DecayCurve(gammas=gammas, t=t, p=grid[..., 0].copy(), sv=grid[..., 1:4].copy(),
-                      sigma=sigma, labels=classify_batch(sigma), metadata={})
+                      sigma=sigma, labels=classify(sigma), metadata={})
 
 
 @pytest.mark.parametrize("rates, steps", [(1, 2), (2, 37), (3, 10**4)])
@@ -220,7 +220,7 @@ def one_point_curve(gamma, t, p, alpha, beta, gamma_sv, sigma):
     sigma = np.array([[sigma]])
     return DecayCurve(gammas=np.array([gamma]), t=np.array([t]), p=np.array([[p]]),
                       sv=np.array([[[alpha, beta, gamma_sv]]]), sigma=sigma,
-                      labels=classify_batch(sigma), metadata={})
+                      labels=classify(sigma), metadata={})
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -243,7 +243,7 @@ def empty_curve(rates, steps):
     sigma = np.zeros((rates, steps))
     return DecayCurve(gammas=np.ones(rates), t=np.ones(steps), p=sigma,
                       sv=np.zeros((rates, steps, 3)), sigma=sigma,
-                      labels=classify_batch(sigma), metadata={})
+                      labels=classify(sigma), metadata={})
 
 
 @pytest.mark.parametrize("rates, steps", [(0, 3), (2, 0)])

