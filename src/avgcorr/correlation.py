@@ -25,8 +25,10 @@ and averages |K^T a|/2 over uniform axes a alone, conditional Monte Carlo
 sec. 4.1), with the same mean as the double-sphere average and a variance
 never larger. What it checks independently is the rest: the reduction to
 the singular values and R_G with its duplication algorithm. Its axes are
-Marsaglia points (Ann. Math. Statist. 43 (1972) 645-646), exactly uniform
-from two uniforms in the unit disk. It evaluates every matrix of a batch
+Marsaglia points (Ann. Math. Statist. 43 (1972) 645-646), each from one
+64-bit PCG64 word whose two 32-bit halves are a point of the square
+[-1, 1)^2, kept in the unit disk: uniform on the sphere up to that 2^-31
+lattice, about 2e-10. It evaluates every matrix of a batch
 (`verify`'s trials, the points of a Monte Carlo sweep) on one seeded stream
 of directions, common random numbers (Glasserman, sec. 4.2): the estimates
 of one call have correlated errors, while each stays unbiased with its own
@@ -49,7 +51,7 @@ import os
 
 import numpy as np
 
-from .states import IDENTITY_2, PAULIS, tensor2, validate_density
+from .states import IDENTITY_2, PAULIS, _first_failure, tensor2
 
 # Sigma <= 1/4 is attainable by classical correlations; Sigma > 1/(2 sqrt 2)
 # only by nonclassical states. The lower boundary is closed, the upper open.
@@ -94,8 +96,10 @@ RG_SPREAD = 1.5e-3
 # b = 1e-150 takes 14 steps; a loop that reaches the cap has met a NaN.
 RG_MAX_STEPS = 40
 
-# Generator identity recorded in output metadata; the PCG64 stream is
-# stable across numpy versions, so a seed pins results exactly.
+# Generator identity recorded in output metadata. The Monte Carlo draws are
+# PCG64's raw 64-bit words, a stream stable across numpy versions, so a
+# seed pins results exactly; the text stays fixed so that the metadata of
+# every output, the exact JSON goldens' included, keeps its bytes.
 RNG_IDENTITY = "numpy.random.Generator(PCG64)"
 # The sample count and seed of a Monte Carlo request that names none, in
 # the library and on the command line alike.
@@ -278,7 +282,7 @@ def _chunk_totals(kt: np.ndarray, shift: np.ndarray, n: int,
     drawn from `seq`, for each matrix of the scaled, transposed stack `kt`
     and its shift: a (len(kt), 2) array. The draws are shared by every
     matrix, which are evaluated MC_TILE at a time."""
-    rng = np.random.default_rng(seq)
+    bitgen = np.random.PCG64(seq)
     m = min(MC_BLOCK, 3 * n // 2 + 16)  # the largest draw, the first
     tile = min(len(kt), MC_TILE)
     # a draw's u, v and their squares, then a tile's K^T a rows
@@ -288,14 +292,17 @@ def _chunk_totals(kt: np.ndarray, shift: np.ndarray, n: int,
     while left:
         m = min(MC_BLOCK, 3 * left // 2 + 16)
         draw = buf[:4 * m].reshape(4, m)  # rows u/2, v/2 and their squares
-        half = rng.random(out=buf[:2 * m])
-        np.subtract(half, 0.5, out=half)
+        # m words as 2m signed 32-bit halves, low half first on any host:
+        # the first m are u/2, the next m v/2, in units of 2^-32
+        halves = np.asarray(bitgen.random_raw(m), "<u8").view("<i4")
+        np.multiply(halves, 2.0**-32, out=buf[:2 * m])
         np.square(draw[:2], out=draw[2:])
         q4 = np.add(draw[2], draw[3], out=draw[2])
         kept = draw[:3].compress(q4 < 0.25, 1)
         size = min(kept.shape[1], left)
         a = kept[:, :size]
-        a[:2] *= np.sqrt(np.subtract(0.25, a[2]))
+        t = np.subtract(0.25, a[2], out=buf[:size])  # the draw is spent
+        a[:2] *= np.sqrt(t, out=t)
         np.subtract(0.125, a[2], out=a[2])
         for lo in range(0, len(kt), tile):
             part = slice(lo, lo + tile)
@@ -327,13 +334,17 @@ def sigma_monte_carlo_batch(
     (1972) 645-646): (u, v) uniform on [-1, 1)^2, kept where q = u^2 + v^2
     < 1, gives the uniform unit vector (2u sqrt(1-q), 2v sqrt(1-q), 1-2q),
     with no normalisation. The n_samples samples are split into chunks of
-    MC_CHUNK, the last one shorter. Chunk j draws from its own generator,
+    MC_CHUNK, the last one shorter. Chunk j draws from its own PCG64,
     seeded by the SeedSequence with `seed`'s entropy and spawn key +(j,), the
     child `seed.spawn()` would give a fresh copy of `seed`; `seed` itself is
     not changed. Within a chunk each draw takes m = min(MC_BLOCK, 3 *
-    samples the chunk still needs // 2 + 16) candidates, the m values of u,
-    then the m of v. Its kept points, in draw order and at most the samples
-    still needed, are the axes a, one per sample; a surplus point is dropped.
+    samples the chunk still needs // 2 + 16) candidates, one raw 64-bit
+    word each. The m words are read as 2m signed 32-bit halves, each word's
+    low half first whatever the host's byte order, and scaled by 2^-31: the
+    first m are u, the next m v, so the points lie on a 2^-31 lattice, uniform
+    on the sphere to about 2e-10. The draw's kept points, in draw order and
+    at most the samples still needed, are the axes a, one per sample; a
+    surplus point is dropped.
     Every matrix is evaluated on the same axes: this is common random
     numbers, so the estimates of one call have correlated errors, while
     each stays unbiased with its own standard error.
@@ -439,16 +450,17 @@ def sigma_for_state(
     `sigma_rg_batch` on K's singular values, with the bound
     max(RG_REL_ERROR_BOUND * value, RG_ABS_ERROR_FLOOR).
 
-    A state that fails `validate_density` raises ValueError, and in a stack
-    the message names the first such state's index, as [i, j]; an array
-    whose shape does not end in (4, 4) is checked as one state. A method
-    not in METHODS raises ValueError too.
+    A state that fails `validate_density`'s checks, which run on the whole
+    stack at once, raises ValueError, and in a stack the message names the
+    first such state's index, as [i, j]; an array whose shape does not end
+    in (4, 4) is checked as one state. A method not in METHODS raises
+    ValueError too.
     """
     rho = np.asarray(rho, dtype=complex)
-    for index in np.ndindex(rho.shape[:-2] if rho.shape[-2:] == (4, 4) else ()):
-        if failures := validate_density(rho[index]).failures:
-            at = f" at index {list(index)}" if index else ""
-            raise ValueError(f"not a density matrix{at}: {'; '.join(failures)}")
+    if failure := _first_failure(rho):
+        index, report = failure
+        at = f" at index {index}" if index else ""
+        raise ValueError(f"not a density matrix{at}: {'; '.join(report.failures)}")
     check_method(method)
     k = correlation_matrix(rho)
     if method == "monte_carlo":

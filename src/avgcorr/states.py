@@ -66,19 +66,50 @@ class DensityReport:
     @property
     def failures(self) -> list[str]:
         out = [f"shape {self.shape}, expected (4, 4)"] if self.shape != (4, 4) else []
-        if self.non_finite_entries:
-            out.append(f"non-finite entries: {self.non_finite_entries}")
-        if not self.hermiticity_residual <= HERMITICITY_TOL:  # NaN fails
-            out.append(f"hermiticity residual {self.hermiticity_residual:.3e}")
-        if not self.trace_deviation <= TRACE_TOL:
-            out.append(f"trace deviation {self.trace_deviation:.3e}")
-        if not self.min_eigenvalue >= MIN_EIGENVALUE_TOL:
-            out.append(f"min eigenvalue {self.min_eigenvalue:.3e}")
-        return out
+        texts = (f"non-finite entries: {self.non_finite_entries}",
+                 f"hermiticity residual {self.hermiticity_residual:.3e}",
+                 f"trace deviation {self.trace_deviation:.3e}",
+                 f"min eigenvalue {self.min_eigenvalue:.3e}")
+        failed = _failed_checks(self.hermiticity_residual, self.trace_deviation,
+                                self.min_eigenvalue, self.non_finite_entries)
+        return out + [text for text, fails in zip(texts, failed) if fails]
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+def _failed_checks(herm, trace_dev, min_eig, non_finite) -> tuple[np.ndarray, ...]:
+    """Whether each check fails, elementwise, in the order of the report's
+    failures: non-finite entries, Hermiticity, trace and the smallest
+    eigenvalue. A NaN residual fails."""
+    return (np.not_equal(non_finite, 0), ~np.less_equal(herm, HERMITICITY_TOL),
+            ~np.less_equal(trace_dev, TRACE_TOL), ~np.greater_equal(min_eig, MIN_EIGENVALUE_TOL))
+
+
+def _density_residuals(rho: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Hermiticity residual, trace deviation, smallest eigenvalue, count of
+    non-finite entries) of each matrix of the complex stack `rho` (shape
+    (..., 4, 4)), four arrays of shape rho.shape[:-2], each entry that of
+    its matrix alone. A matrix with a non-finite entry has NaN residuals,
+    and no arithmetic runs on its entries."""
+    non_finite = np.count_nonzero(~np.isfinite(rho), axis=(-2, -1))
+    finite = non_finite == 0
+    if not finite.all():
+        rho = np.where(finite[..., None, None], rho, 0.0)  # residuals discarded below
+    adjoint = rho.conj().swapaxes(-2, -1)
+    herm = np.abs(rho - adjoint).max(axis=(-2, -1))
+    trace_dev = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    # eigvalsh assumes Hermitian input and returns real eigenvalues; use the
+    # symmetrized matrix so a tiny Hermiticity residual cannot skew the check.
+    min_eig = np.linalg.eigvalsh(0.5 * (rho + adjoint)).min(axis=-1)
+    return (*(np.where(finite, r, np.nan) for r in (herm, trace_dev, min_eig)), non_finite)
+
+
+def _report(residuals: tuple[np.ndarray, ...], index: tuple[int, ...] = ()) -> DensityReport:
+    """The report of the matrix at `index` of `_density_residuals`' stack."""
+    herm, trace_dev, min_eig, non_finite = (r[index] for r in residuals)
+    return DensityReport(float(herm), float(trace_dev), float(min_eig), int(non_finite))
 
 
 def validate_density(rho: np.ndarray) -> DensityReport:
@@ -90,14 +121,24 @@ def validate_density(rho: np.ndarray) -> DensityReport:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):  # NaN residuals, no arithmetic
         return DensityReport(np.nan, np.nan, np.nan, shape=rho.shape)
-    if bad := int(np.count_nonzero(~np.isfinite(rho))):  # the same
-        return DensityReport(np.nan, np.nan, np.nan, bad)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    trace_dev = float(abs(np.trace(rho) - 1.0))
-    # eigvalsh assumes Hermitian input and returns real eigenvalues; use the
-    # symmetrized matrix so a tiny Hermiticity residual cannot skew the check.
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-    return DensityReport(herm, trace_dev, min_eig)
+    return _report(_density_residuals(rho))
+
+
+def _first_failure(rho: np.ndarray) -> tuple[list[int], DensityReport] | None:
+    """The index, as a list, and the report of the first matrix of the stack
+    `rho` (shape (..., 4, 4)) in C order that fails `validate_density`'s
+    checks, or None when every one passes. The checks run on the whole
+    stack at once. An array whose shape does not end in (4, 4) is one
+    matrix, at index [], that fails."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        return [], validate_density(rho)
+    residuals = _density_residuals(rho)
+    failed = np.logical_or.reduce(_failed_checks(*residuals))
+    if not failed.any():
+        return None
+    index = np.unravel_index(np.argmax(failed), failed.shape)
+    return [int(i) for i in index], _report(residuals, index)
 
 
 def random_density(rng: np.random.Generator) -> np.ndarray:

@@ -214,12 +214,23 @@ def sigma_closed_pure(alpha: float, beta: float) -> Estimate:
     return Estimate(float(value), 0.0)
 
 
-def marsaglia_points(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Unit vectors, as the columns of a (3, kept) array, from m Marsaglia
-    candidates: m values of u, then m of v, uniform on [-1, 1); each (u, v)
-    with q = u^2 + v^2 < 1 gives (2u sqrt(1-q), 2v sqrt(1-q), 1-2q), in
-    draw order."""
-    u, v = 2.0 * rng.random((2, m)) - 1.0
+def marsaglia_points(words: np.ndarray) -> np.ndarray:
+    """`disk_points` of the Marsaglia candidates of m 64-bit words, one per
+    candidate: each word's low 32 bits, then its high 32, read as two's
+    complement integers and scaled by 2^-31, are the next two of 2m values
+    on the lattice 2^-31 Z in [-1, 1); the first m are u, the next m v."""
+    words = np.asarray(words, dtype=np.uint64)
+    halves = np.stack([words & np.uint64(0xFFFFFFFF), words >> np.uint64(32)], 1)
+    halves = halves.ravel().astype(np.int64)
+    halves[halves >= 2**31] -= 2**32
+    u, v = np.split(halves * 2.0**-31, 2)
+    return disk_points(u, v)
+
+
+def disk_points(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Unit vectors, as the columns of a (3, kept) array, from the
+    candidates (u, v) on [-1, 1)^2: each with q = u^2 + v^2 < 1 gives (2u
+    sqrt(1-q), 2v sqrt(1-q), 1-2q), in draw order."""
     q = u * u + v * v
     keep = q < 1.0
     u, v, q = u[keep], v[keep], q[keep]
@@ -233,7 +244,8 @@ def sigma_monte_carlo_one_shot(k: np.ndarray, n_samples: int, seed) -> Estimate:
     sqrt(|K|_F^2 / 3), the squares added in row-major order; the samples
     split into chunks of MC_CHUNK, chunk j drawing from the SeedSequence
     with the seed's entropy and spawn key +(j,); per draw of min(MC_BLOCK,
-    3 * samples the chunk still needs // 2 + 16) candidates, the first p kept
+    3 * samples the chunk still needs // 2 + 16) candidates, one PCG64 raw
+    word each, read by `marsaglia_points`, the first p kept
     points are the axes a, p at most the samples the chunk still needs; each
     sample is |K^T a|, its squares added in axis order, and each draw's sum
     and sum of squares of |K^T a| - c go to the chunk's running totals; the
@@ -252,13 +264,13 @@ def sigma_monte_carlo_one_shot(k: np.ndarray, n_samples: int, seed) -> Estimate:
     total = 0.0
     total_sq = 0.0
     for j, start in enumerate(range(0, n_samples, MC_CHUNK)):
-        rng = np.random.default_rng(np.random.SeedSequence(
+        bitgen = np.random.PCG64(np.random.SeedSequence(
             root.entropy, spawn_key=root.spawn_key + (j,), pool_size=root.pool_size))
         chunk_total = 0.0
         chunk_sq = 0.0
         left = min(MC_CHUNK, n_samples - start)
         while left > 0:
-            points = marsaglia_points(rng, min(MC_BLOCK, 3 * left // 2 + 16))
+            points = marsaglia_points(bitgen.random_raw(min(MC_BLOCK, 3 * left // 2 + 16)))
             p = min(points.shape[1], left)
             w = kt @ points[:, :p]
             d = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2]) - shift
@@ -281,13 +293,14 @@ def sigma_double_sphere(k: np.ndarray, n_samples: int, seed) -> Estimate:
     axes a and b, with its standard error: the oracle of
     `sigma_monte_carlo_one_shot`, which averages |K^T a| / 2, the exact mean
     over b, and so shares its first step with the R_G identity. This one
-    shares nothing with either."""
+    shares nothing with either, its sampler included: its candidates are
+    `Generator.random` doubles, not the halves of PCG64's raw words."""
     rng = np.random.default_rng(seed)
     k = np.asarray(k, dtype=float)
     vals = []
     left = n_samples
     while left > 0:
-        points = marsaglia_points(rng, min(2**16, 3 * left + 16))
+        points = disk_points(*(2.0 * rng.random((2, min(2**16, 3 * left + 16))) - 1.0))
         p = min(points.shape[1] // 2, left)
         a, b = points[:, :p], points[:, p:2 * p]
         vals.append(np.abs(np.einsum("ip,ij,jp->p", a, k, b)))

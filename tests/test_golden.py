@@ -11,12 +11,14 @@ that of a small Monte Carlo sweep, every row averaged over the same 100
 directions: the two pin the Monte Carlo stream, its draw sizing included.
 Both fit in one chunk; `tests/data/verify_chunks.txt` holds a `verify` run
 of three chunks, which pins the chunk streams and the order their totals
-are added in, whatever the number of CPUs, and
-`tests/data/sigma_mc_default.txt` a one-point `sigma --method mc` at the
-default sample count and seed (MC_SAMPLES, MC_SEED): eight chunks for a
-batch of one. `tests/data/sigma_amplitude.txt` and `classify_*.txt` hold
-one-state `sigma` and `classify` lines, whose labels `classify` returns as
-0-d arrays.
+are added in, whatever the number of CPUs, `tests/data/sweep_mc_chunks.csv`
+a 9-point Monte Carlo sweep of three chunks, on the thread pool and in
+tiles of 4, 4 and 1 matrices, and `tests/data/sigma_mc_default.txt` a
+one-point `sigma --method mc` at the default sample count and seed
+(MC_SAMPLES, MC_SEED): eight chunks for a batch of one.
+`tests/data/sigma_amplitude.txt` and `classify_*.txt` hold one-state
+`sigma` and `classify` lines, whose labels `classify` returns as 0-d
+arrays.
 """
 
 from pathlib import Path
@@ -48,8 +50,12 @@ ONE_STATE = {
     "classify_state.txt": ["classify", "--c", "0.9", "--channel", "amplitude", "--p", "0.4"],
 }
 
-MC_SWEEP = ["--channel", "amplitude", "--method", "mc", "--samples", "100", "--c", "0.6",
-            "--gammas", "1", "--steps", "20"]
+MC_SWEEPS = {
+    "sweep_mc_small.csv": ["--channel", "amplitude", "--method", "mc", "--samples", "100",
+                           "--c", "0.6", "--gammas", "1", "--steps", "20"],
+    "sweep_mc_chunks.csv": ["--channel", "amplitude", "--method", "mc", "--samples", "300000",
+                            "--c", "0.6", "--gammas", "1", "--steps", "9"],
+}
 
 
 @pytest.mark.parametrize("figure", [1, 2])
@@ -80,10 +86,10 @@ def test_multi_chunk_verify_stdout_matches_golden_bytes(capsys):
 
 
 def test_monte_carlo_sweep_csv_matches_golden_bytes(tmp_path):
-    out = tmp_path / "sweep_mc_small.csv"
-    argv = ["sweep", *MC_SWEEP, "--out", str(out)]
-    assert run(argv) == 0
-    assert out.read_bytes() == (DATA / "sweep_mc_small.csv").read_bytes()
+    for name, args in MC_SWEEPS.items():
+        out = tmp_path / name
+        assert run(["sweep", *args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / name).read_bytes(), name
 
 
 def test_default_monte_carlo_sigma_matches_golden_bytes(capsys):

@@ -1,7 +1,8 @@
 """The Monte Carlo oracle: the estimate against the plain statement of its
-stream in `oracles.py` and against pinned values, the Marsaglia points in
-distribution, the step it shares with R_G (E_b |v . b| = |v|/2) by itself,
-landmark and random-state values within their standard errors, the
+stream in `oracles.py` and against pinned values, the stream's Marsaglia
+points, on their 2^-31 lattice, in distribution, the step it shares with
+R_G (E_b |v . b| = |v|/2) by itself, landmark and random-state values
+within their standard errors, the
 double-sphere average as the oracle's own oracle, K = -I exactly, the
 estimate's exact scaling with K, a batch sharing one seed's directions
 against each matrix alone, its chunks on the thread pool, and its input
@@ -60,16 +61,17 @@ def test_blocked_estimate_matches_one_shot_loop_past_a_million(kind):
 
 
 # (n, seed, value, standard error) of sigma_monte_carlo_batch(PINNED_K, n, seed) on
-# the chunked Marsaglia stream, one axis per sample: these bytes must not move
+# the chunked Marsaglia stream, one PCG64 word per candidate and one axis per
+# sample: these bytes must not move
 PINNED_K = np.array([[0.3, -0.2, 0.1], [0.05, -0.6, 0.25], [-0.15, 0.4, 0.7]])
 PINNED = [
-    (1, 3, "0x1.55c5a7284eed6p-2", "0x0.0p+0"),
-    (2, 3, "0x1.78974808448fep-2", "0x1.46ea883297664p-5"),
-    (1000, 17, "0x1.3b4ea767f90bdp-2", "0x1.2d04eb7e8494ep-9"),
-    (MC_BLOCK - 1, 42, "0x1.40eaaa5fefbdap-2", "0x1.262818ece6e51p-11"),
-    (MC_BLOCK, 2024, "0x1.417f43f9bd83bp-2", "0x1.252c7538bf619p-11"),
-    (MC_CHUNK + 1, 7, "0x1.40af6b9413ce5p-2", "0x1.9cd198552bc81p-13"),
-    (3 * MC_CHUNK + 5, 8, "0x1.409bde627dfa1p-2", "0x1.de914ba2c9c09p-14"),
+    (1, 3, "0x1.7294e8cd5f4cfp-2", "0x0.0p+0"),
+    (2, 3, "0x1.2ff3bc773f4d8p-2", "0x1.3977c640ed743p-5"),
+    (1000, 17, "0x1.4021cdfa7ed2cp-2", "0x1.2f5cc3c5ccdfdp-9"),
+    (MC_BLOCK - 1, 42, "0x1.405634b960303p-2", "0x1.26f3d143ff965p-11"),
+    (MC_BLOCK, 2024, "0x1.40ab33d2d53fdp-2", "0x1.25d5f8aebcc0bp-11"),
+    (MC_CHUNK + 1, 7, "0x1.404d5ef4608b4p-2", "0x1.9e262d64c14cdp-13"),
+    (3 * MC_CHUNK + 5, 8, "0x1.409c8dec39539p-2", "0x1.de67a45b77dedp-14"),
 ]
 
 
@@ -107,10 +109,13 @@ def test_zero_k_is_exactly_zero():
     assert math.copysign(1.0, value) == math.copysign(1.0, stderr) == 1.0
 
 
-# Marsaglia points at a fixed seed, in distribution. The bounds hold for any
-# exactly uniform sampler, normalised normal triples included; each check
-# fails by chance with a probability below 1e-5.
-POINTS = marsaglia_points(np.random.default_rng(8), 400_000)
+# The first 2^20 axes of the estimate's stream at a fixed seed, in
+# distribution: Marsaglia points on the 2^-31 lattice of one PCG64 word per
+# candidate. The bounds hold for any exactly uniform sampler, normalised
+# normal triples included, and a misread half (its sign or its place)
+# would show in them; each check fails by chance with a probability below
+# 1e-5.
+POINTS = marsaglia_points(np.random.PCG64(8).random_raw(1_400_000))[:, :2**20]
 
 
 def test_marsaglia_points_are_unit_vectors():
@@ -120,6 +125,7 @@ def test_marsaglia_points_are_unit_vectors():
 
 def test_marsaglia_points_have_mean_zero_and_second_moment_a_third():
     n = POINTS.shape[1]
+    assert n == 2**20
     # each coordinate has variance 1/3; x^2 has 1/5 - 1/9 = 4/45, xy has 1/15
     assert np.all(np.abs(POINTS.mean(axis=1)) < 4.5 * np.sqrt(1 / 3 / n))
     second = POINTS @ POINTS.T / n

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from avgcorr import make_pure_state, random_density, sigma_for_state, validate_density
-from avgcorr.states import IDENTITY_2, PAULIS, SIGMA_1, SIGMA_2, SIGMA_3, tensor2
+from avgcorr.states import (IDENTITY_2, PAULIS, SIGMA_1, SIGMA_2, SIGMA_3, _density_residuals,
+                            _first_failure, tensor2)
 from transfer import pauli
 
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -198,3 +199,43 @@ def test_random_density_is_physical():
     rng = np.random.default_rng(5)
     for _ in range(25):
         assert validate_density(random_density(rng)).ok
+
+
+def scuffed_stack(n, seed):
+    """n random states, some pushed across or near each check's tolerance:
+    a Hermiticity residual, a trace off by 1e-12 and 1e-10, an eigenvalue
+    of -2e-10 or -5e-11, a NaN or an infinite entry."""
+    rng = np.random.default_rng(seed)
+    rhos = np.array([random_density(rng) for _ in range(n)])
+    kind = rng.integers(0, 9, n)
+    rhos[kind == 1, 0, 1] += 2e-12j
+    rhos[kind == 2, 0, 0] += 1e-12
+    rhos[kind == 3, 0, 0] += 1e-10
+    rhos[kind == 4] = np.diag([0.5, 0.3, 0.2 + 2e-10, -2e-10])
+    rhos[kind == 5] = np.diag([0.5, 0.3, 0.2 + 5e-11, -5e-11])
+    rhos[kind == 6, 2, 1] = np.nan
+    rhos[kind == 7, 3, 3] = np.inf
+    return rhos
+
+
+@pytest.mark.parametrize("n", [1, 3, 20, 500])
+def test_stacked_checks_give_each_matrix_its_report_alone(n):
+    # one pass over the stack: every residual is bit for bit that of the
+    # matrix alone, and the first failing matrix is the one a loop finds
+    rhos = scuffed_stack(n, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residuals = _density_residuals(rhos)
+        first = _first_failure(rhos)
+    reports = [validate_density(rho) for rho in rhos]
+    alone = np.array([[r.hermiticity_residual, r.trace_deviation, r.min_eigenvalue]
+                      for r in reports])
+    assert np.array(residuals[:3]).T.tobytes() == alone.tobytes()
+    assert residuals[3].tolist() == [r.non_finite_entries for r in reports]
+    bad = [i for i, report in enumerate(reports) if not report.ok]
+    if not bad:
+        assert first is None
+    else:
+        assert first[0] == [bad[0]]
+        assert first[1].failures == reports[bad[0]].failures
+    assert _first_failure(rhos[[i for i in range(n) if i not in bad]]) is None
