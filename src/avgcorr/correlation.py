@@ -235,7 +235,7 @@ def sigma_damped(s, kappa) -> np.ndarray:
     the R_C term lies below half an ulp of t. Each value depends only on
     its own (s, kappa).
     """
-    s = np.asarray(s, dtype=float)
+    s = np.asarray(s, dtype=float)[()]
     t = np.abs(kappa)
     _, e = np.frexp(np.maximum(s, t))
     s, t = np.ldexp(s, -e), np.ldexp(t, -e)
@@ -478,6 +478,6 @@ def classify(values) -> np.ndarray:
     Each label is read from _LABELS at the count of thresholds the value
     passes: not <= 1/4 (NaN passes) and > 1/(2 sqrt 2) (NaN does not).
     """
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(values, dtype=float)[()]
     rank = np.add(~(values <= CLASSICAL_MAX), values > NONCLASSICAL_MIN, dtype=np.intp)
     return _LABELS[rank, ...]  # the Ellipsis keeps a 0-d result an array

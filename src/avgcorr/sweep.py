@@ -67,10 +67,11 @@ def _check_kind(kind) -> None:
         raise ValueError(f"unknown channel kind {kind!r}")
 
 
-def _check_rates(gamma) -> np.ndarray:
-    """Decoherence rates `gamma` as a float array; ValueError, naming the
-    first bad entry, unless every rate is >= 0 (NaN is not)."""
-    gamma = np.asarray(gamma, dtype=float)
+def _check_rates(gamma) -> np.ndarray | np.float64:
+    """Decoherence rates `gamma` as a float array, or a numpy float for one
+    rate; ValueError, naming the first bad entry, unless every rate is >= 0
+    (NaN is not)."""
+    gamma = np.asarray(gamma, dtype=float)[()]
     # counts the values that pass, so NaN fails; the mask is built only then
     if np.count_nonzero(gamma >= 0.0) < gamma.size:
         raise ValueError(f"decoherence rate must be >= 0, got {gamma[~(gamma >= 0.0)].flat[0]}")
@@ -86,7 +87,7 @@ def p_of_t(gamma, t):
     ValueError.
     """
     gamma = _check_rates(gamma)
-    t = np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype=float)[()]
     if np.count_nonzero(t >= 0.0) < t.size:
         raise ValueError(f"time must be >= 0, got {t[~(t >= 0.0)].flat[0]}")
     # expm1 keeps full precision for small gamma*t; a product that overflows
@@ -181,7 +182,7 @@ def damped_sigma(
     p outside [0, 1] (NaN included), an unknown kind or a method not in
     METHODS raises ValueError.
     """
-    p = np.asarray(p, dtype=float)
+    p = np.asarray(p, dtype=float)[()]
     c = check_schmidt(c)
     if np.count_nonzero(bad := ~((p >= 0.0) & (p <= 1.0))):  # NaN fails
         raise ValueError(f"p must lie in [0, 1], got {p[bad].flat[0]}")

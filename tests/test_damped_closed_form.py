@@ -147,3 +147,36 @@ def test_every_sweep_row_is_the_one_point_value_bit_for_bit(kind, c, gammas, t_m
     for index, p in np.ndenumerate(curve.p):
         _, one = damped_sigma(kind, c, p, "exact")
         assert np.asarray(one).tobytes() == curve.sigma[index].tobytes(), (index, p)
+
+
+# the late-time law at q = exp(-gamma t), s = s0 q, with each residual bounded
+# by its next-order term plus a few ulps of 1/4, from which Sigma is read off
+LATE_CS = [0.3, 0.6, 1.0 / np.sqrt(2.0)]
+LATE_QS = [1e-3, 1e-4, 1e-5]
+QUARTER_ULPS = 4 * np.spacing(0.25)
+
+
+@pytest.mark.parametrize("c", LATE_CS)
+@pytest.mark.parametrize("q", LATE_QS)
+def test_late_phase_damping_excess_over_a_quarter_is_q_squared_log(c, q):
+    # Sigma - 1/4 = (s^2/4) ln(2/s) (1 + s^2/2 + ...): leading order
+    # (s0^2/4) q^2 (gamma t + ln(2/s0))
+    s0 = 2.0 * c * np.sqrt((1.0 - c) * (1.0 + c))
+    s = s0 * q
+    lead = s0**2 / 4.0 * q**2 * (-np.log(q) + np.log(2.0 / s0))
+    excess = sigma_damped(s, -1.0) - 0.25
+    assert abs(excess - lead) <= lead * s * s + QUARTER_ULPS
+
+
+@pytest.mark.parametrize("c", LATE_CS)
+@pytest.mark.parametrize("q", LATE_QS)
+def test_late_amplitude_damping_deficit_below_a_quarter_is_q_over_2_less_a_log(c, q):
+    # kappa = 2p - 1 = 1 - 2q: 1/4 - Sigma = q/2 - (s^2/4) ln(2/s) to second
+    # order, whose next term is about (s^2 q / 2) ln(2/s)
+    s0 = 2.0 * c * np.sqrt((1.0 - c) * (1.0 + c))
+    s = s0 * q
+    second = q / 2.0 - s0**2 * q**2 / 8.0 * np.log(4.0 / (s0**2 * q**2))
+    deficit = 0.25 - sigma_damped(s, 1.0 - 2.0 * q)
+    bound = s * s * q * np.log(2.0 / s) + QUARTER_ULPS
+    assert abs(deficit - second) <= bound
+    assert abs(deficit - q / 2.0) > 100.0 * bound  # the log term is resolved

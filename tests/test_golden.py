@@ -18,7 +18,8 @@ one-point `sigma --method mc` at the default sample count and seed
 (MC_SAMPLES, MC_SEED): eight chunks for a batch of one.
 `tests/data/sigma_amplitude.txt` and `classify_*.txt` hold one-state
 `sigma` and `classify` lines, whose labels `classify` returns as 0-d
-arrays.
+arrays, and `tests/data/sigma_phase_timed.txt` a phase-damped `sigma` at a
+rate and time, the one-point path through `p_of_t`.
 """
 
 from pathlib import Path
@@ -46,6 +47,8 @@ MC_SIGMA = ["sigma", "--c", "0.6", "--channel", "amplitude", "--p", "0.3", "--me
 
 ONE_STATE = {
     "sigma_amplitude.txt": ["sigma", "--c", "0.6", "--channel", "amplitude", "--p", "0.3"],
+    "sigma_phase_timed.txt": ["sigma", "--c", "0.37", "--channel", "phase",
+                              "--gamma", "1.3", "--t", "0.7"],
     "classify_value.txt": ["classify", "--value", "0.3"],
     "classify_state.txt": ["classify", "--c", "0.9", "--channel", "amplitude", "--p", "0.4"],
 }
