@@ -36,8 +36,10 @@ for a run in which every trial passes by that rule.
 `run()` builds its argument parser on its first call and reuses it for
 every later call in the process, since building the argparse tree costs
 several times what parsing and computing one `sigma` query do, and parsing
-leaves the parser unchanged. `build_parser()` returns a fresh parser on
-every call.
+leaves the parser unchanged. It also formats the top-level usage only on
+the first usage error and reprints that text on every later one; a
+subcommand's own errors format that subcommand's usage. `build_parser()`
+returns a fresh parser on every call.
 
 When the first token names a subcommand, `run()` hands the tokens after it
 straight to that subcommand's parser, so they are parsed once, not first by
@@ -52,6 +54,7 @@ parser, so its usage errors read `usage: avgcorr ...`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -266,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_state_flags(sp, c_required: bool):
         sp.add_argument("--c", type=float, required=c_required,
                         help="Schmidt coefficient in [0, 1]")
-        sp.add_argument("--channel", choices=("phase", "amplitude"), default="phase",
+        sp.add_argument("--channel", choices=tuple(CHANNEL_KIND_BY_FLAG), default="phase",
                         help="damping channel applied to both qubits")
         sp.add_argument("--p", type=float, default=None,
                         help="damping probability in [0, 1]")
@@ -288,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="Sigma(t) decay curves")
     p_sweep.add_argument("--figure", type=int, choices=tuple(FIGURE_KINDS), default=None,
                          help="canned dataset (1: phase damping, 2: amplitude damping)")
-    p_sweep.add_argument("--channel", choices=("phase", "amplitude"), default=None)
+    p_sweep.add_argument("--channel", choices=tuple(CHANNEL_KIND_BY_FLAG), default=None)
     p_sweep.add_argument("--c", type=float, default=None,
                          help="Schmidt coefficient (default 1/sqrt(2))")
     p_sweep.add_argument("--gammas", default=None,
@@ -449,6 +452,7 @@ def run(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+        _parser.format_usage = functools.cache(_parser.format_usage)
     parser = _parser
     if argv is None:
         argv = sys.argv[1:]

@@ -21,8 +21,8 @@ and R_D (B. C. Carlson, Numer. Algorithms 10 (1995) 13-26,
 arXiv:math/9409227). A seeded Monte Carlo average, `sigma_monte_carlo_batch`,
 is the cross-check: it takes the first step above, E_b |a^T K b| = |K^T a|/2,
 and averages |K^T a|/2 over uniform axes a alone, conditional Monte Carlo
-(P. Glasserman, Monte Carlo Methods in Financial Engineering, Springer 2004,
-sec. 4.1), with the same mean as the double-sphere average and a variance
+(P. Glasserman, Monte Carlo Methods in Financial Engineering, Springer
+2004), with the same mean as the double-sphere average and a variance
 never larger. What it checks independently is the rest: the reduction to
 the singular values and R_G with its duplication algorithm. Its axes are
 Marsaglia points (Ann. Math. Statist. 43 (1972) 645-646), each from one
@@ -30,7 +30,7 @@ Marsaglia points (Ann. Math. Statist. 43 (1972) 645-646), each from one
 [-1, 1)^2, kept in the unit disk: uniform on the sphere up to that 2^-31
 lattice, about 2e-10. It evaluates every matrix of a batch
 (`verify`'s trials, the points of a Monte Carlo sweep) on one seeded stream
-of directions, common random numbers (Glasserman, sec. 4.2): the estimates
+of directions, common random numbers (Glasserman): the estimates
 of one call have correlated errors, while each stays unbiased with its own
 standard error and is the same bytes as the matrix alone. The tests
 hold the shared step E_b |v . b| = |v|/2 by itself and keep the

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import itertools
@@ -593,6 +594,32 @@ def test_run_builds_its_parser_once(monkeypatch, capsys):
     capsys.readouterr()
     assert len(builds) == 1
     assert build_parser() is not build_parser()
+
+
+def test_usage_errors_format_the_top_level_usage_once(monkeypatch, capsys):
+    fresh = build_parser()
+    usage, sigma_usage = fresh.format_usage(), fresh.subcommands["sigma"].format_usage()
+    formatted = []
+    format_usage = argparse.ArgumentParser.format_usage
+
+    def counted(self):
+        formatted.append(self.prog)
+        return format_usage(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "format_usage", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv, message in [
+        (["sigma", "--c", "2", "--p", "0.3"], "Schmidt coefficient must lie in [0, 1], got 2.0"),
+        (["sweep", "--channel", "phase", "--gammas", "-1"],
+         "decoherence rate must be >= 0, got -1.0"),
+    ]:
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"{usage}avgcorr: error: {message}\n")
+    assert formatted == ["avgcorr"]
+    # a subcommand's own error prints that subcommand's usage
+    assert run(["sigma", "--channel", "bogus", "--c", "1"]) == 2
+    assert capsys.readouterr().err.startswith(sigma_usage + "avgcorr sigma: error: ")
+    assert formatted == ["avgcorr", "avgcorr sigma"]
 
 
 def full_parse_outcome(argv, parser=None):

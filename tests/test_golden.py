@@ -20,15 +20,25 @@ one-point `sigma --method mc` at the default sample count and seed
 `sigma` and `classify` lines, whose labels `classify` returns as 0-d
 arrays, and `tests/data/sigma_phase_timed.txt` a phase-damped `sigma` at a
 rate and time, the one-point path through `p_of_t`.
+
+Every file under `tests/data` is named once in the tables below, and each
+table drives a test. The Monte Carlo goldens are compared on every CPU the
+process may use, where a run of more than one chunk goes through the
+thread pool, and again with one CPU, where every chunk runs in the calling
+thread.
 """
 
+import concurrent.futures
 from pathlib import Path
 
 import pytest
 
+from avgcorr import correlation
 from avgcorr.cli import run
 
 DATA = Path(__file__).parent / "data"
+
+FIGURES = (1, 2)
 
 JSON_SWEEPS = {
     "figure1.json": ["--figure", "1"],
@@ -60,8 +70,24 @@ MC_SWEEPS = {
                             "--c", "0.6", "--gammas", "1", "--steps", "9"],
 }
 
+# the full argv of every Monte Carlo golden, whose stdout is the golden
+MONTE_CARLO = {
+    "verify_small.txt": ["verify", "--samples", "20000", "--trials", "3", "--seed", "42"],
+    "verify_chunks.txt": ["verify", "--samples", "300000", "--trials", "2", "--seed", "42"],
+    **{name: ["sweep", *args] for name, args in MC_SWEEPS.items()},
+    "sigma_mc_default.txt": MC_SIGMA,
+}
 
-@pytest.mark.parametrize("figure", [1, 2])
+GOLDENS = [*(f"figure{figure}.csv" for figure in FIGURES), *JSON_SWEEPS, *ONE_STATE,
+           *MONTE_CARLO]
+
+
+def test_golden_tables_name_every_data_file_once():
+    assert len(set(GOLDENS)) == len(GOLDENS)
+    assert sorted(GOLDENS) == sorted(path.name for path in DATA.iterdir())
+
+
+@pytest.mark.parametrize("figure", FIGURES)
 def test_figure_csv_matches_golden_bytes(figure, tmp_path):
     out = tmp_path / f"figure{figure}.csv"
     assert run(["sweep", "--figure", str(figure), "--out", str(out)]) == 0
@@ -77,13 +103,13 @@ def test_sweep_json_matches_golden_bytes(name, tmp_path):
 
 
 def test_verify_stdout_matches_golden_bytes(capsys):
-    assert run(["verify", "--samples", "20000", "--trials", "3", "--seed", "42"]) == 0
+    assert run(MONTE_CARLO["verify_small.txt"]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (DATA / "verify_small.txt").read_bytes()
 
 
 def test_multi_chunk_verify_stdout_matches_golden_bytes(capsys):
-    assert run(["verify", "--samples", "300000", "--trials", "2", "--seed", "42"]) == 0
+    assert run(MONTE_CARLO["verify_chunks.txt"]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (DATA / "verify_chunks.txt").read_bytes()
 
@@ -106,3 +132,19 @@ def test_one_state_stdout_matches_golden_bytes(name, capsys):
     assert run(ONE_STATE[name]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (DATA / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(MONTE_CARLO))
+def test_monte_carlo_golden_on_one_cpu(name, monkeypatch, capsys):
+    pools = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(correlation, "_cpu_count", lambda: 1)
+    assert run(MONTE_CARLO[name]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == (DATA / name).read_bytes()
+    assert pools == []

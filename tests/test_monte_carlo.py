@@ -8,12 +8,13 @@ estimate's exact scaling with K, a batch sharing one seed's directions
 against each matrix alone, its chunks on the thread pool, and its input
 checks.
 
-Every value here must be the same bytes on one CPU and on many; CI also
-runs this file pinned to one CPU.
+Every value here must be the same bytes on one CPU and on many; the tests
+that patch `correlation._cpu_count` run both paths in one process.
 """
 
 import concurrent.futures
 import math
+import os
 import threading
 from unittest import mock
 
@@ -339,6 +340,16 @@ def test_pool_is_capped_and_only_for_more_than_one_chunk(monkeypatch):
     assert sizes == [2, 4, 2, 5]
     assert sorted(chunks[:3]) == [((0,), MC_CHUNK), ((0,), MC_CHUNK), ((1,), 1)]
     assert sorted(chunks[3:8]) == [((j,), MC_CHUNK) for j in range(4)] + [((4,), 1)]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity call here")
+def test_cpu_count_reads_the_affinity_mask():
+    assert correlation._cpu_count() == len(os.sched_getaffinity(0))
+
+
+def test_cpu_count_without_an_affinity_call_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert correlation._cpu_count() == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
