@@ -13,13 +13,13 @@ The handlers only map flags to library calls; `--method closed` and
 `--method quadrature` both name the library's "exact" method, and `mc` its
 "monte_carlo" (METHOD_NAMES). The library owns the model's rules, each
 checked by one function that every entry point calls: c in `states`, the
-method in `correlation`, the channel kind and the rates' sign in `sweep`,
-where `p_of_t` also checks t and `damped_sigma` p. `SweepSpec` checks a
-sweep with them and supplies the figures' shape for every flag left out;
-a ValueError they raise becomes a usage error. The handlers check only
-what the flags alone decide: which flags go together, `--samples`,
-`--seed` and `--trials`, and that `--gamma`, `--t` and `classify --value`
-are finite. `--samples` and `--seed` default to MC_SAMPLES and MC_SEED.
+method in `correlation`, the channel kind and the rates in `sweep`, where
+`p_of_t` also checks t and `damped_sigma` p. `SweepSpec` checks a sweep
+with them and supplies the figures' shape for every flag left out; a
+ValueError they raise becomes a usage error, worded alike from `sigma` and
+`sweep`. The handlers check only what the flags alone decide: which flags
+go together, `--samples`, `--seed`, `--trials` and that `classify --value`
+is finite. `--samples` and `--seed` default to MC_SAMPLES and MC_SEED.
 
 `--seed` seeds one Monte Carlo batch per command: a sweep's points, or
 `verify`'s trials, are all averaged over the same directions, so their
@@ -325,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_p(args, parser) -> float:
-    """The damping probability the flags give, unchecked: `damped_sigma`
-    checks its range and `p_of_t` the signs of gamma and t."""
+    """The damping probability the flags give: `p_of_t` checks gamma and t,
+    and `damped_sigma` the range of --p."""
     timed = args.gamma is not None or args.t is not None
     if args.p is not None and timed:
         parser.error("give either --p or the pair --gamma/--t, not both")
@@ -334,9 +334,6 @@ def _resolve_p(args, parser) -> float:
         return 0.0 if args.p is None else args.p
     if args.gamma is None or args.t is None:
         parser.error("--gamma and --t must be given together")
-    # gamma = inf at t = 0 would make p NaN, with a RuntimeWarning
-    if not (math.isfinite(args.gamma) and math.isfinite(args.t)):
-        parser.error(f"--gamma and --t must be finite, got {args.gamma} and {args.t}")
     return p_of_t(args.gamma, args.t)
 
 

@@ -67,8 +67,6 @@ NONCLASSICAL = "nonclassical"
 _LABELS = np.array([CLASSICAL_COMPATIBLE, INDETERMINATE, NONCLASSICAL])
 _LABELS.flags.writeable = False
 
-IMAG_RESIDUAL_HARD_LIMIT = 1e-9
-
 METHODS = ("exact", "monte_carlo")  # the exact formula, or the Monte Carlo average
 
 
@@ -134,29 +132,19 @@ _PAULI_PRODUCTS = np.array(
 )
 
 
-def t_matrix(rho: np.ndarray) -> np.ndarray:
-    """Real 4x4 matrix T_mu,nu = tr(rho sigma_mu (x) sigma_nu), sigma_0 = I,
-    of each matrix of `rho` (shape (..., 4, 4)), shape rho.shape[:-2] + (4,
-    4); each is bit for bit that of its matrix alone.
-
-    T_00 is the trace, row 0 and column 0 hold the local Bloch vectors, and
-    the lower 3x3 block is the correlation matrix K. A local channel pair
-    with Pauli-transfer matrices R_A, R_B maps T to R_A T R_B^T.
-    """
-    t = np.einsum("...ab,mnba->...mn", np.asarray(rho, dtype=complex), _PAULI_PRODUCTS)
-    worst_imag = float(np.max(np.abs(t.imag), initial=0.0))
-    if worst_imag > IMAG_RESIDUAL_HARD_LIMIT:
-        raise ValueError(
-            f"correlation entries have imaginary residual {worst_imag:.3e}; "
-            "input is not Hermitian"
-        )
-    return t.real.copy()
-
-
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    """3x3 real matrix K_ij = tr(rho sigma_i (x) sigma_j), the lower block of
-    T, of each matrix of `rho` (shape (..., 4, 4))."""
-    return np.ascontiguousarray(t_matrix(rho)[..., 1:, 1:])
+    """3x3 real matrix K_ij = tr(rho sigma_i (x) sigma_j) of each matrix of
+    `rho` (shape (..., 4, 4)), bit for bit that of the matrix alone. A matrix
+    that fails `validate_density`'s checks, which run on the whole stack at
+    once, raises ValueError, naming the first such one of a stack by its
+    index, as [i, j]; an array whose shape does not end in (4, 4) is one."""
+    rho = np.asarray(rho, dtype=complex)
+    if failure := _first_failure(rho):
+        index, report = failure
+        at = f" at index {index}" if index else ""
+        raise ValueError(f"not a density matrix{at}: {'; '.join(report.failures)}")
+    t = np.einsum("...ab,mnba->...mn", rho, _PAULI_PRODUCTS)
+    return np.ascontiguousarray(t[..., 1:, 1:].real)  # real to rounding once checked
 
 
 def sigma_rg_batch(alpha, beta, gamma_sv) -> np.ndarray:
@@ -450,19 +438,12 @@ def sigma_for_state(
     `sigma_rg_batch` on K's singular values, with the bound
     max(RG_REL_ERROR_BOUND * value, RG_ABS_ERROR_FLOOR).
 
-    A state that fails `validate_density`'s checks, which run on the whole
-    stack at once, raises ValueError, and in a stack the message names the
-    first such state's index, as [i, j]; an array whose shape does not end
-    in (4, 4) is checked as one state. A method not in METHODS raises
-    ValueError too.
+    A state that fails `correlation_matrix`'s density checks raises its
+    ValueError, naming the first bad state of a stack, before a method not
+    in METHODS raises one.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if failure := _first_failure(rho):
-        index, report = failure
-        at = f" at index {index}" if index else ""
-        raise ValueError(f"not a density matrix{at}: {'; '.join(report.failures)}")
-    check_method(method)
     k = correlation_matrix(rho)
+    check_method(method)
     if method == "monte_carlo":
         return sigma_monte_carlo_batch(k, n_samples, seed)
     values = sigma_rg_batch(*np.moveaxis(_singular_values(k), -1, 0))

@@ -67,14 +67,17 @@ class DensityReport:
 
     @property
     def failures(self) -> list[str]:
-        out = [f"shape {self.shape}, expected (4, 4)"] if self.shape != (4, 4) else []
-        texts = (f"non-finite entries: {self.non_finite_entries}",
-                 f"hermiticity residual {self.hermiticity_residual:.3e}",
+        # only the checks that ran: a wrong shape or a non-finite entry runs no residual
+        if self.shape != (4, 4):
+            return [f"shape {self.shape}, expected (4, 4)"]
+        if self.non_finite_entries:
+            return [f"non-finite entries: {self.non_finite_entries}"]
+        texts = (f"hermiticity residual {self.hermiticity_residual:.3e}",
                  f"trace deviation {self.trace_deviation:.3e}",
                  f"min eigenvalue {self.min_eigenvalue:.3e}")
         failed = _failed_checks(self.hermiticity_residual, self.trace_deviation,
-                                self.min_eigenvalue, self.non_finite_entries)
-        return out + [text for text, fails in zip(texts, failed) if fails]
+                                self.min_eigenvalue, self.non_finite_entries)[1:]
+        return [text for text, fails in zip(texts, failed) if fails]
 
     @property
     def ok(self) -> bool:

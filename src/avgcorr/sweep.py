@@ -31,6 +31,9 @@ also bit for bit its one-point value with the same seed and sample count,
 and the rows' errors are correlated while each stays unbiased with its own
 standard error. The CLI's one-state `sigma` and `classify` run it on a
 single p.
+
+Rates and times must be finite and >= 0: `_check_rates` and `p_of_t` own
+that rule for every entry point, `SweepSpec` included.
 """
 
 from __future__ import annotations
@@ -69,12 +72,12 @@ def _check_kind(kind) -> None:
 
 def _check_rates(gamma) -> np.ndarray | np.float64:
     """Decoherence rates `gamma` as a float array, or a numpy float for one
-    rate; ValueError, naming the first bad entry, unless every rate is >= 0
-    (NaN is not)."""
+    rate; ValueError, naming the first bad entry, unless every rate is
+    finite and >= 0 (NaN is not)."""
     gamma = np.asarray(gamma, dtype=float)[()]
-    # counts the values that pass, so NaN fails; the mask is built only then
-    if np.count_nonzero(gamma >= 0.0) < gamma.size:
-        raise ValueError(f"decoherence rate must be >= 0, got {gamma[~(gamma >= 0.0)].flat[0]}")
+    # counts the values that pass, so NaN fails; the mask's inverse is built only then
+    if np.count_nonzero(ok := (gamma >= 0.0) & (gamma < np.inf)) < gamma.size:
+        raise ValueError(f"decoherence rate must be finite and >= 0, got {gamma[~ok].flat[0]}")
     return gamma
 
 
@@ -82,24 +85,17 @@ def p_of_t(gamma, t):
     """Damping probability after time t at decoherence rate gamma, for
     scalars (a float) or arrays that broadcast together (an array).
 
-    p(t) = 1 - exp(-gamma * t), so p(0) = 0 and p -> 1 as t -> inf. A
-    negative or NaN gamma or t, or an infinite one times zero, raises
-    ValueError.
+    p(t) = 1 - exp(-gamma * t), so p(0) = 0 and p -> 1 as t -> inf. A gamma
+    or t that is negative, NaN or infinite raises ValueError.
     """
     gamma = _check_rates(gamma)
     t = np.asarray(t, dtype=float)[()]
-    if np.count_nonzero(t >= 0.0) < t.size:
-        raise ValueError(f"time must be >= 0, got {t[~(t >= 0.0)].flat[0]}")
+    if np.count_nonzero(ok := (t >= 0.0) & (t < np.inf)) < t.size:
+        raise ValueError(f"time must be finite and >= 0, got {t[~ok].flat[0]}")
     # expm1 keeps full precision for small gamma*t; a product that overflows
     # to inf is a rate-time far past saturation, and p = 1 there exactly
-    try:
-        with np.errstate(over="ignore", invalid="raise"):
-            p = -np.expm1(-gamma * t) + 0.0  # + 0.0: a rate of -0.0 gives p = 0.0
-    except FloatingPointError:  # inf * 0, the one invalid product once NaN is out
-        gamma, t = np.broadcast_arrays(gamma, t)
-        at = np.flatnonzero(np.isinf(gamma) & (t == 0.0) | (gamma == 0.0) & np.isinf(t))[0]
-        raise ValueError(f"gamma * t is undefined at gamma = {gamma.flat[at]}, "
-                         f"t = {t.flat[at]}") from None
+    with np.errstate(over="ignore"):
+        p = -np.expm1(-gamma * t) + 0.0  # + 0.0: a rate of -0.0 gives p = 0.0
     return float(p) if p.ndim == 0 else p
 
 
@@ -122,17 +118,12 @@ class SweepSpec:
 
     def __post_init__(self):
         _check_kind(self.channel_kind)
-        if not all(map(math.isfinite, (self.c, self.t_max, *self.gammas))):
-            raise ValueError(
-                f"c, gammas and t_max must be finite, got c={self.c}, "
-                f"gammas={self.gammas}, t_max={self.t_max}"
-            )
         check_schmidt(self.c)
         if len(self.gammas) == 0:
             raise ValueError("need at least one decoherence rate")
         _check_rates(self.gammas)
-        if self.t_max <= 0.0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
         try:
             if operator.index(self.steps) < 2:
                 raise ValueError(f"need at least 2 time steps, got {self.steps}")

@@ -13,7 +13,6 @@ from avgcorr import (
     random_density,
     validate_density,
 )
-from avgcorr.correlation import t_matrix
 from avgcorr.sweep import CHANNEL_KINDS, PHASE_DAMPING
 from kraus import (
     amplitude_damping,
@@ -23,7 +22,7 @@ from kraus import (
     make_channel,
     phase_damping,
 )
-from transfer import pauli_transfer
+from transfer import pauli_transfer, t_matrix
 
 prob = st.floats(min_value=0.0, max_value=1.0)
 
@@ -156,7 +155,8 @@ def test_p_of_t_values():
 @pytest.mark.parametrize("gamma,t", [(-1.0, 1.0), (1.0, -1.0), (-0.5, -0.5),
                                      ([0.5, -1.0], 1.0), (1.0, [0.0, -0.5]),
                                      (np.nan, 1.0), (1.0, np.nan), (np.inf, 0.0),
-                                     (0.0, np.inf), ([1.0, np.inf], [[2.0], [0.0]])])
+                                     (0.0, np.inf), ([1.0, np.inf], [[2.0], [0.0]]),
+                                     (np.inf, 3.0)])
 def test_p_of_t_domain_errors(gamma, t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a ValueError, not a warning and then NaN
@@ -165,10 +165,10 @@ def test_p_of_t_domain_errors(gamma, t):
 
 
 @pytest.mark.parametrize("gamma, t, message", [
-    (np.nan, 1.0, "decoherence rate must be >= 0, got nan"),
-    ([0.5, 1.0], [[0.0], [np.nan]], "time must be >= 0, got nan"),
-    (np.inf, 0.0, "gamma * t is undefined at gamma = inf, t = 0.0"),
-    ([1.0, 0.0], [[1.0], [np.inf]], "gamma * t is undefined at gamma = 0.0, t = inf"),
+    (np.nan, 1.0, "decoherence rate must be finite and >= 0, got nan"),
+    ([0.5, 1.0], [[0.0], [np.nan]], "time must be finite and >= 0, got nan"),
+    (np.inf, 0.0, "decoherence rate must be finite and >= 0, got inf"),
+    ([1.0, 0.0], [[1.0], [np.inf]], "time must be finite and >= 0, got inf"),
 ])
 def test_p_of_t_names_the_value_it_rejects(gamma, t, message):
     with pytest.raises(ValueError) as raised:

@@ -24,7 +24,6 @@ from avgcorr.correlation import (
     _singular_values,
     sigma_monte_carlo_batch,
     sigma_rg_batch,
-    t_matrix,
 )
 from avgcorr.states import IDENTITY_2, PAULIS, tensor2
 from kraus import amplitude_damping, apply_both, phase_damping
@@ -36,6 +35,7 @@ from oracles import (
     sigma_quadrature_batch,
     singular_values,
 )
+from transfer import t_matrix
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -258,7 +258,7 @@ def _non_hermitian():
     (2.0 * make_pure_state(0.6), "trace deviation 1.000e+00"),
     (np.diag([0.5, 0.5, 0.5, -0.5]), "min eigenvalue -5.000e-01"),
     (_non_hermitian(), "hermiticity residual 2.000e-01"),
-    (np.diag([np.nan, 1.0, 0.0, 0.0]), "trace deviation nan"),
+    (np.diag([np.nan, 1.0, 0.0, 0.0]), "non-finite entries: 1"),
 ])
 def test_sigma_for_state_rejects_a_non_density_matrix(rho, failure):
     for method in ("exact", "monte_carlo"):
@@ -389,8 +389,8 @@ def test_t_matrix_blocks():
         assert t.shape == (4, 4) and t.dtype == float
         assert abs(t[0, 0] - 1.0) <= 1e-15  # trace
         assert np.array_equal(t[1:, 1:], correlation_matrix(rho))
-    with pytest.raises(ValueError):
-        t_matrix(np.diag([1.0, 0.0, 0.0, 1j]))
+    with pytest.raises(ValueError, match="^not a density matrix: hermiticity residual "):
+        correlation_matrix(np.diag([1.0, 0.0, 0.0, 1j]))
 
 
 def simplex_triples(n, seed):
@@ -648,11 +648,15 @@ def test_sigma_for_state_of_a_stack_is_each_state_alone_bit_for_bit(shape, metho
 
 
 @pytest.mark.parametrize("method", ["exact", "monte_carlo"])
-@pytest.mark.parametrize("shape, at", [((5,), (3,)), ((2, 3), (1, 0)), ((2, 3), (0, 2))])
+@pytest.mark.parametrize("shape, at", [((5,), (3,)), ((2, 3), (1, 0)), ((2, 3), (0, 2)),
+                                       ((3,), (1,))])
 def test_sigma_for_state_names_the_first_bad_state_of_a_stack(shape, at, method):
     rhos = state_stack(shape, 73)
     rhos[at] *= 2.0  # trace 2
     rhos[(-1,) * len(shape)] = np.diag([0.5, 0.5, 0.5, -0.5])  # the last, bad too, goes unnamed
     message = re.escape(f"not a density matrix at index {list(at)}: trace deviation 1.000e+00")
-    with pytest.raises(ValueError, match="^" + message + "$"):
+    with pytest.raises(ValueError, match="^" + message + "$") as info:
         sigma_for_state(rhos, method, n_samples=10)
+    assert info.traceback[-1].name == "correlation_matrix"  # the check's one owner raised it
+    with pytest.raises(ValueError, match="^" + message + "$"):
+        correlation_matrix(rhos)

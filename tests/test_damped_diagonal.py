@@ -22,9 +22,9 @@ from avgcorr import (
     sigma_for_state,
 )
 from avgcorr.cli import run
-from avgcorr.correlation import sigma_monte_carlo_batch, t_matrix
+from avgcorr.correlation import sigma_monte_carlo_batch
 from oracles import sigma_double_sphere
-from transfer import pauli_transfer
+from transfer import pauli_transfer, t_matrix
 
 CS = [0.0, 1.0, 5e-324, 1e-300, 1 / np.sqrt(2), 0.6, 0.3,
       *np.random.default_rng(9403).uniform(size=12)]
@@ -123,10 +123,13 @@ def test_damping_path_runs_no_svd(monkeypatch, capsys):
         return call
 
     monkeypatch.setattr(np.linalg, "svd", forbidden("np.linalg.svd"))
+    patched = set()
     for module in [m for name, m in sys.modules.items() if name.startswith("avgcorr")]:
-        for name in ("t_matrix", "make_pure_state"):
+        for name in ("correlation_matrix", "make_pure_state"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden(name))
+                patched.add(name)
+    assert patched == {"correlation_matrix", "make_pure_state"}  # each forbids a real call
     figure_dataset(1)
     figure_dataset(2)
     assert run(["sigma", "--c", "0.6", "--channel", "amplitude", "--p", "0.3"]) == 0
@@ -152,10 +155,10 @@ def entry_points(values, others=(), other_values=None):
     return cases
 
 
-# SweepSpec rejects a non-finite c by its own finiteness check first
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
 @pytest.mark.parametrize("entry, bad", entry_points(
-    [-0.1, 1.0001, np.nan, np.inf], ("make_pure_state", "SweepSpec"), [-0.1, 1.0001, -5e-324]))
+    [-0.1, 1.0001, np.nan, np.inf], ("make_pure_state", "SweepSpec"),
+    [-0.1, 1.0001, -5e-324, np.nan, np.inf]))
 def test_damped_sigma_rejects_c_outside_the_unit_interval(entry, kind, bad):
     call = {"damped_sigma": lambda: damped_sigma(kind, bad, [0.0, 0.5]),
             "make_pure_state": lambda: make_pure_state(bad),
@@ -190,13 +193,13 @@ def test_damped_sigma_rejects_an_unknown_method(entry, method):
 
 
 # damped_sigma takes p, not rates: a sweep's rates are p_of_t's, and SweepSpec
-# rejects a negative one as p_of_t does (a non-finite one by its own check first)
+# rejects a negative or infinite one as p_of_t does
 @pytest.mark.parametrize("entry", ["p_of_t", "SweepSpec"])
-@pytest.mark.parametrize("bad", [-1.0, -5e-324])
+@pytest.mark.parametrize("bad", [-1.0, -5e-324, np.inf])
 def test_sweep_spec_rejects_a_negative_rate_as_p_of_t_does(entry, bad):
     call = {"p_of_t": lambda: p_of_t(np.array([1.0, bad]), 2.0),
             "SweepSpec": lambda: SweepSpec(PHASE_DAMPING, gammas=(1.0, bad))}[entry]
-    message = f"^decoherence rate must be >= 0, got {re.escape(str(bad))}$"
+    message = f"^decoherence rate must be finite and >= 0, got {re.escape(str(bad))}$"
     with pytest.raises(ValueError, match=message) as info:
         call()
     assert info.traceback[-1].name == "_check_rates"  # the rule's one owner raised it

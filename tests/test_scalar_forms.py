@@ -102,10 +102,10 @@ def test_classify_gives_a_0d_label_array(form):
     (lambda x: damped_sigma(PHASE_DAMPING, x, 0.3), np.nan,
      "Schmidt coefficient must lie in [0, 1], got nan"),
     (lambda x: damped_sigma(AMPLITUDE_DAMPING, 0.6, x), 1.5, "p must lie in [0, 1], got 1.5"),
-    (lambda x: p_of_t(x, 1.0), -1.0, "decoherence rate must be >= 0, got -1.0"),
-    (lambda x: p_of_t(1.0, x), np.nan, "time must be >= 0, got nan"),
-    (lambda x: p_of_t(x, 0.0), np.inf, "gamma * t is undefined at gamma = inf, t = 0.0"),
-], ids=["c", "p", "rate", "time", "product"])
+    (lambda x: p_of_t(x, 1.0), -1.0, "decoherence rate must be finite and >= 0, got -1.0"),
+    (lambda x: p_of_t(1.0, x), np.nan, "time must be finite and >= 0, got nan"),
+    (lambda x: p_of_t(x, 0.0), np.inf, "decoherence rate must be finite and >= 0, got inf"),
+], ids=["c", "p", "rate", "time", "infinite-rate"])
 def test_a_bad_scalar_raises_the_message_of_a_float(form, call, bad, message):
     with pytest.raises(ValueError) as raised:
         call(FORMS[form](bad))

@@ -174,9 +174,9 @@ def test_non_finite_entries_are_reported_without_warnings(at, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning on the way
         report = validate_density(rho)
-        assert report.failures[0] == "non-finite entries: 1"
+        assert report.failures == ["non-finite entries: 1"]
         assert not report.ok
-        with pytest.raises(ValueError, match="^not a density matrix: non-finite entries: 1;"):
+        with pytest.raises(ValueError, match="^not a density matrix: non-finite entries: 1$"):
             sigma_for_state(rho)
 
 
@@ -187,12 +187,13 @@ def test_a_shape_other_than_4x4_is_reported_before_any_arithmetic(rho):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = validate_density(rho)
-    assert report.failures[0] == f"shape {rho.shape}, expected (4, 4)"
+    assert report.failures == [f"shape {rho.shape}, expected (4, 4)"]  # the one check that ran
     assert not report.ok
     if rho.shape[-2:] == (4, 4):
         return  # sigma_for_state reads a stack of 4x4 states as states
-    with pytest.raises(ValueError, match="^" + re.escape(f"not a density matrix: shape {rho.shape}")):
+    with pytest.raises(ValueError) as raised:
         sigma_for_state(rho)
+    assert str(raised.value) == f"not a density matrix: shape {rho.shape}, expected (4, 4)"
 
 
 def test_random_density_is_physical():

@@ -8,9 +8,11 @@ sigma_0 = I, follows from its Kraus operators (see `kraus.py`) and is a real
     phase:     diag(1, q, q, 1)
     amplitude: diag(1, q, q, 1-p) plus R_30 = p
 
-A local pair acts on the real matrix T of a two-qubit state (see
-`avgcorr.correlation.t_matrix`) as T' = R_A T R_B^T, whose lower 3x3 block
-is the damped correlation matrix K.
+A local pair acts on the real matrix T of a two-qubit state (`t_matrix`)
+as T' = R_A T R_B^T, whose lower 3x3 block is the damped correlation
+matrix K. `t_matrix` is the same einsum that `avgcorr.correlation_matrix`
+takes K from, so its lower block is that K bit for bit; it checks nothing,
+since these tests pass it only density matrices.
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from avgcorr import AMPLITUDE_DAMPING, PHASE_DAMPING
-from avgcorr.states import PAULIS
+from avgcorr.states import IDENTITY_2, PAULIS, tensor2
+
+# PAULI_PRODUCTS[mu, nu] = sigma_mu (x) sigma_nu with sigma_0 = I
+PAULI_PRODUCTS = np.array(
+    [[tensor2(si, sj) for sj in (IDENTITY_2,) + PAULIS] for si in (IDENTITY_2,) + PAULIS]
+)
 
 
 def pauli(index: int) -> np.ndarray:
@@ -46,3 +53,12 @@ def pauli_transfer(kind: str, p) -> np.ndarray:
     else:
         raise ValueError(f"unknown channel kind {kind!r}")
     return r
+
+
+def t_matrix(rho: np.ndarray) -> np.ndarray:
+    """Real 4x4 matrix T_mu,nu = tr(rho sigma_mu (x) sigma_nu), sigma_0 = I,
+    of each matrix of `rho` (shape (..., 4, 4)), shape rho.shape[:-2] + (4,
+    4). T_00 is the trace, row 0 and column 0 hold the local Bloch vectors,
+    and the lower 3x3 block is the correlation matrix K."""
+    t = np.einsum("...ab,mnba->...mn", np.asarray(rho, dtype=complex), PAULI_PRODUCTS)
+    return t.real.copy()
