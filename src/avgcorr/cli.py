@@ -57,6 +57,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -197,39 +198,57 @@ def render_json(curve: DecayCurve) -> str:
     """The curve as `json.dumps({"metadata": ..., "blocks": ...}, indent=2)`
     would write it, with the rows laid out from the columns directly.
 
-    Every number is written once per distinct bit pattern (damped rows
-    repeat theirs: under phase damping a row is (p, 1.0, s, s, Sigma)) by
-    `repr_bytes`, which writes float.__repr__'s text; the key is the bits,
-    not the value, since 0.0 and -0.0 are equal but written differently.
-    Each rate block's rows are then laid out by `_lay_out` from those
-    texts, one block at a time.
+    `repr_bytes` writes float.__repr__'s text of each rate, time, p, beta
+    and Sigma. Damped rows repeat beta (under phase damping a row is (p,
+    1.0, s, s, Sigma), under amplitude damping alpha or gamma_sv is s), so
+    an alpha or gamma_sv cell whose bits equal its row's beta reuses
+    beta's text, and the cells of a column that differ from beta are
+    written once if they share one bit pattern. The key is the bits, not
+    the value, since 0.0 and -0.0 are equal but written differently. Each
+    rate block's rows are then laid out by `_lay_out` from those texts, one
+    block at a time, and the document is copied once, by the final join.
     """
     columns = (curve.gammas, curve.t, curve.p, curve.sv, curve.sigma)
     if not all(np.isfinite(col).all() for col in columns):
         raise ValueError("JSON cannot hold the non-finite values in this decay curve")
     rates, steps = curve.p.shape
-    cells = np.concatenate((curve.p[..., None], curve.sv, curve.sigma[..., None]), axis=-1)
-    numbers = np.concatenate((curve.gammas, curve.t, cells.ravel()), dtype=float)
-    del cells
-    bits, where = np.unique(numbers.view(np.int64), return_inverse=True)
+    cells = rates * steps
+    alpha, beta, gamma_sv = np.asarray(curve.sv, dtype=float).reshape(cells, 3).T
+    numbers = [curve.gammas, curve.t, curve.p.ravel(), beta, curve.sigma.ravel()]
+    start = rates + steps
+    p_at, beta_at, sigma_at = (slice(start + k * cells, start + (k + 1) * cells) for k in range(3))
+    size = start + 3 * cells  # the count of numbers so far
+    reused = []  # the number of each alpha and gamma_sv cell
+    for column in (alpha, gamma_sv):
+        bits = column.view(np.int64)
+        differ = np.flatnonzero(bits != beta.view(np.int64))
+        one = differ.size and (bits[differ] == bits[differ[0]]).all()  # one bit pattern
+        numbers.append(column[differ[:1] if one else differ])
+        at = np.arange(beta_at.start, beta_at.stop)
+        at[differ] = size if one else np.arange(size, size + differ.size)
+        size += numbers[-1].size
+        reused.append(at)
+    texts, extents = repr_bytes(np.concatenate(numbers, dtype=float))
     del numbers
-    texts, extents = repr_bytes(bits.view(np.float64))
-    del bits
-    in_rows = where[rates + steps:].reshape(rates, steps, 5)
-    t_cells = texts[where[rates:rates + steps]]
+    row_at = (p_at, reused[0], beta_at, reused[1], sigma_at)
+    # np.take gathers rows faster than texts[at] does
+    alpha_texts, gamma_sv_texts = (np.take(texts, at, axis=0) for at in reused)
+    rows = [field.reshape(rates, steps, texts.shape[1]) for field in
+            (texts[p_at], alpha_texts, texts[beta_at], gamma_sv_texts, texts[sigma_at])]
     labels = _label_codes(curve.labels)
-    widths = (extents[where[rates:rates + steps]].max(initial=0),
-              *extents[in_rows].max(axis=(0, 1), initial=0), labels.shape[-1], 1)
+    widths = (extents[rates:start].max(initial=0),
+              *(extents[at].max(initial=0) for at in row_at), labels.shape[-1], 1)
     comma = np.full((steps, 1), ord(","), np.uint8)
     comma[-1:] = 0
     head = json.dumps({"metadata": curve.metadata}, indent=2)[:-2]  # drop "\n}"
     pieces = [head, ',\n  "blocks": ']
     for i in range(rates):
-        gamma = texts[where[i]].tobytes().translate(None, b"\0").decode()
+        gamma = texts[i].tobytes().translate(None, b"\0").decode()
         pieces += (",\n" if i else "[\n", _JSON_BLOCK[0], gamma, _JSON_BLOCK[1])
         if steps:
-            fields = (t_cells, *np.moveaxis(texts[in_rows[i]], 1, 0), labels[i], comma)
-            pieces += (_lay_out("[", (steps,), fields, widths, _JSON_ROW), "\n      ]")
+            fields = (texts[rates:start], *(row[i] for row in rows), labels[i], comma)
+            # "" + text is the text itself, not a copy
+            pieces += ("[", _lay_out("", (steps,), fields, widths, _JSON_ROW), "\n      ]")
         else:
             pieces.append("[]")
         pieces.append(_JSON_BLOCK[2])
@@ -255,10 +274,17 @@ def _emit(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+# What argparse takes for a negative number rather than a flag: its own
+# pattern misses "-inf", "-nan", "-1e5" and "-1,2"; no option starts so.
+_NEGATIVE_NUMBER = re.compile(r"-(?:[\d.]|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the four subcommands; each subcommand's handler is
     in the parsed namespace as `func`. Its `subcommands` attribute maps each
-    subcommand name to that subcommand's parser."""
+    subcommand name to that subcommand's parser. Every parser reads a token
+    such as "-inf" or "-1e5" as a value, so a negative number reaches the
+    rule it breaks."""
     parser = argparse.ArgumentParser(
         prog="avgcorr",
         description="Average correlation of two-qubit states under local damping.",
@@ -321,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_state_flags(p_classify, c_required=False)
     p_classify.set_defaults(func=cmd_classify)
 
+    for each in (parser, *parser.subcommands.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -6,7 +6,7 @@ all but a few values: Dekker's exact double-double product (Numer. Math.
 18 (1971) 224-242) settles the digits, and every value the fast path
 cannot prove goes to `repr`, as in Loitsch's Grisu3 ("Printing
 Floating-Point Numbers Quickly and Accurately", PLDI 2010). `cli`'s JSON
-writer runs it on the distinct numbers of a decay curve.
+writer runs it on the numbers of a decay curve that its rows do not repeat.
 """
 
 from __future__ import annotations
@@ -189,11 +189,12 @@ def repr_bytes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ("1.5", NULs, "e+300"); deleting them leaves the text.
 
     `_shortest_digits` finds the digits and the cells they are proven for;
-    the rest go to repr. The cells are sorted by (sign, decade) and each
-    group's digits are written into its template's slots at once: fixed
-    point from 1e-4 to 1e16 with trailing zeros dropped and ".0" kept, else
-    "d.ddde-XX", with no dot after a lone digit. The bytes are built as
-    (slot, cell) planes, so numpy's loops run over cells.
+    the rest go to repr, once per bit pattern. The cells are sorted by
+    (sign, decade) and each group's digits are written into its template's
+    slots at once: fixed point from 1e-4 to 1e16 with trailing zeros
+    dropped and ".0" kept, else "d.ddde-XX", with no dot after a lone
+    digit. The bytes are built as (slot, cell) planes, so numpy's loops run
+    over cells.
     """
     top, low, e, fast = _shortest_digits(x)
     group = np.where((e < -4) | (e > 15), 20, e + 4)
@@ -223,7 +224,11 @@ def repr_bytes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             planes[neg + 19:neg + 23, lo:hi] = exponent.reshape(-1, 4).T
     extents = _EXTENTS[key, kept]
     del content, group, e, kept
-    slow = [repr(v) for v in x[order[bounds[42]:]].tolist()]
+    slow_x = x[order[bounds[42]:]]
+    bits = slow_x.view(np.int64).tolist()
+    # one repr per bit pattern: the zeros and powers of two repeat
+    text_of = {pattern: repr(v) for pattern, v in dict(zip(bits, slow_x.tolist())).items()}
+    slow = [text_of[pattern] for pattern in bits]
     if slow:
         planes[:, bounds[42]:] = np.array(slow, dtype=f"S{_WIDTH}").view(np.uint8).reshape(
             len(slow), _WIDTH).T

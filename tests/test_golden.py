@@ -2,14 +2,19 @@
 
 `tests/data/figure{1,2}.csv` hold the exact bytes of `avgcorr sweep
 --figure 1|2`, `tests/data/figure{1,2}.json` those of the same sweeps with
-`--format json`, and `tests/data/sweep_*.json` those of two small JSON
-sweeps; any change to how the sweep computes or renders a row must keep
-them. The JSON goldens were written by one `float.__repr__` call per
-number, so they pin the numpy digit kernel that replaced it. `tests/data/verify_small.txt` holds the stdout of a small `avgcorr
-verify` run, `quadrature=` token included, and `tests/data/sweep_mc_small.csv`
-that of a small Monte Carlo sweep, every row averaged over the same 100
-directions: the two pin the Monte Carlo stream, its draw sizing included.
-Both fit in one chunk; `tests/data/verify_chunks.txt` holds a `verify` run
+`--format json`, and `tests/data/sweep_phase_closed.json` and
+`sweep_amplitude_quadrature.json` those of two small JSON sweeps; any
+change to how the sweep computes or renders a row must keep them. The JSON
+goldens were written by one `float.__repr__` call per number, so they pin
+the numpy digit kernel that replaced it. `tests/data/verify_small.txt`
+holds the stdout of a small `avgcorr verify` run, `quadrature=` token
+included, and `tests/data/sweep_mc_small.csv` that of a small Monte Carlo
+sweep, every row averaged over the same 100 directions: the two pin the
+Monte Carlo stream, its draw sizing included. `sweep_mc_small.json` holds
+the same sweep with `--format json`, the only golden of a Monte Carlo
+sweep's JSON metadata (`"samples": 100`, `"estimator": "monte_carlo"`,
+`"rel_error_bound": null`) and of Monte Carlo rows through the JSON writer.
+All three fit in one chunk; `tests/data/verify_chunks.txt` holds a `verify` run
 of three chunks, which pins the chunk streams and the order their totals
 are added in, whatever the number of CPUs, `tests/data/sweep_mc_chunks.csv`
 a 9-point Monte Carlo sweep of three chunks, on the thread pool and in
@@ -68,6 +73,8 @@ MC_SWEEPS = {
                            "--c", "0.6", "--gammas", "1", "--steps", "20"],
     "sweep_mc_chunks.csv": ["--channel", "amplitude", "--method", "mc", "--samples", "300000",
                             "--c", "0.6", "--gammas", "1", "--steps", "9"],
+    "sweep_mc_small.json": ["--channel", "amplitude", "--method", "mc", "--samples", "100",
+                            "--c", "0.6", "--gammas", "1", "--steps", "20", "--format", "json"],
 }
 
 # the full argv of every Monte Carlo golden, whose stdout is the golden
@@ -114,7 +121,7 @@ def test_multi_chunk_verify_stdout_matches_golden_bytes(capsys):
     assert out.encode("utf-8") == (DATA / "verify_chunks.txt").read_bytes()
 
 
-def test_monte_carlo_sweep_csv_matches_golden_bytes(tmp_path):
+def test_monte_carlo_sweep_matches_golden_bytes(tmp_path):
     for name, args in MC_SWEEPS.items():
         out = tmp_path / name
         assert run(["sweep", *args, "--out", str(out)]) == 0

@@ -302,6 +302,51 @@ def test_render_json_sends_few_cells_to_repr(monkeypatch):
         assert 0 < len(calls) < 0.01 * distinct, (len(calls), distinct)
 
 
+@pytest.mark.parametrize("common", [0.0, 1.0])
+def test_render_json_keeps_signed_zeros_apart_from_beta(common):
+    """alpha and gamma_sv repeat beta except for the sign at zero, and
+    alpha holds one bit pattern except for one -0.0 row: a rule that
+    compared values rather than bits would merge their texts."""
+    beta = np.array([[0.0, -0.0, 0.3, 0.0, 0.5], [-0.0, 0.5, 0.0, 0.7, -0.0]])
+    gamma_sv = np.where(beta == 0.0, -beta, beta)
+    alpha = np.full_like(beta, common)
+    alpha[1, 2] = -0.0  # beside beta's 0.0
+    # gamma_sv's bits differ from beta's at the zeros, both ways, and only there
+    assert np.array_equal(gamma_sv.view(np.int64) != beta.view(np.int64), beta == 0.0)
+    assert np.signbit(gamma_sv[beta == 0.0]).sum() == 3  # of six
+    sigma = np.where(beta == 0.0, -beta, 0.25)
+    curve = DecayCurve(gammas=np.array([0.0, -0.0]), t=np.array([-0.0, 0.0, 1.0, 2.0, 3.0]),
+                       p=-beta, sv=np.stack((alpha, beta, gamma_sv), axis=-1), sigma=sigma,
+                       labels=classify(sigma), metadata={})
+    assert render_json(curve) == old_render_json(curve)
+
+
+@pytest.mark.parametrize("kind, per_row", [(PHASE_DAMPING, 3), (AMPLITUDE_DAMPING, 4)])
+def test_render_json_writes_a_damped_row_s_repeats_once(kind, per_row, monkeypatch):
+    """Under phase damping a row is (p, 1.0, s, s, Sigma) and under
+    amplitude damping alpha or gamma_sv is beta, so `repr_bytes` gets at
+    most per_row numbers a row, plus the times, the rates and one for a
+    column of one bit pattern. A return to five a row must fail here, not
+    only show in the benchmark."""
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return float_repr.repr_bytes(x)
+
+    monkeypatch.setattr(cli, "repr_bytes", counted)
+    rng = np.random.default_rng(3400 + per_row)
+    sweep = SweepSpec(kind, float(rng.uniform()), tuple(rng.uniform(0.1, 3.0, 3).tolist()),
+                      t_max=8.0, steps=400)
+    figure = {PHASE_DAMPING: 1, AMPLITUDE_DAMPING: 2}[kind]
+    for curve in (figure_dataset(figure), decay_curve(sweep)):
+        sizes.clear()
+        assert render_json(curve) == old_render_json(curve)
+        rates, steps = curve.p.shape
+        assert len(sizes) == 1
+        assert sizes[0] <= per_row * rates * steps + steps + rates + 1, (kind, rates, steps)
+
+
 def render_json_peak(curve) -> int:
     render_json(curve)  # numpy's first-call set-up is not the renderer's
     tracemalloc.start()
