@@ -14,12 +14,16 @@ The handlers only map flags to library calls; `--method closed` and
 "monte_carlo" (METHOD_NAMES). The library owns the model's rules, each
 checked by one function that every entry point calls: c in `states`, the
 method in `correlation`, the channel kind and the rates in `sweep`, where
-`p_of_t` also checks t and `damped_sigma` p. `SweepSpec` checks a sweep
-with them and supplies the figures' shape for every flag left out; a
-ValueError they raise becomes a usage error, worded alike from `sigma` and
-`sweep`. The handlers check only what the flags alone decide: which flags
-go together, `--samples`, `--seed`, `--trials` and that `classify --value`
-is finite. `--samples` and `--seed` default to MC_SAMPLES and MC_SEED.
+`p_of_t` also checks t and `damped_sigma` p, and the Monte Carlo sample
+count and seed in `correlation`'s batch. `SweepSpec` checks a sweep with
+them and supplies the figures' shape for every flag left out. The
+`RuleError` they raise becomes a usage error, worded alike from `sigma`
+and `sweep`; any other error, a Monte Carlo worker's ValueError included,
+is a failure. The handlers check only what the flags alone decide: which
+flags go together, `verify`'s `--trials`, `--samples` and `--seed`, and
+that `classify --value` is finite. `--samples` and `--seed` default to
+MC_SAMPLES and MC_SEED; only `--method mc` reads them, so the exact
+methods ignore a bad one.
 
 `--seed` seeds one Monte Carlo batch per command: a sweep's points, or
 `verify`'s trials, are all averaged over the same directions, so their
@@ -64,7 +68,7 @@ import numpy as np
 
 from .correlation import MC_SAMPLES, MC_SEED, classify, sigma_for_state
 from .float_repr import DIGITS4, repr_bytes
-from .states import random_density
+from .states import RuleError, random_density
 from .sweep import (AMPLITUDE_DAMPING, FIGURE_KINDS, PHASE_DAMPING, DecayCurve, SweepSpec,
                     damped_sigma, decay_curve, p_of_t)
 
@@ -365,24 +369,13 @@ def _resolve_p(args, parser) -> float:
     return p_of_t(args.gamma, args.t)
 
 
-def _check_monte_carlo_flags(args, parser) -> None:
-    """Only Monte Carlo reads --samples and --seed; the exact methods ignore them."""
-    if args.method != "mc":
-        return
-    if args.samples < 1:
-        parser.error(f"--samples must be >= 1 with --method mc, got {args.samples}")
-    if args.seed < 0:
-        parser.error(f"--seed must be >= 0 with --method mc, got {args.seed}")
-
-
 def cmd_sigma(args, parser) -> int:
     """Damp the state the flags describe, estimate Sigma, print it and its label."""
-    _check_monte_carlo_flags(args, parser)
     try:
         _, sigma = damped_sigma(CHANNEL_KIND_BY_FLAG[args.channel], args.c,
                                 _resolve_p(args, parser), METHOD_NAMES[args.method],
                                 args.samples, args.seed)
-    except ValueError as exc:
+    except RuleError as exc:
         parser.error(str(exc))
     value = float(sigma)
     _emit(f"{format_sig12(value)} {classify(value)}\n", args.out)
@@ -420,12 +413,10 @@ def cmd_sweep(args, parser) -> int:
             given["gammas"] = tuple(float(tok) for tok in args.gammas.split(",") if tok.strip())
         except ValueError:
             parser.error(f"could not parse --gammas {args.gammas!r}")
-    _check_monte_carlo_flags(args, parser)
     try:
-        spec = SweepSpec(kind, **given)
-    except ValueError as exc:
+        curve = decay_curve(SweepSpec(kind, **given), n_samples=args.samples, seed=args.seed)
+    except RuleError as exc:
         parser.error(str(exc))
-    curve = decay_curve(spec, n_samples=args.samples, seed=args.seed)
     write_output(curve, fmt=args.format, path=args.out)
     return 0
 

@@ -46,12 +46,11 @@ path's exact method runs it instead of the duplication loop.
 from __future__ import annotations
 
 import functools
-import operator
 import os
 
 import numpy as np
 
-from .states import IDENTITY_2, PAULIS, _first_failure, tensor2
+from .states import IDENTITY_2, PAULIS, RuleError, _first_failure, check_count, tensor2
 
 # Sigma <= 1/4 is attainable by classical correlations; Sigma > 1/(2 sqrt 2)
 # only by nonclassical states. The lower boundary is closed, the upper open.
@@ -73,7 +72,7 @@ METHODS = ("exact", "monte_carlo")  # the exact formula, or the Monte Carlo aver
 def check_method(method) -> None:
     """ValueError unless `method` is one of METHODS."""
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+        raise RuleError(f"unknown method {method!r}")
 
 
 # Relative error bound of `sigma_rg_batch` for results above the subnormal
@@ -142,7 +141,7 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     if failure := _first_failure(rho):
         index, report = failure
         at = f" at index {index}" if index else ""
-        raise ValueError(f"not a density matrix{at}: {'; '.join(report.failures)}")
+        raise RuleError(f"not a density matrix{at}: {'; '.join(report.failures)}")
     t = np.einsum("...ab,mnba->...mn", rho, _PAULI_PRODUCTS)
     return np.ascontiguousarray(t[..., 1:, 1:].real)  # real to rounding once checked
 
@@ -234,26 +233,12 @@ def sigma_damped(s, kappa) -> np.ndarray:
     return np.ldexp(s * (s * ratio) + t, e - 2)
 
 
-def _sample_count(n_samples) -> int:
-    """`n_samples` as an int; ValueError unless it is an integer >= 1."""
-    try:
-        n_samples = operator.index(n_samples)
-    except TypeError:
-        raise ValueError(f"the sample count must be an integer, got {n_samples!r}") from None
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
-    return n_samples
-
-
 def _seed_sequence(seed) -> np.random.SeedSequence:
     """`seed` as a SeedSequence; ValueError unless it is one integer >= 0 or
     a SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    try:
-        return np.random.SeedSequence(operator.index(seed))
-    except TypeError:
-        raise ValueError(f"need one integer or SeedSequence seed, got {seed!r}") from None
+    return np.random.SeedSequence(check_count(seed, "seed", 0))
 
 
 def _cpu_count() -> int:
@@ -360,12 +345,12 @@ def sigma_monte_carlo_batch(
     """
     k = np.asarray(k, dtype=float)
     if k.shape[-2:] != (3, 3):
-        raise ValueError(f"K must be a 3x3 matrix or a stack of them, got shape {k.shape}")
+        raise RuleError(f"K must be a 3x3 matrix or a stack of them, got shape {k.shape}")
     flat = k.reshape(-1, 3, 3)
     peak = np.abs(flat).max(axis=(1, 2), initial=0.0)
     if not np.isfinite(peak).all():
-        raise ValueError("K has non-finite entries")
-    n_samples = _sample_count(n_samples)
+        raise RuleError("K has non-finite entries")
+    n_samples = check_count(n_samples, "the sample count", 1)
     root = _seed_sequence(seed)
     e = np.frexp(peak)[1]
     scaled = np.ldexp(flat, -e[:, None, None])

@@ -3,10 +3,19 @@
 The product basis is ordered |00>, |01>, |10>, |11> with qubit A as the
 left tensor factor. Every function here is pure; matrices are treated as
 immutable once returned.
+
+The package's range and count rules are written once, here:
+`check_range` for values that must lie in [0, top] (c and p in [0, 1];
+rates and times finite and >= 0, with the largest double as top) and
+`check_count` for integers with a least value (a sweep's steps, the Monte
+Carlo sample count and an integer seed). Each rule's owner calls one of
+them with its own message. Every input rule of the package, these and the
+rest, raises `RuleError`, a ValueError.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +39,38 @@ def tensor2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+class RuleError(ValueError):
+    """A value that breaks one of the package's input rules. The command line
+    reports it as a usage error, and any other error as a failure."""
+
+
+def check_range(x, rule: str, top: float = 1.0) -> np.ndarray | np.float64:
+    """`x` as a float array, or a numpy float for one value; RuleError
+    "{rule}, got X", X the first bad entry, unless every entry lies in
+    [0, top] (NaN does not)."""
+    # [()]: one value becomes a numpy scalar, ~10x cheaper than a 0-d array on the same loops
+    x = np.asarray(x, dtype=float)[()]
+    # counts the values that pass, so NaN fails; the mask's inverse is built only then
+    if np.count_nonzero(ok := (x >= 0.0) & (x <= top)) < x.size:
+        raise RuleError(f"{rule}, got {x[~ok].flat[0]}")
+    return x
+
+
+def check_count(n, what: str, least: int) -> int:
+    """`n` as an int; RuleError unless it is an integer >= `least`."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise RuleError(f"{what} must be an integer, got {n!r}") from None
+    if n < least:
+        raise RuleError(f"{what} must be >= {least}, got {n}")
+    return n
+
+
 def check_schmidt(c) -> np.ndarray | np.float64:
     """Schmidt coefficients `c` as a float array, or a numpy float for one
-    value; ValueError, naming the first bad entry, unless every entry lies
-    in [0, 1] (NaN does not)."""
-    # [()]: one value becomes a numpy scalar, ~10x cheaper than a 0-d array on the same loops
-    c = np.asarray(c, dtype=float)[()]
-    if np.count_nonzero(bad := ~((c >= 0.0) & (c <= 1.0))):
-        raise ValueError(f"Schmidt coefficient must lie in [0, 1], got {c[bad].flat[0]}")
-    return c
+    value; ValueError unless every entry lies in [0, 1]."""
+    return check_range(c, "Schmidt coefficient must lie in [0, 1]")
 
 
 def make_pure_state(c: float) -> np.ndarray:

@@ -33,13 +33,15 @@ standard error. The CLI's one-state `sigma` and `classify` run it on a
 single p.
 
 Rates and times must be finite and >= 0: `_check_rates` and `p_of_t` own
-that rule for every entry point, `SweepSpec` included.
+that rule for every entry point, `SweepSpec` included, each through
+`states.check_range` with the largest double as its top; `damped_sigma`
+checks p the same way, and `SweepSpec` its steps through
+`states.check_count`.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +56,7 @@ from .correlation import (
     sigma_damped,
     sigma_monte_carlo_batch,
 )
-from .states import check_schmidt
+from .states import RuleError, check_count, check_range, check_schmidt
 
 PHASE_DAMPING = "phase_damping"
 AMPLITUDE_DAMPING = "amplitude_damping"
@@ -63,22 +65,20 @@ CHANNEL_KINDS = (PHASE_DAMPING, AMPLITUDE_DAMPING)
 # the channel each canned figure shows
 FIGURE_KINDS = {1: PHASE_DAMPING, 2: AMPLITUDE_DAMPING}
 
+# the top of a range that must be finite: inf and NaN fail it
+_LARGEST = np.finfo(float).max
+
 
 def _check_kind(kind) -> None:
     """ValueError unless `kind` is one of CHANNEL_KINDS."""
     if kind not in CHANNEL_KINDS:
-        raise ValueError(f"unknown channel kind {kind!r}")
+        raise RuleError(f"unknown channel kind {kind!r}")
 
 
 def _check_rates(gamma) -> np.ndarray | np.float64:
     """Decoherence rates `gamma` as a float array, or a numpy float for one
-    rate; ValueError, naming the first bad entry, unless every rate is
-    finite and >= 0 (NaN is not)."""
-    gamma = np.asarray(gamma, dtype=float)[()]
-    # counts the values that pass, so NaN fails; the mask's inverse is built only then
-    if np.count_nonzero(ok := (gamma >= 0.0) & (gamma < np.inf)) < gamma.size:
-        raise ValueError(f"decoherence rate must be finite and >= 0, got {gamma[~ok].flat[0]}")
-    return gamma
+    rate; ValueError unless every rate is finite and >= 0."""
+    return check_range(gamma, "decoherence rate must be finite and >= 0", _LARGEST)
 
 
 def p_of_t(gamma, t):
@@ -89,9 +89,7 @@ def p_of_t(gamma, t):
     or t that is negative, NaN or infinite raises ValueError.
     """
     gamma = _check_rates(gamma)
-    t = np.asarray(t, dtype=float)[()]
-    if np.count_nonzero(ok := (t >= 0.0) & (t < np.inf)) < t.size:
-        raise ValueError(f"time must be finite and >= 0, got {t[~ok].flat[0]}")
+    t = check_range(t, "time must be finite and >= 0", _LARGEST)
     # expm1 keeps full precision for small gamma*t; a product that overflows
     # to inf is a rate-time far past saturation, and p = 1 there exactly
     with np.errstate(over="ignore"):
@@ -120,20 +118,16 @@ class SweepSpec:
         _check_kind(self.channel_kind)
         check_schmidt(self.c)
         if len(self.gammas) == 0:
-            raise ValueError("need at least one decoherence rate")
+            raise RuleError("need at least one decoherence rate")
         _check_rates(self.gammas)
         if not 0.0 < self.t_max < math.inf:
-            raise ValueError(f"t_max must be finite and > 0, got {self.t_max}")
-        try:
-            if operator.index(self.steps) < 2:
-                raise ValueError(f"need at least 2 time steps, got {self.steps}")
-        except TypeError:
-            raise ValueError(f"steps must be an integer, got {self.steps!r}") from None
+            raise RuleError(f"t_max must be finite and > 0, got {self.t_max}")
+        steps = check_count(self.steps, "steps", 2)
         check_method(self.method)
         object.__setattr__(self, "c", float(self.c) + 0.0)
         object.__setattr__(self, "gammas", tuple(float(g) + 0.0 for g in self.gammas))
         object.__setattr__(self, "t_max", float(self.t_max))
-        object.__setattr__(self, "steps", operator.index(self.steps))
+        object.__setattr__(self, "steps", steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,10 +167,8 @@ def damped_sigma(
     p outside [0, 1] (NaN included), an unknown kind or a method not in
     METHODS raises ValueError.
     """
-    p = np.asarray(p, dtype=float)[()]
     c = check_schmidt(c)
-    if np.count_nonzero(bad := ~((p >= 0.0) & (p <= 1.0))):  # NaN fails
-        raise ValueError(f"p must lie in [0, 1], got {p[bad].flat[0]}")
+    p = check_range(p, "p must lie in [0, 1]")
     _check_kind(kind)
     check_method(method)
     # s has the broadcast shape of c and p; kappa broadcasts into it. The
@@ -198,13 +190,21 @@ def damped_sigma(
     return sv, sigma
 
 
+def _plain(n):
+    """A numpy integer as a Python int, so JSON can hold it; anything else
+    as given, unchecked, since the exact methods never read a seed."""
+    return int(n) if isinstance(n, np.integer) else n
+
+
 def decay_curve(
     spec: SweepSpec,
     n_samples: int = MC_SAMPLES,
     seed: int = MC_SEED,
 ) -> DecayCurve:
     """Compute the Sigma(t) curve of every rate in the spec as columns;
-    Monte Carlo averages every grid point over the directions `seed` draws."""
+    Monte Carlo averages every grid point over the directions `seed` draws,
+    and its batch checks `n_samples` and `seed`. The metadata holds both as
+    given, a numpy integer as a Python int."""
     gammas = np.array(spec.gammas, dtype=float)
     times = np.linspace(0.0, spec.t_max, spec.steps)
     p = p_of_t(gammas[:, None], times)  # (rates, steps)
@@ -217,8 +217,8 @@ def decay_curve(
         "t_max": spec.t_max,
         "steps": spec.steps,
         "method": spec.method,
-        "seed": seed,
-        "samples": None if exact else n_samples,
+        "seed": _plain(seed),
+        "samples": None if exact else _plain(n_samples),
         "estimator": "carlson_rc" if exact else spec.method,
         "rel_error_bound": RG_REL_ERROR_BOUND if exact else None,
         "rng": RNG_IDENTITY,
@@ -234,5 +234,5 @@ def figure_dataset(figure: int, seed: int = MC_SEED) -> DecayCurve:
     """Canned decay datasets on SweepSpec's default shape: figure 1 is phase
     damping, figure 2 amplitude damping."""
     if figure not in FIGURE_KINDS:
-        raise ValueError(f"figure must be 1 or 2, got {figure}")
+        raise RuleError(f"figure must be 1 or 2, got {figure}")
     return decay_curve(SweepSpec(FIGURE_KINDS[figure]), seed=seed)

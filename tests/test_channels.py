@@ -13,6 +13,7 @@ from avgcorr import (
     random_density,
     validate_density,
 )
+from avgcorr.states import RuleError
 from avgcorr.sweep import CHANNEL_KINDS, PHASE_DAMPING
 from kraus import (
     amplitude_damping,
@@ -171,9 +172,12 @@ def test_p_of_t_domain_errors(gamma, t):
     ([1.0, 0.0], [[1.0], [np.inf]], "time must be finite and >= 0, got inf"),
 ])
 def test_p_of_t_names_the_value_it_rejects(gamma, t, message):
-    with pytest.raises(ValueError) as raised:
+    with pytest.raises(RuleError) as raised:
         p_of_t(gamma, t)
     assert str(raised.value) == message
+    # the rule's one owner called the range checker
+    owner = "p_of_t" if message.startswith("time") else "_check_rates"
+    assert [entry.name for entry in raised.traceback[-2:]] == [owner, "check_range"]
 
 
 @given(

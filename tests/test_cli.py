@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import itertools
@@ -6,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,15 @@ from avgcorr.cli import CSV_HEADER, build_parser, format_sig12, run
 from oracles import SingularTriple, sigma_quadrature
 
 INV_SQRT2 = 1 / np.sqrt(2)
+
+
+def test_cli_imports_no_private_name():
+    # the CLI maps flags to the library's public calls; it reaches past no `_` name
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names
+               if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_format_sig12():
@@ -457,6 +468,35 @@ def test_grid_too_large_to_allocate_exits_1(capsys):
     assert captured.err.count("\n") == 1
 
 
+def decay_curve_errors(monkeypatch) -> list[str]:
+    """Make the CLI's `decay_curve` record the message of each ValueError it
+    raises; returns the list it records to."""
+    raised = []
+
+    def recording(*args, **kwargs):
+        try:
+            return avgcorr.sweep.decay_curve(*args, **kwargs)
+        except ValueError as exc:
+            raised.append(str(exc))
+            raise
+
+    monkeypatch.setattr(cli, "decay_curve", recording)
+    return raised
+
+
+def assert_usage_error(argv, last, capsys, monkeypatch):
+    """`argv` exits 2 with nothing on stdout and `last` as the one error
+    line, at the end of stderr; a sweep's error is raised in decay_curve."""
+    raised = decay_curve_errors(monkeypatch)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [last]
+    assert captured.err.splitlines()[-1] == last
+    assert raised == ([last.removeprefix("avgcorr: error: ")] if argv[0] == "sweep" else [])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -466,14 +506,11 @@ def test_grid_too_large_to_allocate_exits_1(capsys):
     ],
 )
 @pytest.mark.parametrize("samples", ["0", "-5"])
-def test_monte_carlo_samples_below_one_is_a_usage_error(argv, samples, capsys):
-    assert run([*argv, "--method", "mc", "--samples", samples]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert [line for line in err.splitlines() if "error:" in line] == [
-        err.splitlines()[-1]
-    ]
-    assert "--samples" in err.splitlines()[-1]
+def test_monte_carlo_samples_below_one_is_a_usage_error(argv, samples, capsys, monkeypatch):
+    # the Monte Carlo batch checks the count, for a sweep inside decay_curve
+    assert_usage_error([*argv, "--method", "mc", "--samples", samples],
+                       f"avgcorr: error: the sample count must be >= 1, got {samples}",
+                       capsys, monkeypatch)
     # the other estimators do not use --samples and still ignore it
     assert run([*argv, "--method", "quadrature", "--samples", samples]) == 0
 
@@ -486,15 +523,11 @@ def test_monte_carlo_samples_below_one_is_a_usage_error(argv, samples, capsys):
         ["verify", "--trials", "1"],
     ],
 )
-def test_negative_seed_is_a_usage_error(argv, capsys):
-    assert run([*argv, "--samples", "100", "--seed", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "Traceback" not in captured.err
-    assert [line for line in captured.err.splitlines() if "error:" in line] == [
-        captured.err.splitlines()[-1]
-    ]
-    assert "--seed must be >= 0" in captured.err.splitlines()[-1]
+def test_negative_seed_is_a_usage_error(argv, capsys, monkeypatch):
+    # the Monte Carlo batch checks the seed; verify checks its own --seed
+    flag = "--seed" if argv[0] == "verify" else "seed"
+    assert_usage_error([*argv, "--samples", "100", "--seed", "-1"],
+                       f"avgcorr: error: {flag} must be >= 0, got -1", capsys, monkeypatch)
 
 
 def test_exact_methods_ignore_a_negative_seed(capsys):

@@ -23,6 +23,7 @@ from avgcorr import (
 )
 from avgcorr.cli import run
 from avgcorr.correlation import sigma_monte_carlo_batch
+from avgcorr.states import RuleError
 from oracles import sigma_double_sphere
 from transfer import pauli_transfer, t_matrix
 
@@ -140,8 +141,15 @@ def test_damping_path_runs_no_svd(monkeypatch, capsys):
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
 @pytest.mark.parametrize("bad", [-0.1, 1.0001, np.nan, -np.inf])
 def test_damped_sigma_rejects_p_outside_the_unit_interval(kind, bad):
-    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got "):
+    with pytest.raises(RuleError, match=r"^p must lie in \[0, 1\], got ") as info:
         damped_sigma(kind, 0.6, [0.5, bad])
+    assert raised_by(info) == ["damped_sigma", "check_range"]  # the rule's one owner
+
+
+def raised_by(info) -> list[str]:
+    """The function that raised the error in `info` and its caller: a
+    rule's checker and the rule's owner."""
+    return [entry.name for entry in info.traceback[-2:]]
 
 
 def entry_points(values, others=(), other_values=None):
@@ -163,10 +171,10 @@ def test_damped_sigma_rejects_c_outside_the_unit_interval(entry, kind, bad):
     call = {"damped_sigma": lambda: damped_sigma(kind, bad, [0.0, 0.5]),
             "make_pure_state": lambda: make_pure_state(bad),
             "SweepSpec": lambda: SweepSpec(kind, c=bad)}[entry]
-    with pytest.raises(ValueError,
+    with pytest.raises(RuleError,
                        match=r"^Schmidt coefficient must lie in \[0, 1\], got ") as info:
         call()
-    assert info.traceback[-1].name == "check_schmidt"  # the rule's one owner raised it
+    assert raised_by(info) == ["check_schmidt", "check_range"]  # the rule's one owner
 
 
 @pytest.mark.parametrize("entry, kind", entry_points(["bogus", "phase", "amplitude"],
@@ -174,7 +182,7 @@ def test_damped_sigma_rejects_c_outside_the_unit_interval(entry, kind, bad):
 def test_damped_sigma_rejects_an_unknown_kind(entry, kind):
     call = {"damped_sigma": lambda: damped_sigma(kind, 0.6, [0.0, 0.5]),
             "SweepSpec": lambda: SweepSpec(kind)}[entry]
-    with pytest.raises(ValueError, match=f"^unknown channel kind '{kind}'$") as info:
+    with pytest.raises(RuleError, match=f"^unknown channel kind '{kind}'$") as info:
         call()
     assert info.traceback[-1].name == "_check_kind"  # the rule's one owner raised it
 
@@ -187,7 +195,7 @@ def test_damped_sigma_rejects_an_unknown_method(entry, method):
     call = {"damped_sigma": lambda: damped_sigma(PHASE_DAMPING, 0.6, [0.0, 0.5], method),
             "SweepSpec": lambda: SweepSpec(PHASE_DAMPING, method=method),
             "sigma_for_state": lambda: sigma_for_state(make_pure_state(0.6), method)}[entry]
-    with pytest.raises(ValueError, match=f"^unknown method '{method}'$") as info:
+    with pytest.raises(RuleError, match=f"^unknown method '{method}'$") as info:
         call()
     assert info.traceback[-1].name == "check_method"  # the rule's one owner raised it
 
@@ -200,9 +208,9 @@ def test_sweep_spec_rejects_a_negative_rate_as_p_of_t_does(entry, bad):
     call = {"p_of_t": lambda: p_of_t(np.array([1.0, bad]), 2.0),
             "SweepSpec": lambda: SweepSpec(PHASE_DAMPING, gammas=(1.0, bad))}[entry]
     message = f"^decoherence rate must be finite and >= 0, got {re.escape(str(bad))}$"
-    with pytest.raises(ValueError, match=message) as info:
+    with pytest.raises(RuleError, match=message) as info:
         call()
-    assert info.traceback[-1].name == "_check_rates"  # the rule's one owner raised it
+    assert raised_by(info) == ["_check_rates", "check_range"]  # the rule's one owner
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])

@@ -15,6 +15,7 @@ that patch `correlation._cpu_count` run both paths in one process.
 import concurrent.futures
 import math
 import os
+import re
 import threading
 from unittest import mock
 
@@ -29,6 +30,7 @@ from avgcorr import (PHASE_DAMPING, correlation_matrix, damped_sigma, random_den
 from avgcorr.cli import run
 from avgcorr.correlation import (MC_BLOCK, MC_CHUNK, _singular_values, sigma_monte_carlo_batch,
                                  sigma_rg_batch)
+from avgcorr.states import RuleError
 from oracles import marsaglia_points, sigma_double_sphere, sigma_monte_carlo_one_shot
 
 RNG = np.random.default_rng(2024)
@@ -241,16 +243,26 @@ def test_monte_carlo_rejects_a_k_that_is_not_finite_3x3(k, match):
         sigma_monte_carlo_batch(k, 10, seed=1)
 
 
+def raised_by(info) -> list[str]:
+    """The batch's frame and the frames below it, down to the one that
+    raised the error in `info`."""
+    names = [entry.name for entry in info.traceback]
+    return names[names.index("sigma_monte_carlo_batch"):]
+
+
 @pytest.mark.parametrize("n", [2.7, 2.0, "3", None])
 def test_monte_carlo_rejects_a_sample_count_that_is_not_an_integer(n):
-    with pytest.raises(ValueError, match="integer"):
+    message = f"^the sample count must be an integer, got {re.escape(repr(n))}$"
+    with pytest.raises(RuleError, match=message) as info:
         sigma_monte_carlo_batch(np.eye(3), n, seed=1)
+    assert raised_by(info) == ["sigma_monte_carlo_batch", "check_count"]  # the rule's one owner
 
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_monte_carlo_rejects_a_sample_count_below_one(n):
-    with pytest.raises(ValueError, match="at least one sample"):
+    with pytest.raises(RuleError, match=f"^the sample count must be >= 1, got {n}$") as info:
         sigma_monte_carlo_batch(np.eye(3), n, seed=1)
+    assert raised_by(info) == ["sigma_monte_carlo_batch", "check_count"]  # the rule's one owner
 
 
 def test_monte_carlo_takes_numpy_integer_sample_counts():
@@ -361,7 +373,7 @@ def test_batch_raises_the_workers_error(cpus, monkeypatch):
         raise AssertionError("drew before checking the input")
 
     monkeypatch.setattr(correlation, "_chunk_totals", drew)
-    with pytest.raises(ValueError, match="at least one sample"):
+    with pytest.raises(RuleError, match="^the sample count must be >= 1, got 0$"):
         sigma_monte_carlo_batch(ks, 0, seed)
     bad = ks.copy()
     bad[1, 2, 0, 0] = np.nan
@@ -384,12 +396,12 @@ def test_batch_names_a_seed_count_mismatch():
     # one seed draws the directions of the whole batch: a list of seeds, a
     # negative or a non-integer seed is refused before any draw
     ks = np.broadcast_to(np.eye(3), (2, 3, 3))
-    with pytest.raises(ValueError, match=r"^need one integer or SeedSequence seed, got \[1, 2\]$"):
-        sigma_monte_carlo_batch(ks, 10, [1, 2])
-    with pytest.raises(ValueError, match="^need one integer or SeedSequence seed, got 2.5$"):
-        sigma_monte_carlo_batch(ks, 10, 2.5)
-    with pytest.raises(ValueError, match="non-negative"):
-        sigma_monte_carlo_batch(ks, 10, -1)
+    for seed, message in (([1, 2], r"an integer, got \[1, 2\]"), (2.5, "an integer, got 2.5"),
+                          (-1, ">= 0, got -1")):
+        with pytest.raises(RuleError, match=f"^seed must be {message}$") as info:
+            sigma_monte_carlo_batch(ks, 10, seed)
+        # the rule's one owner, for the batch
+        assert raised_by(info) == ["sigma_monte_carlo_batch", "_seed_sequence", "check_count"]
     # damped_sigma's default seed, like sigma_for_state's, is 42
     point = damped_sigma(PHASE_DAMPING, 0.6, 0.3, "monte_carlo", 100)[1]
     assert point == damped_sigma(PHASE_DAMPING, 0.6, 0.3, "monte_carlo", 100, 42)[1]
@@ -408,6 +420,8 @@ def test_empty_batch_draws_nothing(monkeypatch):
     ["verify", "--samples", str(MC_CHUNK + 1), "--trials", "3"],
     ["sweep", "--channel", "phase", "--method", "mc", "--samples", str(MC_CHUNK + 1),
      "--steps", "3"],
+    # a worker's ValueError breaks no input rule, so it is no usage error
+    ["sigma", "--c", "0.5", "--p", "0.2", "--method", "mc", "--samples", str(MC_CHUNK + 1)],
 ])
 def test_worker_error_is_one_error_line(argv, monkeypatch, capsys):
     def failing(kt, shift, n, seq):

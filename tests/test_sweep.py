@@ -14,8 +14,9 @@ from avgcorr import (
     p_of_t,
     sigma_for_state,
 )
-from avgcorr.cli import write_output
+from avgcorr.cli import render_json, write_output
 from avgcorr.correlation import RG_REL_ERROR_BOUND, sigma_monte_carlo_batch
+from avgcorr.states import RuleError
 from kraus import apply_both, make_channel
 from oracles import singular_values
 from rows import blocks
@@ -56,6 +57,20 @@ def figure2():
 def test_sweep_spec_validation(kwargs):
     with pytest.raises(ValueError):
         SweepSpec(**kwargs)
+
+
+@pytest.mark.parametrize("steps, message", [
+    (1, "steps must be >= 2, got 1"),
+    (-3, "steps must be >= 2, got -3"),
+    (3.5, "steps must be an integer, got 3.5"),
+    ("3", "steps must be an integer, got '3'"),
+], ids=["one", "negative", "float", "string"])
+def test_sweep_spec_names_a_bad_step_count(steps, message):
+    with pytest.raises(RuleError) as info:
+        SweepSpec(PHASE_DAMPING, steps=steps)
+    assert str(info.value) == message
+    # the rule's one owner called the count checker
+    assert [entry.name for entry in info.traceback[-2:]] == ["__post_init__", "check_count"]
 
 
 def test_numpy_typed_spec_writes_the_json_of_its_plain_twin(capsys):
@@ -181,6 +196,29 @@ def test_monte_carlo_sweep_method():
     assert curve.metadata["estimator"] == "monte_carlo"
     assert curve.metadata["rel_error_bound"] is None
     assert curve.metadata["samples"] == 10**5
+
+
+@pytest.mark.parametrize("curve", [
+    lambda n: decay_curve(SweepSpec(PHASE_DAMPING, steps=2), seed=n(7)),
+    lambda n: decay_curve(SweepSpec(PHASE_DAMPING, steps=2, method="monte_carlo"),
+                          n_samples=n(100)),
+    lambda n: figure_dataset(1, seed=n(7)),
+], ids=["seed", "samples", "figure-seed"])
+def test_numpy_integer_seed_and_samples_write_the_json_of_their_python_twins(curve):
+    typed, plain = (curve(n) for n in (np.int64, int))
+    assert [type(typed.metadata[key]) for key in ("seed", "samples")] == [
+        type(plain.metadata[key]) for key in ("seed", "samples")]
+    assert render_json(typed) == render_json(plain)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP open item 2: a late phase-damped Sigma "
+                   "rounds to 0.25 while its exact value lies above 1/4")
+def test_no_phase_damped_row_with_beta_above_zero_is_classical():
+    # under phase damping Sigma - 1/4 = s^2 R_C(1, s^2) / 4 > 0 for every
+    # s = beta > 0; the rounded Sigma reads exactly 0.25 from t = 4 on here
+    curve = decay_curve(SweepSpec(PHASE_DAMPING, gammas=(5.0,)))
+    damped = curve.sv[..., 1] > 0.0
+    assert not (curve.labels[damped] == "classical_compatible").any()
 
 
 def test_metadata_records_reproducibility_inputs(figure1):
