@@ -45,6 +45,11 @@ the first usage error and reprints that text on every later one; a
 subcommand's own errors format that subcommand's usage. `build_parser()`
 returns a fresh parser on every call.
 
+A process loads numpy, `states`, `correlation`, `sweep` and this module at
+start, all that `sigma`, `classify`, `verify` and a CSV `sweep` read.
+`render_json` loads Python's `json` and `float_repr`, whose power-of-ten
+tables are built as it loads, on the first JSON render of the process.
+
 When the first token names a subcommand, `run()` hands the tokens after it
 straight to that subcommand's parser, so they are parsed once, not first by
 the top-level parser and again by the subcommand's; tokens that parser
@@ -59,7 +64,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -67,7 +71,6 @@ import sys
 import numpy as np
 
 from .correlation import MC_SAMPLES, MC_SEED, classify, sigma_for_state
-from .float_repr import DIGITS4, repr_bytes
 from .states import RuleError, random_density
 from .sweep import (AMPLITUDE_DAMPING, FIGURE_KINDS, PHASE_DAMPING, DecayCurve, SweepSpec,
                     damped_sigma, decay_curve, p_of_t)
@@ -98,6 +101,10 @@ def format_sig12(x: float) -> str:
     return out
 
 
+# the ASCII digits of 0000 .. 9999, four bytes to an entry; `float_repr`
+# reads them too
+_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
 # 10**k, correctly rounded, at index k + 12 for k in -12..23
 _POW10 = np.array([float(f"1e{k}") for k in range(-12, 24)])
 _WIDTH = 26  # the widest cell: "-0." and 11 zeros before 12 digits
@@ -212,6 +219,12 @@ def render_json(curve: DecayCurve) -> str:
     rate block's rows are then laid out by `_lay_out` from those texts, one
     block at a time, and the document is copied once, by the final join.
     """
+    # loaded on the first JSON render, not at start: no other command reads
+    # them, and float_repr builds its tables as it loads
+    import json
+
+    from .float_repr import repr_bytes
+
     columns = (curve.gammas, curve.t, curve.p, curve.sv, curve.sigma)
     if not all(np.isfinite(col).all() for col in columns):
         raise ValueError("JSON cannot hold the non-finite values in this decay curve")

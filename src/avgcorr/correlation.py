@@ -50,7 +50,7 @@ import os
 
 import numpy as np
 
-from .states import IDENTITY_2, PAULIS, RuleError, _first_failure, check_count, tensor2
+from .states import IDENTITY_2, PAULIS, RuleError, _first_failure, check_count
 
 # Sigma <= 1/4 is attainable by classical correlations; Sigma > 1/(2 sqrt 2)
 # only by nonclassical states. The lower boundary is closed, the upper open.
@@ -125,10 +125,12 @@ MC_TILE = 4
 # which can cost the singular values an ulp.
 SVD_RESCALE_BELOW = 2.0**-459
 
-# _PAULI_PRODUCTS[mu, nu] = sigma_mu (x) sigma_nu with sigma_0 = I
-_PAULI_PRODUCTS = np.array(
-    [[tensor2(si, sj) for sj in (IDENTITY_2,) + PAULIS] for si in (IDENTITY_2,) + PAULIS]
-)
+# _PAULI_PRODUCTS[mu, nu] = sigma_mu (x) sigma_nu with sigma_0 = I, the
+# outer product's entry (mu, a, b, nu, c, d) at the Kronecker product's
+# (2a + c, 2b + d)
+_SIGMAS = np.array((IDENTITY_2, *PAULIS))
+_PAULI_PRODUCTS = (np.multiply.outer(_SIGMAS, _SIGMAS)
+                   .transpose(0, 3, 1, 4, 2, 5).reshape(4, 4, 4, 4))
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:

@@ -6,16 +6,15 @@ all but a few values: Dekker's exact double-double product (Numer. Math.
 18 (1971) 224-242) settles the digits, and every value the fast path
 cannot prove goes to `repr`, as in Loitsch's Grisu3 ("Printing
 Floating-Point Numbers Quickly and Accurately", PLDI 2010). `cli`'s JSON
-writer runs it on the numbers of a decay curve that its rows do not repeat.
+writer loads this module on its first call, and runs `repr_bytes` on the
+numbers of a decay curve that its rows do not repeat.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# the ASCII digits of 0000 .. 9999, four bytes to an entry
-_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
+from .cli import DIGITS4
 
 _E_MIN, _E_MAX = -308, 308  # the decades of the normal doubles
 

@@ -191,20 +191,25 @@ def damped_sigma(
 
 
 def _plain(n):
-    """A numpy integer as a Python int, so JSON can hold it; anything else
-    as given, unchecked, since the exact methods never read a seed."""
+    """A numpy integer as a Python int, and a SeedSequence as the three
+    fields the Monte Carlo batch reads, so JSON can hold them; anything
+    else as given, unchecked, since the exact methods never read a seed."""
+    if isinstance(n, np.random.SeedSequence):
+        return {"entropy": np.asarray(n.entropy).tolist(),
+                "spawn_key": [int(k) for k in n.spawn_key], "pool_size": int(n.pool_size)}
     return int(n) if isinstance(n, np.integer) else n
 
 
 def decay_curve(
     spec: SweepSpec,
     n_samples: int = MC_SAMPLES,
-    seed: int = MC_SEED,
+    seed: int | np.random.SeedSequence = MC_SEED,
 ) -> DecayCurve:
     """Compute the Sigma(t) curve of every rate in the spec as columns;
     Monte Carlo averages every grid point over the directions `seed` draws,
     and its batch checks `n_samples` and `seed`. The metadata holds both as
-    given, a numpy integer as a Python int."""
+    given, a numpy integer as a Python int and a SeedSequence as its
+    `entropy`, `spawn_key` and `pool_size`."""
     gammas = np.array(spec.gammas, dtype=float)
     times = np.linspace(0.0, spec.t_max, spec.steps)
     p = p_of_t(gammas[:, None], times)  # (rates, steps)

@@ -66,6 +66,12 @@ def singular_oracle(k):
     return np.sqrt(np.clip(eigs, 0.0, None))
 
 
+def test_pauli_products_are_the_kronecker_products_bit_for_bit():
+    sigmas = (IDENTITY_2, *PAULIS)
+    kron = np.array([[tensor2(a, b) for b in sigmas] for a in sigmas])
+    assert np.array_equal(correlation._PAULI_PRODUCTS.view(np.int64), kron.view(np.int64))
+
+
 def test_correlation_matrix_balanced_pure_state():
     k = correlation_matrix(make_pure_state(INV_SQRT2))
     assert np.max(np.abs(k - np.diag([-1.0, -1.0, -1.0]))) < 1e-12

@@ -329,12 +329,14 @@ def test_render_json_writes_a_damped_row_s_repeats_once(kind, per_row, monkeypat
     column of one bit pattern. A return to five a row must fail here, not
     only show in the benchmark."""
     sizes = []
+    repr_bytes = float_repr.repr_bytes
 
     def counted(x):
         sizes.append(x.size)
-        return float_repr.repr_bytes(x)
+        return repr_bytes(x)
 
-    monkeypatch.setattr(cli, "repr_bytes", counted)
+    # render_json imports repr_bytes from float_repr on each call
+    monkeypatch.setattr(float_repr, "repr_bytes", counted)
     rng = np.random.default_rng(3400 + per_row)
     sweep = SweepSpec(kind, float(rng.uniform()), tuple(rng.uniform(0.1, 3.0, 3).tolist()),
                       t_max=8.0, steps=400)

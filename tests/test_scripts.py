@@ -1,6 +1,6 @@
-"""Smoke tests of the scripts in `scripts/` and of the README's library
-example, run as a user runs them: in a fresh interpreter with the package
-on PYTHONPATH."""
+"""Smoke tests of the scripts in `scripts/`, of the README's library
+example and of what the command line loads, run as a user runs them: in a
+fresh interpreter with the package on PYTHONPATH."""
 
 import os
 import subprocess
@@ -40,11 +40,11 @@ SCAN_21 = (
 )
 
 
-def run_python(*args):
+def run_python(*args, text=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text,
                           env=env, cwd=ROOT)
 
 
@@ -92,3 +92,41 @@ def test_readme_library_example_prints_what_its_comments_say():
     assert len(printed) == len(expected)
     for got, want in zip(printed, expected):
         assert want and got.startswith(want), (got, want)
+
+
+# Prints which of the JSON writer's modules avgcorr has loaded after the
+# parser is built, after a sigma and a CSV sweep, and after a JSON sweep,
+# leaving out any that numpy itself loads.
+IMPORT_SURFACE = """
+import os, sys
+import numpy
+preloaded = set(sys.modules)
+from avgcorr import cli
+WRITER = ("avgcorr.float_repr", "json")
+
+def loaded():
+    print(sorted(m for m in WRITER if m in sys.modules and m not in preloaded))
+
+cli.build_parser()
+loaded()
+assert cli.run(["sigma", "--c", "0.6", "--p", "0.3", "--out", os.devnull]) == 0
+assert cli.run(["sweep", "--figure", "1", "--out", os.devnull]) == 0
+loaded()
+assert cli.run(["sweep", "--figure", "1", "--format", "json", "--out", os.devnull]) == 0
+loaded()
+"""
+
+
+def test_only_a_json_render_loads_the_json_writer():
+    result = run_python("-c", IMPORT_SURFACE)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "[]", "['avgcorr.float_repr', 'json']"]
+
+
+def test_first_json_render_of_a_process_writes_the_golden_bytes():
+    # in-process tests never render JSON first: test_render.py loads
+    # float_repr as it is collected
+    result = run_python("-m", "avgcorr", "sweep", "--figure", "1", "--format", "json",
+                        text=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (DATA / "figure1.json").read_bytes()

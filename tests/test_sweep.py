@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,21 @@ def test_numpy_integer_seed_and_samples_write_the_json_of_their_python_twins(cur
     assert [type(typed.metadata[key]) for key in ("seed", "samples")] == [
         type(plain.metadata[key]) for key in ("seed", "samples")]
     assert render_json(typed) == render_json(plain)
+
+
+@pytest.mark.parametrize("seed, record", [
+    (np.random.SeedSequence(3), {"entropy": 3, "spawn_key": [], "pool_size": 4}),
+    (np.random.SeedSequence(3).spawn(2)[1], {"entropy": 3, "spawn_key": [1], "pool_size": 4}),
+], ids=["root", "spawned"])
+def test_seed_sequence_is_written_as_the_fields_the_batch_reads(seed, record):
+    spec = SweepSpec(PHASE_DAMPING, steps=3, method="monte_carlo")
+    curve = decay_curve(spec, n_samples=10, seed=seed)
+    assert curve.metadata["seed"] == record
+    assert json.loads(render_json(curve))["metadata"]["seed"] == record
+    # the record is enough to draw the same directions again
+    again = decay_curve(spec, n_samples=10, seed=np.random.SeedSequence(**record))
+    assert np.array_equal(again.sigma, curve.sigma)
+    assert render_json(again) == render_json(curve)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP open item 2: a late phase-damped Sigma "
