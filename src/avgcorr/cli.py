@@ -9,33 +9,31 @@ Subcommands:
 Exit codes: 0 success, 1 I/O or numeric failure (a grid too large to
 allocate included), 2 usage error.
 
-The handlers only map flags to library calls; `--method closed` and
-`--method quadrature` both name the library's "exact" method, and `mc` its
-"monte_carlo" (METHOD_NAMES). The library owns the model's rules, each
-checked by one function that every entry point calls: c in `states`, the
-method in `correlation`, the channel kind and the rates in `sweep`, where
-`p_of_t` also checks t and `damped_sigma` p, and the Monte Carlo sample
-count and seed in `correlation`'s batch. `SweepSpec` checks a sweep with
-them and supplies the figures' shape for every flag left out. The
+The handlers only map flags to library calls. `sigma`, `classify` and
+`sweep` run the exact closed form, `damped_sigma`; their `--method closed`
+and `--method quadrature` are accepted and select nothing. The library owns
+the model's rules, each checked by one function that every entry point
+calls: c in `states`, the channel kind and the rates in `sweep`, where
+`p_of_t` also checks t and `damped_sigma` p. `SweepSpec` checks a sweep
+with them and supplies the figures' shape for every flag left out. The
 `RuleError` they raise becomes a usage error, worded alike from `sigma`
 and `sweep`; any other error, a Monte Carlo worker's ValueError included,
 is a failure. The handlers check only what the flags alone decide: which
-flags go together, `verify`'s `--trials`, `--samples` and `--seed`, and
-that `classify --value` is finite. `--samples` and `--seed` default to
-MC_SAMPLES and MC_SEED; only `--method mc` reads them, so the exact
-methods ignore a bad one.
+flags go together, `verify`'s `--trials`, `--samples` and `--seed`
+(defaults 20, MC_SAMPLES and MC_SEED), and that `classify --value` is
+finite.
 
-`--seed` seeds one Monte Carlo batch per command: a sweep's points, or
-`verify`'s trials, are all averaged over the same directions, so their
-errors are correlated while each estimate stays unbiased with its own
-standard error, and a sweep row is the value `sigma` gives its point alone.
-`verify` draws trial i's state from spawn key (i, 0) of `--seed` and its
-Monte Carlo directions from key (trials,), so the two never share a
-stream. It runs `sigma_for_state` twice on the stack of trial states,
-exact and then Monte Carlo, and a trial passes when the gap between the
-two is at most 4 standard errors plus the exact value's error bound.
-The summary line keeps its old words, "all within 4 standard errors",
-for a run in which every trial passes by that rule.
+`verify` is the one command that runs the Monte Carlo oracle. It draws
+trial i's state from spawn key (i, 0) of `--seed` and its Monte Carlo
+directions from key (trials,), so the two never share a stream. It takes
+the exact R_G of the stack of trial states from `sigma_for_state` and
+their Monte Carlo estimates from one `sigma_monte_carlo_batch` call on
+their K, all on the same directions, so the estimates' errors are
+correlated while each stays unbiased with its own standard error. A trial
+passes when the gap between the two is at most 4 standard errors plus the
+exact value's error bound. The summary line keeps its old words, "all
+within 4 standard errors", for a run in which every trial passes by that
+rule.
 
 `run()` builds its argument parser on its first call and reuses it for
 every later call in the process, since building the argparse tree costs
@@ -70,14 +68,16 @@ import sys
 
 import numpy as np
 
-from .correlation import MC_SAMPLES, MC_SEED, classify, sigma_for_state
+from .correlation import (MC_SAMPLES, MC_SEED, classify, correlation_matrix, sigma_for_state,
+                          sigma_monte_carlo_batch)
 from .states import RuleError, random_density
 from .sweep import (AMPLITUDE_DAMPING, FIGURE_KINDS, PHASE_DAMPING, DecayCurve, SweepSpec,
                     damped_sigma, decay_curve, p_of_t)
 
 CSV_HEADER = "gamma,t,p,alpha,beta,gamma_sv,sigma,classification"
 
-METHOD_NAMES = {"closed": "exact", "quadrature": "exact", "mc": "monte_carlo"}
+# the accepted spellings of --method; both run the exact closed form
+METHOD_NAMES = ("closed", "quadrature")
 CHANNEL_KIND_BY_FLAG = {"phase": PHASE_DAMPING, "amplitude": AMPLITUDE_DAMPING}
 
 
@@ -320,11 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="decoherence rate (use together with --t)")
         sp.add_argument("--t", type=float, default=None,
                         help="elapsed time (use together with --gamma)")
-        sp.add_argument("--method", choices=tuple(METHOD_NAMES), default="quadrature",
-                        help="Sigma estimator (closed and quadrature: exact)")
-        sp.add_argument("--samples", type=int, default=MC_SAMPLES,
-                        help="Monte Carlo sample count")
-        sp.add_argument("--seed", type=int, default=MC_SEED, help="random seed")
+        sp.add_argument("--method", choices=METHOD_NAMES,
+                        help="accepted; both run the exact closed form")
         sp.add_argument("--out", default=None, help="write output here instead of stdout")
 
     p_sigma = sub.add_parser("sigma", help="Sigma for one damped pure state")
@@ -342,9 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--t-max", type=float, default=None, help="grid end (default 8)")
     p_sweep.add_argument("--steps", type=int, default=None,
                          help="grid point count (default 201)")
-    p_sweep.add_argument("--method", choices=tuple(METHOD_NAMES), default=None)
-    p_sweep.add_argument("--samples", type=int, default=MC_SAMPLES)
-    p_sweep.add_argument("--seed", type=int, default=MC_SEED)
+    p_sweep.add_argument("--method", choices=METHOD_NAMES,
+                         help="accepted; both run the exact closed form")
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -386,8 +382,7 @@ def cmd_sigma(args, parser) -> int:
     """Damp the state the flags describe, estimate Sigma, print it and its label."""
     try:
         _, sigma = damped_sigma(CHANNEL_KIND_BY_FLAG[args.channel], args.c,
-                                _resolve_p(args, parser), METHOD_NAMES[args.method],
-                                args.samples, args.seed)
+                                _resolve_p(args, parser))
     except RuleError as exc:
         parser.error(str(exc))
     value = float(sigma)
@@ -411,8 +406,7 @@ def cmd_classify(args, parser) -> int:
 def cmd_sweep(args, parser) -> int:
     """Build a SweepSpec from the shape flags given, the rest left to its
     defaults; --figure N presets the channel and allows no other shape flag."""
-    shape = dict(c=args.c, gammas=args.gammas, t_max=args.t_max, steps=args.steps,
-                 method=METHOD_NAMES.get(args.method))
+    shape = dict(c=args.c, gammas=args.gammas, t_max=args.t_max, steps=args.steps)
     given = {name: value for name, value in shape.items() if value is not None}
     kind = CHANNEL_KIND_BY_FLAG.get(args.channel)
     if args.figure is not None:
@@ -427,7 +421,7 @@ def cmd_sweep(args, parser) -> int:
         except ValueError:
             parser.error(f"could not parse --gammas {args.gammas!r}")
     try:
-        curve = decay_curve(SweepSpec(kind, **given), n_samples=args.samples, seed=args.seed)
+        curve = decay_curve(SweepSpec(kind, **given))
     except RuleError as exc:
         parser.error(str(exc))
     write_output(curve, fmt=args.format, path=args.out)
@@ -449,7 +443,7 @@ def cmd_verify(args, parser) -> int:
     # estimate from one call, on the same directions
     quads, bounds = sigma_for_state(rhos)
     mc_seed = np.random.SeedSequence(args.seed, spawn_key=(args.trials,))
-    mcs, stderrs = sigma_for_state(rhos, "monte_carlo", args.samples, mc_seed)
+    mcs, stderrs = sigma_monte_carlo_batch(correlation_matrix(rhos), args.samples, mc_seed)
     lines = []
     all_ok = True
     for trial, (quad, bound, mc, stderr) in enumerate(zip(

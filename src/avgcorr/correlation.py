@@ -19,28 +19,28 @@ alpha >= beta >= gamma_sv >= 0,
 `sigma_rg_batch` evaluates it with Carlson's duplication algorithm for R_F
 and R_D (B. C. Carlson, Numer. Algorithms 10 (1995) 13-26,
 arXiv:math/9409227). A seeded Monte Carlo average, `sigma_monte_carlo_batch`,
-is the cross-check: it takes the first step above, E_b |a^T K b| = |K^T a|/2,
-and averages |K^T a|/2 over uniform axes a alone, conditional Monte Carlo
-(P. Glasserman, Monte Carlo Methods in Financial Engineering, Springer
-2004), with the same mean as the double-sphere average and a variance
-never larger. What it checks independently is the rest: the reduction to
-the singular values and R_G with its duplication algorithm. Its axes are
-Marsaglia points (Ann. Math. Statist. 43 (1972) 645-646), each from one
-64-bit PCG64 word whose two 32-bit halves are a point of the square
-[-1, 1)^2, kept in the unit disk: uniform on the sphere up to that 2^-31
-lattice, about 2e-10. It evaluates every matrix of a batch
-(`verify`'s trials, the points of a Monte Carlo sweep) on one seeded stream
-of directions, common random numbers (Glasserman): the estimates
-of one call have correlated errors, while each stays unbiased with its own
-standard error and is the same bytes as the matrix alone. The tests
-hold the shared step E_b |v . b| = |v|/2 by itself and keep the
-double-sphere average as an oracle that shares nothing with R_G.
-`sigma_for_state` runs one of the two METHODS on one state or a stack.
+is the cross-check that `verify` and the tests run: it takes the first step
+above, E_b |a^T K b| = |K^T a|/2, and averages |K^T a|/2 over uniform axes
+a alone, conditional Monte Carlo (P. Glasserman, Monte Carlo Methods in
+Financial Engineering, Springer 2004), with the same mean as the
+double-sphere average and a variance never larger. What it checks
+independently is the rest: the reduction to the singular values and R_G
+with its duplication algorithm. Its axes are Marsaglia points (Ann. Math.
+Statist. 43 (1972) 645-646), each from one 64-bit PCG64 word whose two
+32-bit halves are a point of the square [-1, 1)^2, kept in the unit disk:
+uniform on the sphere up to that 2^-31 lattice, about 2e-10. It evaluates
+every matrix of a batch (`verify`'s trials) on one seeded stream of
+directions, common random numbers (Glasserman): the estimates of one call
+have correlated errors, while each stays unbiased with its own standard
+error and is the same bytes as the matrix alone. The tests hold the shared
+step E_b |v . b| = |v|/2 by itself and keep the double-sphere average as
+an oracle that shares nothing with R_G.
+`sigma_for_state` runs R_G on one state or a stack.
 
 The damped pure states have K = diag(-s, -s, kappa), two of whose singular
 values are equal, and there R_G reduces to the elementary R_C:
 `sigma_damped` evaluates that case with atan2 and log1p, and the damping
-path's exact method runs it instead of the duplication loop.
+path runs it instead of the duplication loop.
 """
 
 from __future__ import annotations
@@ -66,15 +66,6 @@ NONCLASSICAL = "nonclassical"
 _LABELS = np.array([CLASSICAL_COMPATIBLE, INDETERMINATE, NONCLASSICAL])
 _LABELS.flags.writeable = False
 
-METHODS = ("exact", "monte_carlo")  # the exact formula, or the Monte Carlo average
-
-
-def check_method(method) -> None:
-    """ValueError unless `method` is one of METHODS."""
-    if method not in METHODS:
-        raise RuleError(f"unknown method {method!r}")
-
-
 # Relative error bound of `sigma_rg_batch` for results above the subnormal
 # range; the tests hold it to a 40-digit mpmath.elliprg across the
 # sorted-triple simplex, where the worst of 24288 triples measured 6.8e-16.
@@ -93,13 +84,9 @@ RG_SPREAD = 1.5e-3
 # b = 1e-150 takes 14 steps; a loop that reaches the cap has met a NaN.
 RG_MAX_STEPS = 40
 
-# Generator identity recorded in output metadata. The Monte Carlo draws are
-# PCG64's raw 64-bit words, a stream stable across numpy versions, so a
-# seed pins results exactly; the text stays fixed so that the metadata of
-# every output, the exact JSON goldens' included, keeps its bytes.
-RNG_IDENTITY = "numpy.random.Generator(PCG64)"
-# The sample count and seed of a Monte Carlo request that names none, in
-# the library and on the command line alike.
+# The sample count and seed of a `verify` run that names none. The Monte
+# Carlo draws are PCG64's raw 64-bit words, a stream stable across numpy
+# versions, so a seed pins results exactly.
 MC_SAMPLES = 1_000_000
 MC_SEED = 42
 # Candidate points per Monte Carlo draw, at most, about 12900 samples: a
@@ -409,30 +396,18 @@ def _singular_values(k: np.ndarray) -> np.ndarray:
     return np.ldexp(np.linalg.svd(np.ldexp(k, -e[..., None]), compute_uv=False), e)
 
 
-def sigma_for_state(
-    rho: np.ndarray,
-    method: str = "exact",
-    n_samples: int = MC_SAMPLES,
-    seed: int | np.random.SeedSequence = MC_SEED,
-) -> tuple[np.ndarray, np.ndarray]:
+def sigma_for_state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full pipeline rho -> K -> Sigma for one state or a stack of them
     (shape (..., 4, 4)): (values, error bounds), each of shape
     rho.shape[:-2], 0-d for one state. Every value and bound is bit for bit
     that of its state alone.
 
-    "monte_carlo" is one `sigma_monte_carlo_batch` call on the stack's K,
-    with no SVD, and its bounds are the standard errors; "exact" runs
-    `sigma_rg_batch` on K's singular values, with the bound
-    max(RG_REL_ERROR_BOUND * value, RG_ABS_ERROR_FLOOR).
-
-    A state that fails `correlation_matrix`'s density checks raises its
-    ValueError, naming the first bad state of a stack, before a method not
-    in METHODS raises one.
+    It runs `sigma_rg_batch` on K's singular values, with the bound
+    max(RG_REL_ERROR_BOUND * value, RG_ABS_ERROR_FLOOR). A state that fails
+    `correlation_matrix`'s density checks raises its ValueError, naming the
+    first bad state of a stack.
     """
     k = correlation_matrix(rho)
-    check_method(method)
-    if method == "monte_carlo":
-        return sigma_monte_carlo_batch(k, n_samples, seed)
     values = sigma_rg_batch(*np.moveaxis(_singular_values(k), -1, 0))
     return values, np.asarray(np.maximum(RG_REL_ERROR_BOUND * values, RG_ABS_ERROR_FLOOR))
 
@@ -445,6 +420,22 @@ def classify(values) -> np.ndarray:
     for nonclassical states; in between, and for NaN, is indeterminate.
     Each label is read from _LABELS at the count of thresholds the value
     passes: not <= 1/4 (NaN passes) and > 1/(2 sqrt 2) (NaN does not).
+
+    What the labels certify, for every two-qubit state:
+
+    - Sigma > 1/4 implies the state is entangled. A product state has
+      K = u v^T with Bloch vectors |u|, |v| <= 1, so Sigma = |u||v|/4 <= 1/4;
+      Sigma, the mean of |a^T K b|, is convex in K and K is linear in rho,
+      so every separable state has Sigma <= 1/4.
+    - Sigma > 1/(2 sqrt 2) implies a CHSH violation, M > 1, with M the sum
+      of K's two largest squared singular values (Horodecki, Horodecki and
+      Horodecki, Phys. Lett. A 200 (1995) 340). By Jensen Sigma <=
+      sqrt(|K|_F^2 / 3) / 2, and gamma_sv^2 <= beta^2 <= M/2 gives
+      |K|_F^2 <= 3M/2, so Sigma <= sqrt(M/2) / 2, which passes 1/(2 sqrt 2)
+      only when M > 1.
+
+    Neither converse holds: amplitude damping leaves entangled states
+    below 1/4, and a CHSH-violating state can have Sigma under 1/(2 sqrt 2).
     """
     values = np.asarray(values, dtype=float)[()]
     rank = np.add(~(values <= CLASSICAL_MAX), values > NONCLASSICAL_MIN, dtype=np.intp)

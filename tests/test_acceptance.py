@@ -55,14 +55,14 @@ def figure2():
 
 def test_criterion_1_landmark_values():
     for c, expected in ((INV_SQRT2, 0.5), (1.0, 0.25)):
-        value, _ = sigma_for_state(make_pure_state(c), "exact")
+        value, _ = sigma_for_state(make_pure_state(c))
         assert abs(value - expected) <= 1e-9
     _report(1, "Sigma(c=1/sqrt2)=1/2 and Sigma(c=1)=1/4 by the exact R_G estimator")
 
 
 def test_criterion_2_maximizer_location():
     grid = np.linspace(0.0, 1.0, 2001)
-    values, _ = sigma_for_state([make_pure_state(c) for c in grid], "exact")
+    values, _ = sigma_for_state([make_pure_state(c) for c in grid])
     best = grid[int(np.argmax(values))]
     step = grid[1] - grid[0]
     assert abs(best - INV_SQRT2) <= step + 1e-12
@@ -243,7 +243,7 @@ def test_criterion_8_property_suite():
 
 def test_criterion_9_determinism(tmp_path):
     first, second = tmp_path / "one.csv", tmp_path / "two.csv"
-    assert run(["sweep", "--figure", "2", "--seed", "7", "--out", str(first)]) == 0
-    assert run(["sweep", "--figure", "2", "--seed", "7", "--out", str(second)]) == 0
+    assert run(["sweep", "--figure", "2", "--out", str(first)]) == 0
+    assert run(["sweep", "--figure", "2", "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
-    _report(9, "repeated `sweep --figure 2 --seed 7` runs are byte-identical")
+    _report(9, "repeated `sweep --figure 2` runs are byte-identical")

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avgcorr.sweep
-from avgcorr import NONCLASSICAL_MIN, classify, figure_dataset
+from avgcorr import NONCLASSICAL_MIN, classify, correlation_matrix, figure_dataset, random_density
 from avgcorr import cli, correlation
 from avgcorr.cli import CSV_HEADER, build_parser, format_sig12, run
 from oracles import SingularTriple, sigma_quadrature
@@ -102,24 +102,6 @@ def test_sigma_matches_every_sweep_row(capsys):
             assert capsys.readouterr().out == f"{fields[6]} {fields[7]}\n", (common, row)
 
 
-@pytest.mark.parametrize("samples", [1000, correlation.MC_CHUNK + 1])
-def test_monte_carlo_sigma_matches_every_sweep_row(samples, capsys):
-    # a Monte Carlo sweep averages every row over the directions of its one
-    # seed, so each row's Sigma is bit for bit the one-point value, and
-    # `sigma --p <repr(p)>` prints its cell, at the same samples and seed
-    mc = ["--method", "mc", "--samples", str(samples), "--seed", "8"]
-    common = ["--channel", "amplitude", "--c", "0.6", *mc]
-    assert run(["sweep", *common, "--gammas", "0.7,2", "--steps", "4", "--format", "json"]) == 0
-    rows = [row for block in json.loads(capsys.readouterr().out)["blocks"] for row in block["rows"]]
-    assert len(rows) == 8
-    for row in rows:
-        _, one = avgcorr.sweep.damped_sigma("amplitude_damping", 0.6, row["p"], "monte_carlo",
-                                            samples, 8)
-        assert float(one).hex() == row["sigma"].hex(), row
-        assert run(["sigma", *common, "--p", repr(row["p"])]) == 0
-        assert capsys.readouterr().out == f"{format_sig12(row['sigma'])} {row['classification']}\n"
-
-
 def test_verify_state_and_monte_carlo_keys_never_meet(monkeypatch, capsys):
     # trial i's state draws from spawn key (i, 0); the one Monte Carlo seed
     # has key (trials,), so its chunk j's PCG64 words come from (trials, j)
@@ -138,6 +120,27 @@ def test_verify_state_and_monte_carlo_keys_never_meet(monkeypatch, capsys):
     assert sorted(keys[3:]) == [(3, 0), (3, 1), (3, 2)]
 
 
+@pytest.mark.parametrize("samples", [1000, correlation.MC_CHUNK + 1])
+def test_verify_prints_each_trials_monte_carlo_value_alone(samples, monkeypatch, capsys):
+    # verify averages every trial over the directions of its one Monte
+    # Carlo seed, so each trial's line holds its state's value and standard
+    # error alone, at the same samples and seed
+    states = []
+
+    def recording(rng):
+        states.append(random_density(rng))
+        return states[-1]
+
+    monkeypatch.setattr(cli, "random_density", recording)
+    assert run(["verify", "--samples", str(samples), "--trials", "3", "--seed", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(states) == 3 and len(lines) == 4
+    seed = np.random.SeedSequence(8, spawn_key=(3,))
+    for rho, line in zip(states, lines):
+        value, stderr = correlation.sigma_monte_carlo_batch(correlation_matrix(rho), samples, seed)
+        assert f" mc={format_sig12(float(value))} stderr={float(stderr):.3e} " in line, line
+
+
 def test_sigma_rate_time_pair_matches_direct_p(capsys):
     assert run(["sigma", "--c", "0.6", "--channel", "amplitude",
                 "--gamma", "2.0", "--t", "0.5"]) == 0
@@ -146,15 +149,6 @@ def test_sigma_rate_time_pair_matches_direct_p(capsys):
     assert run(["sigma", "--c", "0.6", "--channel", "amplitude",
                 "--p", str(p)]) == 0
     assert capsys.readouterr().out == via_rate
-
-
-def test_sigma_monte_carlo_deterministic(capsys):
-    argv = ["sigma", "--c", "0.8", "--method", "mc",
-            "--samples", "50000", "--seed", "9"]
-    assert run(argv) == 0
-    first = capsys.readouterr().out
-    assert run(argv) == 0
-    assert capsys.readouterr().out == first
 
 
 @pytest.mark.parametrize(
@@ -255,10 +249,12 @@ def test_sweep_figure1_csv(tmp_path):
 def test_sweep_figure_is_a_channel_preset(figure, channel, fmt):
     # --figure N fixes only the channel; every other shape value is
     # SweepSpec's default, as in a plain --channel sweep
-    preset = outcome(["sweep", "--figure", figure, "--seed", "7", "--format", fmt])
-    plain = outcome(["sweep", "--channel", channel, "--seed", "7", "--format", fmt])
+    preset = outcome(["sweep", "--figure", figure, "--format", fmt])
+    plain = outcome(["sweep", "--channel", channel, "--format", fmt])
     assert preset[0] == 0 and preset[1] != ""
     assert preset == plain
+    # --method selects nothing, so it is no shape flag
+    assert outcome(["sweep", "--figure", figure, "--method", "closed", "--format", fmt]) == plain
 
 
 def test_sweep_custom_flags(tmp_path):
@@ -281,9 +277,8 @@ def test_sweep_json_round_trip(tmp_path):
         text = path.read_text()
         assert "-0.0" not in text, argv
         payload = json.loads(text)
-        for key in ("seed", "method", "estimator", "rel_error_bound", "rng"):
-            assert key in payload["metadata"]
-        assert payload["metadata"]["method"] == "exact"
+        assert list(payload["metadata"]) == ["channel", "c", "gammas", "t_max", "steps",
+                                             "estimator", "rel_error_bound"]
         assert payload["metadata"]["estimator"] == "carlson_rc"
         assert payload["metadata"]["gammas"] == [b["gamma"] for b in payload["blocks"]] == gammas
         rng = np.random.default_rng(77)
@@ -317,7 +312,7 @@ def test_sweep_stdout(capsys):
 def test_sweep_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--channel", "amplitude", "--gammas", "1.0,2.0",
-            "--steps", "11", "--t-max", "4.0", "--seed", "7"]
+            "--steps", "11", "--t-max", "4.0"]
     assert run(argv + ["--out", str(a)]) == 0
     assert run(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -358,7 +353,8 @@ def test_verify_counts_the_exact_error_bound_in_the_gap(monkeypatch, capsys):
     singlet = np.zeros((4, 4))
     singlet[1:3, 1:3] = [[0.5, -0.5], [-0.5, 0.5]]
     mc_seed = np.random.SeedSequence(28, spawn_key=(20,))
-    value, stderr = correlation.sigma_for_state(singlet, "monte_carlo", 2, mc_seed)
+    value, stderr = correlation.sigma_monte_carlo_batch(
+        correlation.correlation_matrix(singlet), 2, mc_seed)
     assert (float(value).hex(), stderr) == ("0x1.fffffffffffffp-2", 0.0)
     monkeypatch.setattr(cli, "random_density", lambda rng: singlet)
     assert run(["verify", "--samples", "2", "--seed", "28"]) == 0
@@ -468,92 +464,53 @@ def test_grid_too_large_to_allocate_exits_1(capsys):
     assert captured.err.count("\n") == 1
 
 
-def decay_curve_errors(monkeypatch) -> list[str]:
-    """Make the CLI's `decay_curve` record the message of each ValueError it
-    raises; returns the list it records to."""
-    raised = []
-
-    def recording(*args, **kwargs):
-        try:
-            return avgcorr.sweep.decay_curve(*args, **kwargs)
-        except ValueError as exc:
-            raised.append(str(exc))
-            raise
-
-    monkeypatch.setattr(cli, "decay_curve", recording)
-    return raised
+# verify is the one command that runs Monte Carlo: the other three take no
+# mc method, sample count or seed
+MONTE_CARLO_FLAGS = {"--method mc": "argument --method: invalid choice: 'mc'",
+                     # the library's name of the method that is gone
+                     "--method monte_carlo": "argument --method: invalid choice: 'monte_carlo'",
+                     "--samples 10": "error: unrecognized arguments: --samples 10",
+                     "--seed 7": "error: unrecognized arguments: --seed 7"}
 
 
-def assert_usage_error(argv, last, capsys, monkeypatch):
-    """`argv` exits 2 with nothing on stdout and `last` as the one error
-    line, at the end of stderr; a sweep's error is raised in decay_curve."""
-    raised = decay_curve_errors(monkeypatch)
-    assert run(argv) == 2
+@pytest.mark.parametrize("flag", sorted(MONTE_CARLO_FLAGS))
+@pytest.mark.parametrize("argv", [
+    ["sigma", "--c", "0.5", "--p", "0.2"],
+    ["classify", "--c", "0.5", "--p", "0.2"],
+    ["sweep", "--channel", "phase", "--steps", "3"],
+], ids=["sigma", "classify", "sweep"])
+def test_monte_carlo_flags_are_usage_errors_outside_verify(argv, flag, capsys):
+    assert run([*argv, *flag.split()]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [captured.err.splitlines()[-1]]
+    assert MONTE_CARLO_FLAGS[flag] in errors[0]
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    # verify checks its own --seed
+    assert run(["verify", "--trials", "1", "--samples", "100", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = "avgcorr: error: --seed must be >= 0, got -1"
     assert [line for line in captured.err.splitlines() if "error:" in line] == [last]
     assert captured.err.splitlines()[-1] == last
-    assert raised == ([last.removeprefix("avgcorr: error: ")] if argv[0] == "sweep" else [])
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sigma", "--c", "0.5", "--p", "0.2"],
-        ["classify", "--c", "0.5", "--p", "0.2"],
-        ["sweep", "--channel", "phase", "--steps", "3"],
-    ],
-)
-@pytest.mark.parametrize("samples", ["0", "-5"])
-def test_monte_carlo_samples_below_one_is_a_usage_error(argv, samples, capsys, monkeypatch):
-    # the Monte Carlo batch checks the count, for a sweep inside decay_curve
-    assert_usage_error([*argv, "--method", "mc", "--samples", samples],
-                       f"avgcorr: error: the sample count must be >= 1, got {samples}",
-                       capsys, monkeypatch)
-    # the other estimators do not use --samples and still ignore it
-    assert run([*argv, "--method", "quadrature", "--samples", samples]) == 0
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sigma", "--c", "0.5", "--p", "0.2", "--method", "mc"],
-        ["sweep", "--channel", "phase", "--steps", "3", "--method", "mc"],
-        ["verify", "--trials", "1"],
-    ],
-)
-def test_negative_seed_is_a_usage_error(argv, capsys, monkeypatch):
-    # the Monte Carlo batch checks the seed; verify checks its own --seed
-    flag = "--seed" if argv[0] == "verify" else "seed"
-    assert_usage_error([*argv, "--samples", "100", "--seed", "-1"],
-                       f"avgcorr: error: {flag} must be >= 0, got -1", capsys, monkeypatch)
-
-
-def test_exact_methods_ignore_a_negative_seed(capsys):
-    for argv in (["sigma", "--c", "0.5", "--p", "0.2"],
-                 ["sweep", "--channel", "phase", "--steps", "3"]):
-        assert run([*argv, "--method", "closed", "--seed", "-1"]) == 0, argv
-        captured = capsys.readouterr()
-        assert run([*argv, "--method", "closed"]) == 0, argv
-        assert capsys.readouterr() == captured, argv
 
 
 # The argv fuzz builds a well-formed call of each subcommand and then
 # replaces or inserts up to two odd tokens, so a third of the cases reach
 # the numerics whole and the rest probe one or two bad inputs at a time.
-# Every call that can compute more than one state names --samples (at most
-# 10^4) and a sweep also --steps (at most 50), so 300 cases take seconds.
+# A sweep names --steps (at most 50), so 300 cases take seconds.
 ODD_TOKENS = ("0", "1", "-0.0", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324",
               "-1", "", "x", "-", "--", ",", "1,2", "0x10", "1e", "--c", "--bogus", "-h")
 odd = st.sampled_from(ODD_TOKENS) | st.floats().map(repr)
 unit = st.floats(0.0, 1.0).map(repr)
 rate = st.floats(0.0, 10.0).map(repr)
-samples = st.integers(1, 10**4).map(str)
 OPTIONAL_FLAGS = {
     "--channel": st.sampled_from(("phase", "amplitude")),
-    "--method": st.sampled_from(("closed", "quadrature", "mc")),
-    "--seed": st.integers(0, 2**70).map(str),
+    "--method": st.sampled_from(("closed", "quadrature")),
 }
 SWEEP_FLAGS = {
     "--c": unit, "--t-max": rate, "--format": st.sampled_from(("csv", "json")),
@@ -566,10 +523,9 @@ def fuzz_argv(draw):
     command = draw(st.sampled_from(("sigma", "classify", "sweep")))
     if command == "sweep" and draw(st.booleans()):
         core = [("--figure", draw(st.sampled_from(("1", "2"))))]
-        extra = {"--seed": OPTIONAL_FLAGS["--seed"], "--format": SWEEP_FLAGS["--format"]}
+        extra = {"--method": OPTIONAL_FLAGS["--method"], "--format": SWEEP_FLAGS["--format"]}
     elif command == "sweep":
         core = [("--channel", draw(OPTIONAL_FLAGS["--channel"])),
-                ("--samples", draw(samples)),
                 ("--steps", draw(st.integers(2, 50).map(str)))]
         extra = {**OPTIONAL_FLAGS, **SWEEP_FLAGS}
         del extra["--channel"]
@@ -577,7 +533,7 @@ def fuzz_argv(draw):
         core, extra = [("--value", draw(unit))], {}
     else:
         damping = draw(st.sampled_from(((), ("--p",), ("--gamma", "--t"))))
-        core = [("--c", draw(unit)), ("--samples", draw(samples))]
+        core = [("--c", draw(unit))]
         core += [(flag, draw(unit if flag == "--p" else rate)) for flag in damping]
         extra = OPTIONAL_FLAGS
     names = draw(st.lists(st.sampled_from(sorted(extra)), unique=True)) if extra else []
@@ -715,7 +671,7 @@ EDGE_ARGV = [
     ["sigma", "--c", "0.5", "--c", "0.6"], ["sigma", "--ch", "amplitude", "--c", "0.6"],
     ["sigma", "--s", "5", "--c", "0.6"], ["classify", "--va", "0.3"],
     ["sweep", "--figure", "1", "--format", "json", "--out"],
-    ["sweep", "--figure", "2", "--seed", "7", "--format", "json"],
+    ["sweep", "--figure", "2", "--method", "closed", "--format", "json"],
     ["verify", "--samples", "1000", "--trials", "2", "--seed", "3"],
     ["classify", "--value", "0.3", "--value", "0.2"],
     ["sigma", "--c", "0.5", "--gamma", "-1e5", "--t", "1"],

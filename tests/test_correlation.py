@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import avgcorr.correlation as correlation
 from avgcorr import (
     CLASSICAL_COMPATIBLE,
+    CLASSICAL_MAX,
     INDETERMINATE,
     NONCLASSICAL,
     NONCLASSICAL_MIN,
@@ -216,41 +217,18 @@ def test_permutation_invariance():
 
 
 def test_sigma_for_state_landmarks():
-    assert abs(sigma_for_state(make_pure_state(INV_SQRT2), "exact")[0] - 0.5) < 1e-9
-    assert abs(sigma_for_state(make_pure_state(1.0), "exact")[0] - 0.25) < 1e-9
-    mc, stderr = sigma_for_state(make_pure_state(1.0), "monte_carlo", n_samples=10**5, seed=3)
+    assert abs(sigma_for_state(make_pure_state(INV_SQRT2))[0] - 0.5) < 1e-9
+    assert abs(sigma_for_state(make_pure_state(1.0))[0] - 0.25) < 1e-9
+    mc, stderr = sigma_monte_carlo_batch(correlation_matrix(make_pure_state(1.0)), 10**5, 3)
     assert abs(mc - 0.25) <= 4 * stderr
-
-
-# the methods are "exact" and "monte_carlo"; "quadrature" is only a CLI spelling
-@pytest.mark.parametrize("method", ["bogus", "closed_form", "quadrature"])
-def test_sigma_for_state_rejects_an_unknown_method(method):
-    with pytest.raises(ValueError, match=f"^unknown method '{method}'$"):
-        sigma_for_state(make_pure_state(0.5), method)
-
-
-def test_sigma_for_state_monte_carlo_runs_no_svd(monkeypatch):
-    # Monte Carlo reads K itself: the request is `sigma_monte_carlo_batch`
-    # on K, bit for bit, and never reaches the singular values
-    rho = random_density(np.random.default_rng(361))
-    want = sigma_monte_carlo_batch(correlation_matrix(rho), 5000, 29)
-
-    def forbidden(k):
-        raise AssertionError("a Monte Carlo request ran an SVD")
-
-    monkeypatch.setattr(correlation, "_singular_values", forbidden)
-    got = sigma_for_state(rho, "monte_carlo", 5000, 29)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_sigma_for_state_exact_methods_agree():
     # amplitude damping at p = 0.2 leaves distinct smaller singular values and
-    # the undamped c = 0.4 state a degenerate pair; the default request is the
-    # "exact" one, which runs R_G on either
+    # the undamped c = 0.4 state a degenerate pair; R_G runs on either
     for rho in (apply_both(make_pure_state(INV_SQRT2), amplitude_damping(0.2)),
                 make_pure_state(0.4)):
-        value, bound = sigma_for_state(rho, "exact")
-        assert (value, bound) == sigma_for_state(rho)
+        value, bound = sigma_for_state(rho)
         assert bound == RG_REL_ERROR_BOUND * value
 
 
@@ -267,18 +245,65 @@ def _non_hermitian():
     (np.diag([np.nan, 1.0, 0.0, 0.0]), "non-finite entries: 1"),
 ])
 def test_sigma_for_state_rejects_a_non_density_matrix(rho, failure):
-    for method in ("exact", "monte_carlo"):
-        with pytest.raises(ValueError, match="^not a density matrix: ") as info:
-            sigma_for_state(rho, method, n_samples=10)
-        assert failure in str(info.value)
-        assert "\n" not in str(info.value)
+    with pytest.raises(ValueError, match="^not a density matrix: ") as info:
+        sigma_for_state(rho)
+    assert failure in str(info.value)
+    assert "\n" not in str(info.value)
+
+
+def bloch_states(u):
+    """The qubit states of the Bloch vectors u (shape (..., 3))."""
+    return (IDENTITY_2 + np.einsum("...i,ijk->...jk", u, PAULIS)) / 2
+
+
+def test_separable_states_stay_at_or_below_one_quarter():
+    # a product state has K = u v^T with |u|, |v| <= 1, so Sigma = |u||v|/4;
+    # Sigma, the mean of |a^T K b|, is convex in K and K linear in rho, so
+    # every mixture of product states stays at or below 1/4
+    rng = np.random.default_rng(340)
+    n, parts = 4000, 4
+    u, v = rng.standard_normal((2, n, parts, 3))
+    a, b = (bloch_states(x / np.linalg.norm(x, axis=-1, keepdims=True)) for x in (u, v))
+    products = np.einsum("...ij,...kl->...ikjl", a, b).reshape(n, parts, 4, 4)
+    count = rng.integers(1, parts + 1, n)  # product pure states in each mixture
+    weights = rng.dirichlet(np.ones(parts), n) * (np.arange(parts) < count[:, None])
+    rhos = np.einsum("np,npij->nij", weights / weights.sum(1, keepdims=True), products)
+    values, bounds = sigma_for_state(rhos)
+    assert (values <= CLASSICAL_MAX + bounds).all()
+    pure = count == 1  # |u| = |v| = 1: the bound is reached
+    assert pure.any() and (np.abs(values[pure] - CLASSICAL_MAX) <= bounds[pure]).all()
+
+
+def test_sigma_above_the_nonclassical_bound_implies_a_chsh_violation():
+    # a state violates CHSH iff M > 1, M the sum of K's two largest squared
+    # singular values (Horodecki); Sigma <= sqrt(|K|_F^2 / 3) / 2 by Jensen
+    # and |K|_F^2 <= 3M/2, so Sigma > 1/(2 sqrt 2) needs M > 1. On the grid
+    # of Bell-diagonal states, K = -diag(triple), every sorted triple with
+    # alpha + beta - gamma_sv <= 1 (the state's positivity) in steps of 1/40
+    grid = np.arange(41) / 40
+    alpha, beta, gamma_sv = np.meshgrid(grid, grid, grid, indexing="ij")
+    keep = (alpha >= beta) & (beta >= gamma_sv) & (alpha + beta - gamma_sv <= 1.0)
+    triples = np.stack((alpha[keep], beta[keep], gamma_sv[keep]), axis=-1)
+    products = np.array([tensor2(p, p) for p in PAULIS])
+    bell = (tensor2(IDENTITY_2, IDENTITY_2) - np.einsum("ni,ikl->nkl", triples, products)) / 4
+    rng = np.random.default_rng(200)
+    rhos = np.concatenate((bell, [random_density(rng) for _ in range(3000)]))
+    values, _ = sigma_for_state(rhos)
+    sv = np.linalg.svd(correlation_matrix(rhos), compute_uv=False)
+    above = values > NONCLASSICAL_MIN
+    assert above[:len(bell)].any() and above[len(bell):].any()
+    assert (sv[above, 0] ** 2 + sv[above, 1] ** 2 > 1.0).all()
+    # the isotropic triple 1/sqrt(2), where M = 1, reaches the bound
+    isotropic = (tensor2(IDENTITY_2, IDENTITY_2) - INV_SQRT2 * products.sum(0)) / 4
+    value, bound = sigma_for_state(isotropic)
+    assert abs(value - NONCLASSICAL_MIN) <= bound
 
 
 def test_sigma_for_state_amplitude_damped_crosses_threshold():
     rho = apply_both(make_pure_state(INV_SQRT2), amplitude_damping(0.5))
-    quad, _ = sigma_for_state(rho, "exact")
+    quad, _ = sigma_for_state(rho)
     assert quad < 0.25
-    mc, stderr = sigma_for_state(rho, "monte_carlo", n_samples=10**6, seed=17)
+    mc, stderr = sigma_monte_carlo_batch(correlation_matrix(rho), 10**6, 17)
     assert abs(quad - mc) <= 4 * stderr
     assert mc < 0.25
 
@@ -288,8 +313,8 @@ def test_schmidt_sign_invariance():
     for c in (0.3, INV_SQRT2, 0.95):
         amp = np.array([0.0, c, +np.sqrt(1 - c * c), 0.0], dtype=complex)
         flipped = np.outer(amp, amp.conj())
-        ref = sigma_for_state(make_pure_state(c), "exact")[0]
-        assert abs(sigma_for_state(flipped, "exact")[0] - ref) < 1e-12
+        ref = sigma_for_state(make_pure_state(c))[0]
+        assert abs(sigma_for_state(flipped)[0] - ref) < 1e-12
 
 
 def test_quadrature_matches_monte_carlo_on_random_states():
@@ -317,7 +342,7 @@ def test_classify_boundaries():
 
 
 def test_classify_accepts_estimates():
-    value, _ = sigma_for_state(make_pure_state(INV_SQRT2), "exact")
+    value, _ = sigma_for_state(make_pure_state(INV_SQRT2))
     assert classify(value) == NONCLASSICAL
 
 
@@ -556,7 +581,7 @@ def test_rg_of_a_0d_nan_triple_raises(triple):
 
 
 def test_sigma_for_state_exact_methods_are_one_estimator():
-    # Bell-diagonal states with K = -diag(triple / 2): the exact method runs
+    # Bell-diagonal states with K = -diag(triple / 2): sigma_for_state runs
     # R_G on K's singular values, with a relative bound in the normal range
     # and the floor below it (Sigma = 0 here, subnormal Sigma in the next test)
     products = [tensor2(p, p) for p in PAULIS]
@@ -565,7 +590,7 @@ def test_sigma_for_state_exact_methods_are_one_estimator():
                - np.einsum("i,ikl->kl", triple, products)) / 4
         want = float(sigma_rg_batch(*_singular_values(correlation_matrix(rho))))
         bound = RG_REL_ERROR_BOUND * want if want >= 2.0**-1022 else RG_ABS_ERROR_FLOOR
-        assert sigma_for_state(rho, "exact") == (want, bound), triple
+        assert sigma_for_state(rho) == (want, bound), triple
 
 
 def test_sigma_for_state_error_bound_covers_subnormal_values():
@@ -620,7 +645,7 @@ def test_sigma_for_state_of_a_nearly_uncorrelated_state_is_exact(rho_03, rho_12)
     k = correlation_matrix(rho)  # diag(2(rho_03 + rho_12), 2(rho_12 - rho_03), 0)
     assert np.count_nonzero(k - np.diag(np.diag(k))) == 0
     triple = sorted(np.abs(np.diag(k)), reverse=True)
-    assert sigma_for_state(rho, "exact")[0] == float(sigma_rg_batch(*triple))
+    assert sigma_for_state(rho)[0] == float(sigma_rg_batch(*triple))
 
 
 def state_stack(shape, seed):
@@ -638,22 +663,28 @@ def test_correlation_matrix_of_a_stack_is_each_state_alone_bit_for_bit(n):
     assert correlation_matrix(rhos.reshape(-1, 1, 4, 4)).tobytes() == alone.tobytes()
 
 
-@pytest.mark.parametrize("method", ["exact", "monte_carlo"])
+# the two estimators `verify` runs on a stack of states, by the names of its
+# output: R_G through sigma_for_state, and Monte Carlo on the states' K
+ESTIMATORS = {
+    "exact": sigma_for_state,
+    "monte_carlo": lambda rhos: sigma_monte_carlo_batch(correlation_matrix(rhos), 3000, 72),
+}
+
+
+@pytest.mark.parametrize("method", sorted(ESTIMATORS))
 @pytest.mark.parametrize("shape", [(), (5,), (2, 3), (0,)], ids=["one", "5", "2x3", "empty"])
 def test_sigma_for_state_of_a_stack_is_each_state_alone_bit_for_bit(shape, method):
+    estimate = ESTIMATORS[method]
     rhos = state_stack(shape, 71)
-    values, bounds = sigma_for_state(rhos, method, 3000, 72)
+    values, bounds = estimate(rhos)
     assert type(values) is type(bounds) is np.ndarray
     assert values.shape == bounds.shape == shape
-    alone = [sigma_for_state(rho, method, 3000, 72) for rho in rhos.reshape(-1, 4, 4)]
+    alone = [estimate(rho) for rho in rhos.reshape(-1, 4, 4)]
     assert values.ravel().tobytes() == np.array([v for v, _ in alone], float).tobytes()
     assert bounds.ravel().tobytes() == np.array([b for _, b in alone], float).tobytes()
-    if method == "monte_carlo":
-        want = sigma_monte_carlo_batch(correlation_matrix(rhos), 3000, 72)
-        assert np.array((values, bounds)).tobytes() == np.array(want).tobytes()
 
 
-@pytest.mark.parametrize("method", ["exact", "monte_carlo"])
+@pytest.mark.parametrize("method", sorted(ESTIMATORS))
 @pytest.mark.parametrize("shape, at", [((5,), (3,)), ((2, 3), (1, 0)), ((2, 3), (0, 2)),
                                        ((3,), (1,))])
 def test_sigma_for_state_names_the_first_bad_state_of_a_stack(shape, at, method):
@@ -662,7 +693,7 @@ def test_sigma_for_state_names_the_first_bad_state_of_a_stack(shape, at, method)
     rhos[(-1,) * len(shape)] = np.diag([0.5, 0.5, 0.5, -0.5])  # the last, bad too, goes unnamed
     message = re.escape(f"not a density matrix at index {list(at)}: trace deviation 1.000e+00")
     with pytest.raises(ValueError, match="^" + message + "$") as info:
-        sigma_for_state(rhos, method, n_samples=10)
+        ESTIMATORS[method](rhos)
     assert info.traceback[-1].name == "correlation_matrix"  # the check's one owner raised it
     with pytest.raises(ValueError, match="^" + message + "$"):
         correlation_matrix(rhos)

@@ -39,7 +39,7 @@ def exact_sigma(kind, c, p):
 
 def assert_within_bound(kind, c, p):
     mpmath = pytest.importorskip("mpmath")
-    _, value = damped_sigma(kind, c, p, "exact")
+    _, value = damped_sigma(kind, c, p)
     exact, _ = exact_sigma(kind, c, p)
     assert np.isfinite(value), (kind, c, p)
     with mpmath.workdps(40):
@@ -117,7 +117,7 @@ def test_closed_form_matches_rg_on_a_grid(kind):
     # they differ by at most twice that
     cs = np.concatenate((np.linspace(0.0, 1.0, 296), [5e-324, 1e-300, 1.0 - 2.0**-50, 0.99999999]))
     ps = np.concatenate((np.linspace(0.0, 1.0, 299), [0.5, 1.0 / 3.0, 2.0 / 3.0, 0.5 + 2.0**-53]))
-    sv, closed = damped_sigma(kind, cs[:, None], ps, "exact")
+    sv, closed = damped_sigma(kind, cs[:, None], ps)
     assert closed.shape == (300, 303)
     rg = sigma_rg_batch(sv[..., 0], sv[..., 1], sv[..., 2])
     bound = np.maximum(RG_REL_ERROR_BOUND * rg, RG_ABS_ERROR_FLOOR)
@@ -143,9 +143,9 @@ def test_closed_form_landmarks():
        t_max=st.floats(0.01, 20.0),
        steps=st.integers(2, 60))
 def test_every_sweep_row_is_the_one_point_value_bit_for_bit(kind, c, gammas, t_max, steps):
-    curve = decay_curve(SweepSpec(kind, c, tuple(gammas), t_max, steps, "exact"))
+    curve = decay_curve(SweepSpec(kind, c, tuple(gammas), t_max, steps))
     for index, p in np.ndenumerate(curve.p):
-        _, one = damped_sigma(kind, c, p, "exact")
+        _, one = damped_sigma(kind, c, p)
         assert np.asarray(one).tobytes() == curve.sigma[index].tobytes(), (index, p)
 
 

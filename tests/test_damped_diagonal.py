@@ -1,8 +1,9 @@
-"""`damped_sigma` writes the damped correlation matrix K = diag(-s, -s, kappa)
-in closed form (for Monte Carlo, the one estimator that reads it) and its
-descending singular triple with no SVD, no sort and no runtime cross-check. The Pauli-transfer product R T R^T of
-`tests/transfer.py` is the oracle it is held to here, and Monte Carlo on that
-K the oracle of the closed-form Sigma the exact method runs."""
+"""`damped_sigma` writes the descending singular triple of the damped
+correlation matrix K = diag(-s, -s, kappa) in closed form, with no K, no
+SVD, no sort and no runtime cross-check. Here K is written from the same
+s and kappa: the Pauli-transfer product R T R^T of `tests/transfer.py` is
+the oracle it is held to, its SVD the oracle of the triple, and Monte Carlo
+on it the oracle of the closed-form Sigma."""
 
 import re
 import sys
@@ -10,7 +11,6 @@ import sys
 import numpy as np
 import pytest
 
-import avgcorr.sweep
 from avgcorr import (
     AMPLITUDE_DAMPING,
     PHASE_DAMPING,
@@ -19,7 +19,6 @@ from avgcorr import (
     figure_dataset,
     make_pure_state,
     p_of_t,
-    sigma_for_state,
 )
 from avgcorr.cli import run
 from avgcorr.correlation import sigma_monte_carlo_batch
@@ -35,29 +34,20 @@ PS = np.concatenate((
 ))
 
 
-def damped_k(kind, c, p, monkeypatch):
-    """The K that `damped_sigma` hands to the Monte Carlo batch runner, the
-    one estimator that reads it, with its sv."""
-    seen = []
-
-    def record(k, n_samples, seeds):
-        seen.append(k)
-        return np.zeros(k.shape[:-2]), np.zeros(k.shape[:-2])
-
-    with monkeypatch.context() as patch:
-        patch.setattr(avgcorr.sweep, "sigma_monte_carlo_batch", record)
-        sv, _ = damped_sigma(kind, c, p, "monte_carlo")
-    return seen[0], sv
+def damped_k(kind, c, p):
+    """K = diag(-s, -s, kappa) of the damped pure state, from s and kappa
+    written as `damped_sigma` writes them."""
+    c, p = np.asarray(c, dtype=float), np.asarray(p, dtype=float)
+    s = 2.0 * c * np.sqrt((1.0 - c) * (1.0 + c)) * (1.0 - p)
+    k = np.zeros(np.shape(s) + (3, 3))
+    k[..., 0, 0] = k[..., 1, 1] = -s
+    k[..., 2, 2] = 2.0 * p - 1.0 if kind == AMPLITUDE_DAMPING else -1.0
+    return k
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
-def test_exact_method_gets_no_k_and_the_same_triple(kind, monkeypatch):
-    # the exact method runs the closed form on s and kappa: it calls no
-    # Monte Carlo runner and allocates no (..., 3, 3) K, and its triple is
-    # Monte Carlo's bit for bit
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the exact method called sigma_monte_carlo_batch")
-
+def test_damped_sigma_builds_no_k(kind, monkeypatch):
+    # the closed form runs on s and kappa and allocates no (..., 3, 3) K
     built = []
     zeros = np.zeros
 
@@ -66,46 +56,42 @@ def test_exact_method_gets_no_k_and_the_same_triple(kind, monkeypatch):
             built.append(shape)
         return zeros(shape, *args, **kwargs)
 
+    monkeypatch.setattr(np, "zeros", record_zeros)
     for c in CS:
-        with monkeypatch.context() as patch:
-            patch.setattr(np, "zeros", record_zeros)
-            patch.setattr(avgcorr.sweep, "sigma_monte_carlo_batch", forbidden)
-            sv, _ = damped_sigma(kind, c, PS, "exact")
-            assert built == [], c
-            k, want = damped_k(kind, c, PS, monkeypatch)
-            assert built == [k.shape], c  # the spy sees Monte Carlo's K
-            built.clear()
-        assert sv.tobytes() == want.tobytes(), c
+        damped_sigma(kind, c, PS)
+        assert built == [], c
+    damped_k(kind, 0.6, PS)
+    assert built == [(len(PS), 3, 3)]  # the spy sees a K
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
-def test_closed_form_agrees_with_monte_carlo_on_the_damped_k(kind, monkeypatch):
-    # the K that damped_sigma builds for Monte Carlo, averaged by the
-    # library's conditional estimate and by the double-sphere average, the
-    # damped family's independent oracle, each within 4 standard errors
+def test_closed_form_agrees_with_monte_carlo_on_the_damped_k(kind):
+    # the damped K, averaged by the library's conditional estimate and by
+    # the double-sphere average, the damped family's independent oracle,
+    # each within 4 standard errors
     for i, (c, p) in enumerate([(0.6, 0.0), (1 / np.sqrt(2), 0.3), (0.3, 0.5),
                                 (0.95, 2.0 / 3.0), (0.8, 0.9), (0.0, 0.4)]):
-        k, _ = damped_k(kind, c, p, monkeypatch)
-        _, exact = damped_sigma(kind, c, p, "exact")
+        k = damped_k(kind, c, p)
+        _, exact = damped_sigma(kind, c, p)
         for value, stderr in (sigma_monte_carlo_batch(k, 200_000, 9100 + i),
                               sigma_double_sphere(k, 200_000, 9200 + i)):
             assert abs(value - exact) <= 4.0 * stderr, (c, p)
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
-def test_transfer_oracle_matches_the_closed_form(kind, monkeypatch):
+def test_transfer_oracle_matches_the_closed_form(kind):
     r = pauli_transfer(kind, PS)
     for c in CS:
         want = (r @ t_matrix(make_pure_state(c)) @ np.swapaxes(r, -1, -2))[..., 1:, 1:]
-        k, _ = damped_k(kind, c, PS, monkeypatch)
+        k = damped_k(kind, c, PS)
         assert np.max(np.abs(k - want)) <= 1e-15, c
-        assert (k * want >= 0.0).all(), c  # Monte Carlo sees the product's signs
+        assert (k * want >= 0.0).all(), c  # and the product's signs
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
-def test_sorted_diagonal_is_the_svd_bit_for_bit(kind, monkeypatch):
+def test_sorted_diagonal_is_the_svd_bit_for_bit(kind):
     for c in CS:
-        k, sv = damped_k(kind, c, PS, monkeypatch)
+        k, (sv, _) = damped_k(kind, c, PS), damped_sigma(kind, c, PS)
         assert not k[..., ~np.eye(3, dtype=bool)].any()  # exactly diagonal
         # LAPACK rescales a matrix whose entries all lie below about 1e-138
         # by a factor that is not a power of two, and so moves its singular
@@ -187,19 +173,6 @@ def test_damped_sigma_rejects_an_unknown_kind(entry, kind):
     assert info.traceback[-1].name == "_check_kind"  # the rule's one owner raised it
 
 
-# the methods are "exact" and "monte_carlo"; "closed", "quadrature" and "mc" are
-# only CLI spellings
-@pytest.mark.parametrize("entry, method", entry_points(
-    ["bogus", "closed", "mc", "closed_form", "quadrature"], ("SweepSpec", "sigma_for_state")))
-def test_damped_sigma_rejects_an_unknown_method(entry, method):
-    call = {"damped_sigma": lambda: damped_sigma(PHASE_DAMPING, 0.6, [0.0, 0.5], method),
-            "SweepSpec": lambda: SweepSpec(PHASE_DAMPING, method=method),
-            "sigma_for_state": lambda: sigma_for_state(make_pure_state(0.6), method)}[entry]
-    with pytest.raises(RuleError, match=f"^unknown method '{method}'$") as info:
-        call()
-    assert info.traceback[-1].name == "check_method"  # the rule's one owner raised it
-
-
 # damped_sigma takes p, not rates: a sweep's rates are p_of_t's, and SweepSpec
 # rejects a negative or infinite one as p_of_t does
 @pytest.mark.parametrize("entry", ["p_of_t", "SweepSpec"])
@@ -213,22 +186,32 @@ def test_sweep_spec_rejects_a_negative_rate_as_p_of_t_does(entry, bad):
     assert raised_by(info) == ["_check_rates", "check_range"]  # the rule's one owner
 
 
+# the closed form's (sv, Sigma), and Monte Carlo's (Sigma, standard error)
+# on the damped K, with the trailing shape of each
+DAMPED_ESTIMATORS = {
+    "exact": (damped_sigma, ((3,), ())),
+    "monte_carlo": (lambda kind, c, p: sigma_monte_carlo_batch(damped_k(kind, c, p), 100, 5),
+                    ((), ())),
+}
+
+
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
-@pytest.mark.parametrize("method", ["exact", "monte_carlo"])
+@pytest.mark.parametrize("method", sorted(DAMPED_ESTIMATORS))
 def test_damped_sigma_of_no_points_is_empty(kind, method):
-    sv, sigma = damped_sigma(kind, 0.6, [], method)
-    assert sv.shape == (0, 3) and sigma.shape == (0,)
+    estimate, tails = DAMPED_ESTIMATORS[method]
+    assert [x.shape for x in estimate(kind, 0.6, [])] == [(0, *tail) for tail in tails]
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])
-@pytest.mark.parametrize("method", ["exact", "monte_carlo"])
+@pytest.mark.parametrize("method", sorted(DAMPED_ESTIMATORS))
 def test_damped_sigma_of_one_point_has_0d_shapes(kind, method):
+    estimate, tails = DAMPED_ESTIMATORS[method]
     for c, p in [(0.6, 0.3), (np.float64(0.6), np.asarray(0.3)), (np.asarray(0.6), 1.0)]:
-        sv, sigma = damped_sigma(kind, c, p, method, n_samples=100, seed=5)
-        assert sv.shape == (3,) and np.shape(sigma) == (), (c, p)
-        want_sv, want_sigma = damped_sigma(kind, [c], [p], method, n_samples=100, seed=5)
-        assert sv.tobytes() == want_sv.tobytes()
-        assert np.asarray(sigma).tobytes() == want_sigma.tobytes()
+        got = estimate(kind, c, p)
+        assert [np.shape(x) for x in got] == list(tails), (c, p)
+        want = estimate(kind, [c], [p])
+        for x, entry in zip(got, want):
+            assert np.asarray(x).tobytes() == entry.tobytes(), (c, p)
 
 
 @pytest.mark.parametrize("kind", [PHASE_DAMPING, AMPLITUDE_DAMPING])

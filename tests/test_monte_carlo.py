@@ -25,8 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avgcorr.correlation as correlation
-from avgcorr import (PHASE_DAMPING, correlation_matrix, damped_sigma, random_density,
-                     sigma_for_state)
+from avgcorr import correlation_matrix, random_density, sigma_for_state
 from avgcorr.cli import run
 from avgcorr.correlation import (MC_BLOCK, MC_CHUNK, _singular_values, sigma_monte_carlo_batch,
                                  sigma_rg_batch)
@@ -271,6 +270,45 @@ def test_monte_carlo_takes_numpy_integer_sample_counts():
         sigma_monte_carlo_batch(k, 100, 4))
 
 
+# integer scalar forms of the sample count and the seed
+INT_FORMS = {
+    "int": int,
+    "np.int64": np.int64,
+    "0-d array": np.asarray,
+    "array entry": lambda x: np.array([x], dtype=np.int32)[0],
+}
+
+
+@pytest.mark.parametrize("knob, good, bad, message", [
+    ("n_samples", 100, 0, "the sample count must be >= 1, got 0"),
+    ("seed", 4, -1, "seed must be >= 0, got -1"),
+], ids=["n_samples", "seed"])
+@pytest.mark.parametrize("form", INT_FORMS)
+def test_monte_carlo_takes_its_integers_in_every_scalar_form(form, knob, good, bad, message):
+    # each form gives its int twin's bytes and its int twin's error message
+    k, to = MATRICES["random"], INT_FORMS[form]
+    args = {"n_samples": 100, "seed": 4}
+    want = as_pair(sigma_monte_carlo_batch(k, **args))
+    assert as_pair(sigma_monte_carlo_batch(k, **{**args, knob: to(good)})) == want
+    with pytest.raises(RuleError, match=f"^{message}$"):
+        sigma_monte_carlo_batch(k, **{**args, knob: to(bad)})
+
+
+@pytest.mark.parametrize("spawned", [False, True], ids=["root", "spawned"])
+def test_seed_sequence_is_read_by_the_fields_that_rebuild_it(spawned):
+    # a SeedSequence's entropy, spawn key and pool size are all the batch
+    # reads: one that has spawned children gives the bytes of its fresh
+    # rebuild, on every chunk
+    seq = np.random.SeedSequence(3)
+    if spawned:
+        seq = seq.spawn(2)[1]
+    seq.spawn(5)
+    fields = dict(entropy=seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size)
+    k = MATRICES["random"]
+    assert as_pair(sigma_monte_carlo_batch(k, 2 * MC_CHUNK + 1, seq)) == as_pair(
+        sigma_monte_carlo_batch(k, 2 * MC_CHUNK + 1, np.random.SeedSequence(**fields)))
+
+
 def batch_inputs(n_matrices=6):
     return RNG.standard_normal((n_matrices, 3, 3)).reshape(2, -1, 3, 3), np.random.SeedSequence(11)
 
@@ -402,9 +440,6 @@ def test_batch_names_a_seed_count_mismatch():
             sigma_monte_carlo_batch(ks, 10, seed)
         # the rule's one owner, for the batch
         assert raised_by(info) == ["sigma_monte_carlo_batch", "_seed_sequence", "check_count"]
-    # damped_sigma's default seed, like sigma_for_state's, is 42
-    point = damped_sigma(PHASE_DAMPING, 0.6, 0.3, "monte_carlo", 100)[1]
-    assert point == damped_sigma(PHASE_DAMPING, 0.6, 0.3, "monte_carlo", 100, 42)[1]
 
 
 def test_empty_batch_draws_nothing(monkeypatch):
@@ -418,10 +453,12 @@ def test_empty_batch_draws_nothing(monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--samples", str(MC_CHUNK + 1), "--trials", "3"],
-    ["sweep", "--channel", "phase", "--method", "mc", "--samples", str(MC_CHUNK + 1),
-     "--steps", "3"],
-    # a worker's ValueError breaks no input rule, so it is no usage error
-    ["sigma", "--c", "0.5", "--p", "0.2", "--method", "mc", "--samples", str(MC_CHUNK + 1)],
+    # the default sample count, eight chunks for a batch of one
+    ["verify", "--trials", "1"],
+    # three chunks of nine matrices each
+    ["verify", "--samples", str(2 * MC_CHUNK + 1), "--trials", "9"],
+    # one chunk, so no thread pool
+    ["verify", "--samples", "1000", "--trials", "3"],
 ])
 def test_worker_error_is_one_error_line(argv, monkeypatch, capsys):
     def failing(kt, shift, n, seq):

@@ -12,7 +12,6 @@ from avgcorr import AMPLITUDE_DAMPING, PHASE_DAMPING, damped_sigma
 from avgcorr.correlation import (
     CLASSICAL_COMPATIBLE,
     INDETERMINATE,
-    MC_SAMPLES,
     NONCLASSICAL,
     NONCLASSICAL_MIN,
     classify,
@@ -62,16 +61,14 @@ def test_p_of_t_gives_a_float_with_its_grid_bits(form):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("method, samples", [("exact", MC_SAMPLES), ("monte_carlo", 100)])
 @pytest.mark.parametrize("form", FORMS)
-def test_damped_sigma_gives_its_grid_bits_and_types(kind, method, samples, form):
+def test_damped_sigma_gives_its_grid_bits_and_types(kind, form):
     to = FORMS[form]
-    grid_sv, grid_sigma = damped_sigma(kind, np.array(CS)[:, None], PS, method, samples)
-    sigma_type = np.float64 if method == "exact" else np.ndarray
+    grid_sv, grid_sigma = damped_sigma(kind, np.array(CS)[:, None], PS)
     for (i, c), (j, p) in itertools.product(enumerate(CS), enumerate(PS)):
-        sv, sigma = damped_sigma(kind, to(c), to(p), method, samples)
+        sv, sigma = damped_sigma(kind, to(c), to(p))
         assert type(sv) is np.ndarray and sv.shape == (3,)
-        assert type(sigma) is sigma_type and np.shape(sigma) == ()
+        assert type(sigma) is np.float64 and np.shape(sigma) == ()
         assert sv.tobytes() == grid_sv[i, j].tobytes(), (c, p)
         assert bits(sigma) == bits(grid_sigma[i, j]), (c, p)
 

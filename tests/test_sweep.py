@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -10,13 +8,14 @@ from avgcorr import (
     SweepSpec,
     classify,
     correlation_matrix,
+    damped_sigma,
     decay_curve,
     figure_dataset,
     make_pure_state,
     p_of_t,
     sigma_for_state,
 )
-from avgcorr.cli import render_json, write_output
+from avgcorr.cli import write_output
 from avgcorr.correlation import RG_REL_ERROR_BOUND, sigma_monte_carlo_batch
 from avgcorr.states import RuleError
 from kraus import apply_both, make_channel
@@ -47,12 +46,6 @@ def figure2():
         dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(-1.0,), t_max=1.0, steps=5),
         dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=0.0, steps=5),
         dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=1),
-        dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=5,
-             method="bogus"),
-        dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=5,
-             method="closed_form"),
-        dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=5,
-             method="quadrature"),
         dict(channel_kind=PHASE_DAMPING, c=0.5, gammas=(1.0,), t_max=1.0, steps=3.5),
     ],
 )
@@ -73,6 +66,37 @@ def test_sweep_spec_names_a_bad_step_count(steps, message):
     assert str(info.value) == message
     # the rule's one owner called the count checker
     assert [entry.name for entry in info.traceback[-2:]] == ["__post_init__", "check_count"]
+
+
+# The damping API and sigma_for_state run one exact method: a method,
+# sample count or seed, by keyword or in the place it once had, is a
+# TypeError, never a silent default
+SMALL = SweepSpec(PHASE_DAMPING, steps=3)
+REMOVED_PARAMETERS = {
+    "damped_sigma-method": lambda: damped_sigma(PHASE_DAMPING, 0.6, 0.3, method="exact"),
+    "damped_sigma-n_samples": lambda: damped_sigma(PHASE_DAMPING, 0.6, 0.3, n_samples=100),
+    "damped_sigma-seed": lambda: damped_sigma(PHASE_DAMPING, 0.6, 0.3, seed=42),
+    "damped_sigma-positional": lambda: damped_sigma(PHASE_DAMPING, 0.6, 0.3, "exact"),
+    "sigma_for_state-method": lambda: sigma_for_state(make_pure_state(0.6), method="exact"),
+    "sigma_for_state-n_samples": lambda: sigma_for_state(make_pure_state(0.6), n_samples=100),
+    "sigma_for_state-seed": lambda: sigma_for_state(make_pure_state(0.6), seed=42),
+    "sigma_for_state-positional": lambda: sigma_for_state(make_pure_state(0.6), "exact"),
+    "decay_curve-n_samples": lambda: decay_curve(SMALL, n_samples=100),
+    "decay_curve-seed": lambda: decay_curve(SMALL, seed=42),
+    "decay_curve-positional": lambda: decay_curve(SMALL, 100),
+    "figure_dataset-seed": lambda: figure_dataset(1, seed=42),
+    "figure_dataset-positional": lambda: figure_dataset(1, 42),
+    "SweepSpec-method": lambda: SweepSpec(PHASE_DAMPING, method="exact"),
+    "SweepSpec-positional": lambda: SweepSpec(PHASE_DAMPING, 0.5, (1.0,), 1.0, 5, "exact"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOVED_PARAMETERS))
+def test_the_exact_api_takes_no_method_samples_or_seed(case):
+    name = case.split("-")[1]
+    message = "positional argument" if name == "positional" else f"keyword argument '{name}'"
+    with pytest.raises(TypeError, match=message):
+        REMOVED_PARAMETERS[case]()
 
 
 def test_numpy_typed_spec_writes_the_json_of_its_plain_twin(capsys):
@@ -183,51 +207,6 @@ def test_figure_rows_recomputable_by_monte_carlo(figure2):
         assert abs(row.sigma - mc) <= 4 * stderr
 
 
-def test_monte_carlo_sweep_method():
-    spec = SweepSpec(AMPLITUDE_DAMPING, INV_SQRT2, (1.0,), t_max=2.0, steps=4,
-                     method="monte_carlo")
-    curve = decay_curve(spec, n_samples=10**5, seed=5)
-    reference = decay_curve(SweepSpec(AMPLITUDE_DAMPING, INV_SQRT2, (1.0,),
-                                      t_max=2.0, steps=4))
-    for mc_row, q_row in zip(blocks(curve)[0].rows, blocks(reference)[0].rows):
-        assert abs(mc_row.sigma - q_row.sigma) < 6e-3  # ~4 standard errors at 1e5
-    again = decay_curve(spec, n_samples=10**5, seed=5)
-    assert [r.sigma for r in blocks(again)[0].rows] == [
-        r.sigma for r in blocks(curve)[0].rows
-    ]
-    assert curve.metadata["estimator"] == "monte_carlo"
-    assert curve.metadata["rel_error_bound"] is None
-    assert curve.metadata["samples"] == 10**5
-
-
-@pytest.mark.parametrize("curve", [
-    lambda n: decay_curve(SweepSpec(PHASE_DAMPING, steps=2), seed=n(7)),
-    lambda n: decay_curve(SweepSpec(PHASE_DAMPING, steps=2, method="monte_carlo"),
-                          n_samples=n(100)),
-    lambda n: figure_dataset(1, seed=n(7)),
-], ids=["seed", "samples", "figure-seed"])
-def test_numpy_integer_seed_and_samples_write_the_json_of_their_python_twins(curve):
-    typed, plain = (curve(n) for n in (np.int64, int))
-    assert [type(typed.metadata[key]) for key in ("seed", "samples")] == [
-        type(plain.metadata[key]) for key in ("seed", "samples")]
-    assert render_json(typed) == render_json(plain)
-
-
-@pytest.mark.parametrize("seed, record", [
-    (np.random.SeedSequence(3), {"entropy": 3, "spawn_key": [], "pool_size": 4}),
-    (np.random.SeedSequence(3).spawn(2)[1], {"entropy": 3, "spawn_key": [1], "pool_size": 4}),
-], ids=["root", "spawned"])
-def test_seed_sequence_is_written_as_the_fields_the_batch_reads(seed, record):
-    spec = SweepSpec(PHASE_DAMPING, steps=3, method="monte_carlo")
-    curve = decay_curve(spec, n_samples=10, seed=seed)
-    assert curve.metadata["seed"] == record
-    assert json.loads(render_json(curve))["metadata"]["seed"] == record
-    # the record is enough to draw the same directions again
-    again = decay_curve(spec, n_samples=10, seed=np.random.SeedSequence(**record))
-    assert np.array_equal(again.sigma, curve.sigma)
-    assert render_json(again) == render_json(curve)
-
-
 @pytest.mark.xfail(strict=True, reason="ROADMAP open item 2: a late phase-damped Sigma "
                    "rounds to 0.25 while its exact value lies above 1/4")
 def test_no_phase_damped_row_with_beta_above_zero_is_classical():
@@ -240,21 +219,18 @@ def test_no_phase_damped_row_with_beta_above_zero_is_classical():
 
 def test_metadata_records_reproducibility_inputs(figure1):
     md = figure1.metadata
-    assert md["method"] == "exact"
-    assert md["seed"] == 42
-    assert md["samples"] is None
+    assert list(md) == ["channel", "c", "gammas", "t_max", "steps", "estimator",
+                        "rel_error_bound"]
     assert md["estimator"] == "carlson_rc"
     assert md["rel_error_bound"] == RG_REL_ERROR_BOUND
-    assert "PCG64" in md["rng"]
     assert md["gammas"] == [0.5, 1.0, 2.0]
 
 
 @pytest.mark.parametrize("figure, kind", [(1, PHASE_DAMPING), (2, AMPLITUDE_DAMPING)])
 def test_figure_dataset_is_the_default_spec(figure, kind):
     spec = SweepSpec(kind)
-    assert (spec.c, spec.gammas, spec.t_max, spec.steps, spec.method) == (
-        INV_SQRT2, (0.5, 1.0, 2.0), 8.0, 201, "exact")
-    canned, plain = figure_dataset(figure, seed=5), decay_curve(spec, seed=5)
+    assert (spec.c, spec.gammas, spec.t_max, spec.steps) == (INV_SQRT2, (0.5, 1.0, 2.0), 8.0, 201)
+    canned, plain = figure_dataset(figure), decay_curve(spec)
     assert canned.metadata == plain.metadata
     for name in ("gammas", "t", "p", "sv", "sigma", "labels"):
         np.testing.assert_array_equal(getattr(canned, name), getattr(plain, name))
@@ -281,24 +257,22 @@ def test_sweep_spec_rejects_non_finite(kwargs):
         SweepSpec(**{**spec, **kwargs})
 
 
-def per_point_rows(spec, n_samples, seed):
+def per_point_rows(spec):
     """The sweep rows computed point by point through the Kraus form:
-    apply_both -> correlation_matrix -> singular_values, and the estimator
-    on that one state by `sigma_for_state`, Monte Carlo with the sweep's
-    own seed at every point."""
+    apply_both -> correlation_matrix -> singular_values, and R_G on that one
+    state by `sigma_for_state`."""
     rho0 = make_pure_state(spec.c)
     for gamma in spec.gammas:
         for t in np.linspace(0.0, spec.t_max, spec.steps):
             p = p_of_t(gamma, t)
             rho = apply_both(rho0, make_channel(spec.channel_kind, p))
             s = singular_values(correlation_matrix(rho))
-            value, _ = sigma_for_state(rho, spec.method, n_samples, seed)
+            value, _ = sigma_for_state(rho)
             yield gamma, (t, p, s.alpha, s.beta, s.gamma_sv, float(value)), classify(value)
 
 
 def test_batched_sweep_matches_per_point_kraus_pipeline():
     rng = np.random.default_rng(20240316)
-    methods = ("exact", "monte_carlo")
     for i in range(24):
         gammas = tuple(float(g) for g in rng.uniform(0.0, 3.0, rng.integers(1, 4)))
         if i % 4 == 0:
@@ -309,12 +283,10 @@ def test_batched_sweep_matches_per_point_kraus_pipeline():
             gammas=gammas,
             t_max=float(rng.uniform(0.1, 10.0)),
             steps=int(rng.integers(2, 13)),
-            method=methods[(i // 2) % 2],
         )
-        seed = int(rng.integers(0, 2**31))
-        curve = decay_curve(spec, n_samples=10**4, seed=seed)
+        curve = decay_curve(spec)
         got = [(block.gamma, row) for block in blocks(curve) for row in block.rows]
-        want = list(per_point_rows(spec, 10**4, seed))
+        want = list(per_point_rows(spec))
         assert len(got) == len(want)
         for (gamma, row), (ref_gamma, numbers, label) in zip(got, want):
             assert gamma == ref_gamma
@@ -323,3 +295,44 @@ def test_batched_sweep_matches_per_point_kraus_pipeline():
             sigma = numbers[-1]
             near = min(abs(sigma - 0.25), abs(sigma - NONCLASSICAL_MIN)) <= 1e-12
             assert row.classification == label or near, (spec, row)
+
+
+def labeled_points(source):
+    """(kind, c, p, sv, labels) of every point of a figure's sweep or of a
+    21 x 21 grid of (c, p) in [0, 1]^2, c and p at each point's shape."""
+    if source.startswith("figure"):
+        curve = figure_dataset(int(source[-1]))
+        kind, c = curve.metadata["channel"], curve.metadata["c"]
+        return kind, np.full(curve.p.shape, c), curve.p, curve.sv, curve.labels
+    kind = {"phase_grid": PHASE_DAMPING, "amplitude_grid": AMPLITUDE_DAMPING}[source]
+    c, p = np.meshgrid(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 21), indexing="ij")
+    sv, sigma = damped_sigma(kind, c, p)
+    return kind, c, p, sv, classify(sigma)
+
+
+CERTIFIED_SOURCES = ["figure1", "figure2", "phase_grid", "amplitude_grid"]
+
+
+@pytest.mark.parametrize("source", CERTIFIED_SOURCES)
+def test_labels_above_one_quarter_certify_entanglement(source):
+    # every separable state has Sigma <= 1/4, so a label above it names an
+    # entangled state: its partial transpose, from the Kraus pipeline, has
+    # a negative eigenvalue (Peres)
+    kind, c, p, _, labels = labeled_points(source)
+    above = labels != "classical_compatible"
+    assert above.any()
+    for ci, pi in zip(c[above], p[above]):
+        rho = apply_both(make_pure_state(ci), make_channel(kind, pi))
+        partial = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        assert np.linalg.eigvalsh(partial)[0] < 0.0, (ci, pi)
+
+
+@pytest.mark.parametrize("source", CERTIFIED_SOURCES)
+def test_nonclassical_labels_certify_a_chsh_violation(source):
+    # Sigma > 1/(2 sqrt 2) needs M > 1, M the sum of K's two largest squared
+    # singular values: the state violates CHSH (Horodecki)
+    _, _, _, sv, labels = labeled_points(source)
+    nonclassical = labels == "nonclassical"
+    assert nonclassical.any()
+    assert (sv[nonclassical, 0] ** 2 + sv[nonclassical, 1] ** 2 > 1.0).all()
+
