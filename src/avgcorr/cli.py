@@ -9,31 +9,22 @@ Subcommands:
 Exit codes: 0 success, 1 I/O or numeric failure (a grid too large to
 allocate included), 2 usage error.
 
-The handlers only map flags to library calls. `sigma`, `classify` and
-`sweep` run the exact closed form, `damped_sigma`; their `--method closed`
-and `--method quadrature` are accepted and select nothing. The library owns
-the model's rules, each checked by one function that every entry point
-calls: c in `states`, the channel kind and the rates in `sweep`, where
-`p_of_t` also checks t and `damped_sigma` p. `SweepSpec` checks a sweep
-with them and supplies the figures' shape for every flag left out. The
-`RuleError` they raise becomes a usage error, worded alike from `sigma`
-and `sweep`; any other error, a Monte Carlo worker's ValueError included,
-is a failure. The handlers check only what the flags alone decide: which
-flags go together, `verify`'s `--trials`, `--samples` and `--seed`
-(defaults 20, MC_SAMPLES and MC_SEED), and that `classify --value` is
-finite.
-
-`verify` is the one command that runs the Monte Carlo oracle. It draws
-trial i's state from spawn key (i, 0) of `--seed` and its Monte Carlo
-directions from key (trials,), so the two never share a stream. It takes
-the exact R_G of the stack of trial states from `sigma_for_state` and
-their Monte Carlo estimates from one `sigma_monte_carlo_batch` call on
-their K, all on the same directions, so the estimates' errors are
-correlated while each stays unbiased with its own standard error. A trial
-passes when the gap between the two is at most 4 standard errors plus the
-exact value's error bound. The summary line keeps its old words, "all
+The handlers only map flags to one library call each and format its
+result. `sigma`, `classify` and `sweep` run the exact closed form,
+`damped_sigma`; their `--method closed` and `--method quadrature` are
+accepted and select nothing. `verify`, the one command that runs the Monte
+Carlo oracle, is `correlation.verify_trials`, which owns its seeding, its
+pass rule and its defaults; the summary line keeps its old words, "all
 within 4 standard errors", for a run in which every trial passes by that
-rule.
+rule. The library owns the model's rules, each checked by one function
+that every entry point calls: c in `states`, the channel kind and the
+rates in `sweep`, where `p_of_t` also checks t and `damped_sigma` p,
+`SweepSpec` a sweep, and `verify_trials` its trial count, sample count and
+seed. `run()` alone turns the `RuleError` they raise into a usage error,
+worded alike from every command; any other error, a Monte Carlo worker's
+ValueError included, is a failure. The handlers check only what the flags
+alone decide: which flags go together, and that `classify --value` is
+finite.
 
 `run()` builds its argument parser on its first call and reuses it for
 every later call in the process, since building the argparse tree costs
@@ -68,9 +59,8 @@ import sys
 
 import numpy as np
 
-from .correlation import (MC_SAMPLES, MC_SEED, classify, correlation_matrix, sigma_for_state,
-                          sigma_monte_carlo_batch)
-from .states import RuleError, random_density
+from .correlation import MC_SAMPLES, MC_SEED, VERIFY_TRIALS, classify, verify_trials
+from .states import RuleError
 from .sweep import (AMPLITUDE_DAMPING, FIGURE_KINDS, PHASE_DAMPING, DecayCurve, SweepSpec,
                     damped_sigma, decay_curve, p_of_t)
 
@@ -350,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--samples", type=int, default=MC_SAMPLES)
     p_verify.add_argument("--seed", type=int, default=MC_SEED)
-    p_verify.add_argument("--trials", type=int, default=20)
+    p_verify.add_argument("--trials", type=int, default=VERIFY_TRIALS)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
@@ -380,11 +370,7 @@ def _resolve_p(args, parser) -> float:
 
 def cmd_sigma(args, parser) -> int:
     """Damp the state the flags describe, estimate Sigma, print it and its label."""
-    try:
-        _, sigma = damped_sigma(CHANNEL_KIND_BY_FLAG[args.channel], args.c,
-                                _resolve_p(args, parser))
-    except RuleError as exc:
-        parser.error(str(exc))
+    _, sigma = damped_sigma(CHANNEL_KIND_BY_FLAG[args.channel], args.c, _resolve_p(args, parser))
     value = float(sigma)
     _emit(f"{format_sig12(value)} {classify(value)}\n", args.out)
     return 0
@@ -420,47 +406,21 @@ def cmd_sweep(args, parser) -> int:
             given["gammas"] = tuple(float(tok) for tok in args.gammas.split(",") if tok.strip())
         except ValueError:
             parser.error(f"could not parse --gammas {args.gammas!r}")
-    try:
-        curve = decay_curve(SweepSpec(kind, **given))
-    except RuleError as exc:
-        parser.error(str(exc))
-    write_output(curve, fmt=args.format, path=args.out)
+    write_output(decay_curve(SweepSpec(kind, **given)), fmt=args.format, path=args.out)
     return 0
 
 
 def cmd_verify(args, parser) -> int:
-    if args.trials < 1:
-        parser.error(f"--trials must be >= 1, got {args.trials}")
-    if args.samples < 2:
-        parser.error(f"--samples must be >= 2, got {args.samples}")
-    if args.seed < 0:
-        parser.error(f"--seed must be >= 0, got {args.seed}")
-    # trial i's state draws from spawn key (i, 0); the run's one Monte Carlo
-    # seed has key (trials,), so its chunk keys (trials, j) meet no state's
-    rhos = np.array([random_density(np.random.default_rng(
-        np.random.SeedSequence(args.seed, spawn_key=(i, 0)))) for i in range(args.trials)])
-    # the exact R_G, printed as quadrature=, then every trial's Monte Carlo
-    # estimate from one call, on the same directions
-    quads, bounds = sigma_for_state(rhos)
-    mc_seed = np.random.SeedSequence(args.seed, spawn_key=(args.trials,))
-    mcs, stderrs = sigma_monte_carlo_batch(correlation_matrix(rhos), args.samples, mc_seed)
-    lines = []
-    all_ok = True
-    for trial, (quad, bound, mc, stderr) in enumerate(zip(
-            quads.tolist(), bounds.tolist(), mcs.tolist(), stderrs.tolist())):
-        gap = abs(quad - mc)
-        ok = gap <= 4.0 * stderr + bound
-        all_ok &= ok
-        lines.append(
-            f"trial {trial:2d}: quadrature={format_sig12(quad)} "
-            f"mc={format_sig12(mc)} stderr={stderr:.3e} "
-            f"gap/stderr={gap / stderr if stderr else 0.0:5.2f} "
-            f"{'ok' if ok else 'FAIL'}"
-        )
-    lines.append(
-        f"{args.trials} trials at {args.samples} samples: "
-        f"{'all within 4 standard errors' if all_ok else 'DISAGREEMENT FOUND'}"
-    )
+    """One line per trial of `verify_trials` and a summary; exit 1 if any fails."""
+    exact, _, mcs, stderrs, passed = verify_trials(args.trials, args.samples, args.seed)
+    trials = zip(exact.tolist(), mcs.tolist(), stderrs.tolist(), passed.tolist())
+    # the exact R_G is printed as quadrature=
+    lines = [f"trial {trial:2d}: quadrature={format_sig12(value)} mc={format_sig12(mc)} "
+             f"stderr={stderr:.3e} gap/stderr={abs(value - mc) / stderr if stderr else 0.0:5.2f} "
+             f"{'ok' if ok else 'FAIL'}" for trial, (value, mc, stderr, ok) in enumerate(trials)]
+    all_ok = bool(passed.all())
+    lines.append(f"{args.trials} trials at {args.samples} samples: "
+                 f"{'all within 4 standard errors' if all_ok else 'DISAGREEMENT FOUND'}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if all_ok else 1
 
@@ -471,7 +431,8 @@ _parser: argparse.ArgumentParser | None = None
 
 def run(argv: list[str] | None = None) -> int:
     """Run the command `argv` names (default `sys.argv[1:]`); returns its
-    exit code."""
+    exit code. A `RuleError` from the library is a usage error, exit 2 with
+    one last `error:` line; another error a handler lets out is exit 1."""
     global _parser
     if _parser is None:
         _parser = build_parser()
@@ -488,7 +449,10 @@ def run(argv: list[str] | None = None) -> int:
             if extras:  # as parser.parse_args words it
                 parser.error("unrecognized arguments: " + " ".join(extras))
             args.command = argv[0]
-        return args.func(args, parser)
+        try:
+            return args.func(args, parser)
+        except RuleError as exc:  # a library rule the flags' values break
+            parser.error(str(exc))
     except SystemExit as exc:
         return int(exc.code or 0)
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:

@@ -35,7 +35,10 @@ have correlated errors, while each stays unbiased with its own standard
 error and is the same bytes as the matrix alone. The tests hold the shared
 step E_b |v . b| = |v|/2 by itself and keep the double-sphere average as
 an oracle that shares nothing with R_G.
-`sigma_for_state` runs R_G on one state or a stack.
+`sigma_for_state` runs R_G on one state or a stack. `verify_trials` is the
+`verify` command's check, rules and defaults included: R_G against the
+Monte Carlo oracle on seeded random states, a trial passing when the gap is
+at most 4 standard errors plus R_G's error bound.
 
 The damped pure states have K = diag(-s, -s, kappa), two of whose singular
 values are equal, and there R_G reduces to the elementary R_C:
@@ -50,7 +53,7 @@ import os
 
 import numpy as np
 
-from .states import IDENTITY_2, PAULIS, RuleError, _first_failure, check_count
+from .states import PAULIS, RuleError, _first_failure, check_count, random_density
 
 # Sigma <= 1/4 is attainable by classical correlations; Sigma > 1/(2 sqrt 2)
 # only by nonclassical states. The lower boundary is closed, the upper open.
@@ -84,9 +87,10 @@ RG_SPREAD = 1.5e-3
 # b = 1e-150 takes 14 steps; a loop that reaches the cap has met a NaN.
 RG_MAX_STEPS = 40
 
-# The sample count and seed of a `verify` run that names none. The Monte
-# Carlo draws are PCG64's raw 64-bit words, a stream stable across numpy
-# versions, so a seed pins results exactly.
+# The trial count, sample count and seed of a `verify` run that names none.
+# The Monte Carlo draws are PCG64's raw 64-bit words, a stream stable across
+# numpy versions, so a seed pins results exactly.
+VERIFY_TRIALS = 20
 MC_SAMPLES = 1_000_000
 MC_SEED = 42
 # Candidate points per Monte Carlo draw, at most, about 12900 samples: a
@@ -112,12 +116,11 @@ MC_TILE = 4
 # which can cost the singular values an ulp.
 SVD_RESCALE_BELOW = 2.0**-459
 
-# _PAULI_PRODUCTS[mu, nu] = sigma_mu (x) sigma_nu with sigma_0 = I, the
-# outer product's entry (mu, a, b, nu, c, d) at the Kronecker product's
-# (2a + c, 2b + d)
-_SIGMAS = np.array((IDENTITY_2, *PAULIS))
+# _PAULI_PRODUCTS[i, j] = sigma_i+1 (x) sigma_j+1, the outer product's entry
+# (i, a, b, j, c, d) at the Kronecker product's (2a + c, 2b + d)
+_SIGMAS = np.array(PAULIS)
 _PAULI_PRODUCTS = (np.multiply.outer(_SIGMAS, _SIGMAS)
-                   .transpose(0, 3, 1, 4, 2, 5).reshape(4, 4, 4, 4))
+                   .transpose(0, 3, 1, 4, 2, 5).reshape(3, 3, 4, 4))
 
 
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
@@ -131,8 +134,8 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
         index, report = failure
         at = f" at index {index}" if index else ""
         raise RuleError(f"not a density matrix{at}: {'; '.join(report.failures)}")
-    t = np.einsum("...ab,mnba->...mn", rho, _PAULI_PRODUCTS)
-    return np.ascontiguousarray(t[..., 1:, 1:].real)  # real to rounding once checked
+    k = np.einsum("...ab,ijba->...ij", rho, _PAULI_PRODUCTS)
+    return np.ascontiguousarray(k.real)  # real to rounding once checked
 
 
 def sigma_rg_batch(alpha, beta, gamma_sv) -> np.ndarray:
@@ -410,6 +413,32 @@ def sigma_for_state(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k = correlation_matrix(rho)
     values = sigma_rg_batch(*np.moveaxis(_singular_values(k), -1, 0))
     return values, np.asarray(np.maximum(RG_REL_ERROR_BOUND * values, RG_ABS_ERROR_FLOOR))
+
+
+def verify_trials(trials: int, samples: int, seed: int) -> tuple[np.ndarray, ...]:
+    """`verify`'s check of R_G against the Monte Carlo oracle on `trials`
+    random states: (exact values, their error bounds, Monte Carlo values,
+    standard errors, passed), each of shape (trials,).
+
+    Trial i's state is `random_density` on the stream of spawn key (i, 0)
+    of `seed`, and the Monte Carlo directions come from key (trials,), so
+    no two streams meet (a chunk j draws from (trials, j)). The exact values
+    are `sigma_for_state` of the stack of states, and the Monte Carlo
+    estimates one `sigma_monte_carlo_batch` call on their K, all on the same
+    directions. A trial passes when the gap between the two is at most 4
+    standard errors plus the exact value's error bound. A trial count below
+    1, a sample count below 2 or a seed below 0 raises RuleError before any
+    state is drawn.
+    """
+    trials = check_count(trials, "the trial count", 1)
+    samples = check_count(samples, "the sample count", 2)
+    seed = check_count(seed, "seed", 0)
+    rhos = np.array([random_density(np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(i, 0)))) for i in range(trials)])
+    exact, bounds = sigma_for_state(rhos)
+    mc, stderrs = sigma_monte_carlo_batch(correlation_matrix(rhos), samples,
+                                          np.random.SeedSequence(seed, spawn_key=(trials,)))
+    return exact, bounds, mc, stderrs, np.abs(exact - mc) <= 4.0 * stderrs + bounds
 
 
 def classify(values) -> np.ndarray:

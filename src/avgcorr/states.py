@@ -1,4 +1,4 @@
-"""Two-qubit density matrices, Pauli operators, and tensor products.
+"""Two-qubit density matrices and Pauli operators.
 
 The product basis is ordered |00>, |01>, |10>, |11> with qubit A as the
 left tensor factor. Every function here is pure; matrices are treated as
@@ -8,9 +8,9 @@ The package's range and count rules are written once, here:
 `check_range` for values that must lie in [0, top] (c and p in [0, 1];
 rates and times finite and >= 0, with the largest double as top) and
 `check_count` for integers with a least value (a sweep's steps, the Monte
-Carlo sample count and an integer seed). Each rule's owner calls one of
-them with its own message. Every input rule of the package, these and the
-rest, raises `RuleError`, a ValueError.
+Carlo sample count, an integer seed and `verify`'s trial count). Each
+rule's owner calls one of them with its own message. Every input rule of
+the package, these and the rest, raises `RuleError`, a ValueError.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ SIGMA_2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_3 = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_1, SIGMA_2, SIGMA_3)
 IDENTITY_2 = np.eye(2, dtype=complex)
-
-
-def tensor2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product A (x) B with A acting on the left (qubit A) slot."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 class RuleError(ValueError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from avgcorr import AMPLITUDE_DAMPING, PHASE_DAMPING
-from avgcorr.states import tensor2
+from transfer import tensor2
 
 COMPLETENESS_TOL = 1e-12
 

@@ -13,7 +13,7 @@ from avgcorr import (
     random_density,
     validate_density,
 )
-from avgcorr.states import RuleError
+from avgcorr.states import IDENTITY_2, SIGMA_1, SIGMA_2, SIGMA_3, RuleError
 from avgcorr.sweep import CHANNEL_KINDS, PHASE_DAMPING
 from kraus import (
     amplitude_damping,
@@ -23,7 +23,7 @@ from kraus import (
     make_channel,
     phase_damping,
 )
-from transfer import pauli_transfer, t_matrix
+from transfer import pauli_transfer, t_matrix, tensor2
 
 prob = st.floats(min_value=0.0, max_value=1.0)
 
@@ -235,3 +235,58 @@ def test_the_channels_live_in_sweep_under_the_same_public_names():
         "sigma_for_state", "validate_density",
     ]
     assert all(hasattr(avgcorr, name) for name in avgcorr.__all__)
+
+
+# tensor2, the Kronecker product the Kraus and transfer oracles build on
+def kron_by_loops(a, b):
+    """Independent elementwise Kronecker product used as oracle."""
+    out = np.zeros((4, 4), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                for l in range(2):
+                    out[2 * i + k, 2 * j + l] = a[i, j] * b[k, l]
+    return out
+
+
+def test_tensor2_identity():
+    assert np.array_equal(tensor2(IDENTITY_2, IDENTITY_2), np.eye(4))
+
+
+def test_tensor2_sigma3_pair():
+    assert np.allclose(tensor2(SIGMA_3, SIGMA_3), np.diag([1, -1, -1, 1]))
+
+
+def test_tensor2_sigma1_sigma2():
+    got = tensor2(SIGMA_1, SIGMA_2)
+    assert np.max(np.abs(got - kron_by_loops(SIGMA_1, SIGMA_2))) == 0.0
+    antidiag = [got[i, 3 - i] for i in range(4)]
+    assert np.allclose(antidiag, [-1j, 1j, -1j, 1j])
+    assert np.count_nonzero(got) == 4
+
+
+def test_tensor2_matches_loop_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        assert np.max(np.abs(tensor2(a, b) - kron_by_loops(a, b))) < 1e-12
+
+
+def test_tensor2_mixed_product():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        a, b, c, d = (
+            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            for _ in range(4)
+        )
+        lhs = tensor2(a, b) @ tensor2(c, d)
+        rhs = tensor2(a @ c, b @ d)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_tensor2_bilinear():
+    rng = np.random.default_rng(13)
+    a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
+    assert np.allclose(tensor2(a + b, c), tensor2(a, c) + tensor2(b, c))
+    assert np.allclose(tensor2(2.5 * a, c), 2.5 * tensor2(a, c))

@@ -18,18 +18,32 @@ import avgcorr.sweep
 from avgcorr import NONCLASSICAL_MIN, classify, correlation_matrix, figure_dataset, random_density
 from avgcorr import cli, correlation
 from avgcorr.cli import CSV_HEADER, build_parser, format_sig12, run
+from avgcorr.states import RuleError
 from oracles import SingularTriple, sigma_quadrature
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
 
+CLI_TREE = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+CLI_IMPORTS = [alias.name for node in ast.walk(CLI_TREE)
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
 def test_cli_imports_no_private_name():
     # the CLI maps flags to the library's public calls; it reaches past no `_` name
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) for alias in node.names
-               if alias.name.startswith("_")]
-    assert private == []
+    assert [name for name in CLI_IMPORTS if name.startswith("_")] == []
+
+
+def test_cli_leaves_verify_and_rule_errors_to_their_owners():
+    # verify's states, R_G and Monte Carlo calls live in
+    # correlation.verify_trials, and run() alone turns a RuleError into a
+    # usage error
+    moved = {"random_density", "correlation_matrix", "sigma_for_state", "sigma_monte_carlo_batch"}
+    assert moved.isdisjoint(CLI_IMPORTS)
+    catchers = [function.name for function in ast.walk(CLI_TREE)
+                if isinstance(function, ast.FunctionDef) for handler in ast.walk(function)
+                if isinstance(handler, ast.ExceptHandler) and "RuleError" in ast.dump(handler.type)]
+    assert catchers == ["run"]
 
 
 def test_format_sig12():
@@ -131,7 +145,7 @@ def test_verify_prints_each_trials_monte_carlo_value_alone(samples, monkeypatch,
         states.append(random_density(rng))
         return states[-1]
 
-    monkeypatch.setattr(cli, "random_density", recording)
+    monkeypatch.setattr(correlation, "random_density", recording)
     assert run(["verify", "--samples", str(samples), "--trials", "3", "--seed", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(states) == 3 and len(lines) == 4
@@ -191,12 +205,12 @@ def test_usage_errors_exit_2(argv, capsys):
         (["sweep", "--channel", "amplitude", "--gammas", "1,-0.25"], "-0.25"),
         (["sweep", "--channel", "phase", "--t-max", "-3.5"], "-3.5"),
         (["sweep", "--channel", "phase", "--steps", "-7"], "-7"),
-        (["verify", "--samples", "1"], "--samples must be >= 2, got 1"),
+        (["verify", "--samples", "1"], "the sample count must be >= 2, got 1"),
     ],
 )
 def test_range_errors_name_the_bad_value(argv, bad, capsys):
-    # the library checks these ranges, and the CLI reports its ValueError as
-    # a usage error; verify's --samples is the CLI's own check
+    # the library checks these ranges, verify's sample count among them, and
+    # run() reports its RuleError as a usage error
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -356,7 +370,7 @@ def test_verify_counts_the_exact_error_bound_in_the_gap(monkeypatch, capsys):
     value, stderr = correlation.sigma_monte_carlo_batch(
         correlation.correlation_matrix(singlet), 2, mc_seed)
     assert (float(value).hex(), stderr) == ("0x1.fffffffffffffp-2", 0.0)
-    monkeypatch.setattr(cli, "random_density", lambda rng: singlet)
+    monkeypatch.setattr(correlation, "random_density", lambda rng: singlet)
     assert run(["verify", "--samples", "2", "--seed", "28"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 21
@@ -490,13 +504,20 @@ def test_monte_carlo_flags_are_usage_errors_outside_verify(argv, flag, capsys):
 
 
 def test_negative_seed_is_a_usage_error(capsys):
-    # verify checks its own --seed
+    # verify_trials checks the seed, in _seed_sequence's words
     assert run(["verify", "--trials", "1", "--samples", "100", "--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    last = "avgcorr: error: --seed must be >= 0, got -1"
+    last = "avgcorr: error: seed must be >= 0, got -1"
     assert [line for line in captured.err.splitlines() if "error:" in line] == [last]
     assert captured.err.splitlines()[-1] == last
+
+
+def test_zero_trials_is_a_usage_error(capsys):
+    # the usage and one error line, the library's text
+    assert run(["verify", "--trials", "0"]) == 2
+    assert capsys.readouterr() == (
+        "", build_parser().format_usage() + "avgcorr: error: the trial count must be >= 1, got 0\n")
 
 
 # The argv fuzz builds a well-formed call of each subcommand and then
@@ -645,7 +666,10 @@ def full_parse_outcome(argv, parser=None):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             args = parser.parse_args(argv)
-            rc = args.func(args, parser)
+            try:
+                rc = args.func(args, parser)
+            except RuleError as exc:  # as run() reports a library rule
+                parser.error(str(exc))
         except SystemExit as exc:
             rc = int(exc.code or 0)
         except (OSError, ValueError, RuntimeError, MemoryError) as exc:

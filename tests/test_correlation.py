@@ -26,7 +26,7 @@ from avgcorr.correlation import (
     sigma_monte_carlo_batch,
     sigma_rg_batch,
 )
-from avgcorr.states import IDENTITY_2, PAULIS, tensor2
+from avgcorr.states import IDENTITY_2, PAULIS
 from kraus import amplitude_damping, apply_both, phase_damping
 from oracles import (
     SingularTriple,
@@ -36,7 +36,7 @@ from oracles import (
     sigma_quadrature_batch,
     singular_values,
 )
-from transfer import t_matrix
+from transfer import t_matrix, tensor2
 
 INV_SQRT2 = 1 / np.sqrt(2)
 
@@ -68,8 +68,9 @@ def singular_oracle(k):
 
 
 def test_pauli_products_are_the_kronecker_products_bit_for_bit():
-    sigmas = (IDENTITY_2, *PAULIS)
-    kron = np.array([[tensor2(a, b) for b in sigmas] for a in sigmas])
+    # only the 9 products sigma_i (x) sigma_j, i, j = 1..3, that K reads
+    kron = np.array([[tensor2(a, b) for b in PAULIS] for a in PAULIS])
+    assert correlation._PAULI_PRODUCTS.shape == (3, 3, 4, 4)
     assert np.array_equal(correlation._PAULI_PRODUCTS.view(np.int64), kron.view(np.int64))
 
 

@@ -451,6 +451,56 @@ def test_empty_batch_draws_nothing(monkeypatch):
     assert values.shape == bounds.shape == (2, 0)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 100, 1), "the trial count must be >= 1, got 0"),
+    ((3, 1, 1), "the sample count must be >= 2, got 1"),
+    ((3, 100, -1), "seed must be >= 0, got -1"),
+    # the trial count is checked first, then the sample count
+    ((0, 1, -1), "the trial count must be >= 1, got 0"),
+    ((1, 1, -1), "the sample count must be >= 2, got 1"),
+], ids=["trials", "samples", "seed", "trials_first", "samples_next"])
+def test_verify_trials_checks_its_counts_before_drawing_a_state(args, message, monkeypatch):
+    def drew(rng):
+        raise AssertionError("drew a state")
+
+    monkeypatch.setattr(correlation, "random_density", drew)
+    with pytest.raises(RuleError, match=f"^{message}$") as info:
+        correlation.verify_trials(*args)
+    assert [entry.name for entry in info.traceback][-2:] == ["verify_trials", "check_count"]
+
+
+def test_verify_trials_passes_a_trial_within_four_standard_errors_plus_the_bound(monkeypatch):
+    # every state is the singlet, whose exact Sigma is 1/2 with the bound
+    # 5e-16; the Monte Carlo values and standard errors are set per trial,
+    # so the rule alone decides: at 4 standard errors, past them, within the
+    # bound alone (2^-53 with a standard error of 0) and past the bound
+    singlet = np.zeros((4, 4))
+    singlet[1:3, 1:3] = [[0.5, -0.5], [-0.5, 0.5]]
+    mc = np.array([0.75, 0.8, 0.5 - 2.0**-53, 0.5 - 2.0**-50])
+    stderrs = np.array([0.0625, 0.0625, 0.0, 0.0])
+    monkeypatch.setattr(correlation, "random_density", lambda rng: singlet)
+    monkeypatch.setattr(correlation, "sigma_monte_carlo_batch",
+                        lambda k, samples, seed: (mc.copy(), stderrs.copy()))
+    exact, bounds, got_mc, got_stderrs, ok = correlation.verify_trials(4, 100, 7)
+    assert exact.tolist() == [0.5] * 4 and bounds.tolist() == [0.5e-15] * 4
+    assert got_mc.tolist() == mc.tolist() and got_stderrs.tolist() == stderrs.tolist()
+    assert ok.tolist() == [True, False, True, False]
+
+
+def test_verify_trials_is_sigma_for_state_and_one_batch_on_its_streams():
+    trials, samples, seed = 5, 3000, 11
+    exact, bounds, mc, stderrs, ok = correlation.verify_trials(trials, samples, seed)
+    rhos = np.array([random_density(np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(i, 0)))) for i in range(trials)])
+    want_mc = sigma_monte_carlo_batch(correlation_matrix(rhos), samples,
+                                      np.random.SeedSequence(seed, spawn_key=(trials,)))
+    for got, want in zip((exact, bounds, mc, stderrs), (*sigma_for_state(rhos), *want_mc)):
+        assert got.shape == (trials,) and got.tobytes() == want.tobytes()
+    assert ok.tolist() == [abs(e - m) <= 4.0 * s + b for e, b, m, s in zip(
+        exact.tolist(), bounds.tolist(), mc.tolist(), stderrs.tolist())]
+    assert ok.all()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--samples", str(MC_CHUNK + 1), "--trials", "3"],
     # the default sample count, eight chunks for a batch of one

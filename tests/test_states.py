@@ -7,22 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from avgcorr import make_pure_state, random_density, sigma_for_state, validate_density
-from avgcorr.states import (IDENTITY_2, PAULIS, SIGMA_1, SIGMA_2, SIGMA_3, _density_residuals,
-                            _first_failure, tensor2)
-from transfer import pauli
+from avgcorr.states import (PAULIS, SIGMA_1, SIGMA_2, SIGMA_3, _density_residuals,
+                            _first_failure)
+from transfer import pauli, tensor2
 
 unit = st.floats(min_value=0.0, max_value=1.0)
-
-
-def kron_by_loops(a, b):
-    """Independent elementwise Kronecker product used as oracle."""
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    out[2 * i + k, 2 * j + l] = a[i, j] * b[k, l]
-    return out
 
 
 def outer_by_loops(amps):
@@ -97,49 +86,6 @@ def test_antiparallel_support():
     zz = tensor2(SIGMA_3, SIGMA_3)
     for c in np.linspace(0.0, 1.0, 11):
         assert abs(np.trace(make_pure_state(c) @ zz).real + 1.0) < 1e-12
-
-
-def test_tensor2_identity():
-    assert np.array_equal(tensor2(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-
-def test_tensor2_sigma3_pair():
-    assert np.allclose(tensor2(SIGMA_3, SIGMA_3), np.diag([1, -1, -1, 1]))
-
-
-def test_tensor2_sigma1_sigma2():
-    got = tensor2(SIGMA_1, SIGMA_2)
-    assert np.max(np.abs(got - kron_by_loops(SIGMA_1, SIGMA_2))) == 0.0
-    antidiag = [got[i, 3 - i] for i in range(4)]
-    assert np.allclose(antidiag, [-1j, 1j, -1j, 1j])
-    assert np.count_nonzero(got) == 4
-
-
-def test_tensor2_matches_loop_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert np.max(np.abs(tensor2(a, b) - kron_by_loops(a, b))) < 1e-12
-
-
-def test_tensor2_mixed_product():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        a, b, c, d = (
-            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            for _ in range(4)
-        )
-        lhs = tensor2(a, b) @ tensor2(c, d)
-        rhs = tensor2(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-def test_tensor2_bilinear():
-    rng = np.random.default_rng(13)
-    a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
-    assert np.allclose(tensor2(a + b, c), tensor2(a, c) + tensor2(b, c))
-    assert np.allclose(tensor2(2.5 * a, c), 2.5 * tensor2(a, c))
 
 
 def test_validate_density_accepts_constructed_state():

@@ -1,5 +1,6 @@
-"""Pauli-transfer matrices of the two damping channels and the Pauli
-lookup: the oracle the tests hold the closed-form damped triple to.
+"""Pauli-transfer matrices of the two damping channels, the Pauli lookup
+and the Kronecker product `tensor2`: the oracle the tests hold the
+closed-form damped triple to.
 
 A channel's Pauli-transfer matrix R_mu,nu = tr(sigma_mu E(sigma_nu))/2, with
 sigma_0 = I, follows from its Kraus operators (see `kraus.py`) and is a real
@@ -10,9 +11,10 @@ sigma_0 = I, follows from its Kraus operators (see `kraus.py`) and is a real
 
 A local pair acts on the real matrix T of a two-qubit state (`t_matrix`)
 as T' = R_A T R_B^T, whose lower 3x3 block is the damped correlation
-matrix K. `t_matrix` is the same einsum that `avgcorr.correlation_matrix`
-takes K from, so its lower block is that K bit for bit; it checks nothing,
-since these tests pass it only density matrices.
+matrix K. `t_matrix` is the einsum that `avgcorr.correlation_matrix`
+takes K from, over all 16 products where K reads the 9 of its lower block;
+that block is K bit for bit. It checks nothing, since these tests pass it
+only density matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from avgcorr import AMPLITUDE_DAMPING, PHASE_DAMPING
-from avgcorr.states import IDENTITY_2, PAULIS, tensor2
+from avgcorr.states import IDENTITY_2, PAULIS
+
+
+def tensor2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product A (x) B with A acting on the left (qubit A) slot."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 # PAULI_PRODUCTS[mu, nu] = sigma_mu (x) sigma_nu with sigma_0 = I
 PAULI_PRODUCTS = np.array(
